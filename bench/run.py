@@ -21,6 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -51,10 +52,6 @@ REF_PY_REPS = 5_000
 REF_NP_REPS = 250
 REF_NOMINAL_S = 0.027
 START_REF_NOMINAL_S = 0.2
-# After a long interval the reference repeats until it has run for this share
-# of the interval: a 5 s operation needs a steadier speed estimate than one
-# 27 ms reference gives.
-REF_SHARE = 0.02
 
 # What one fresh interpreter does for setup_s: import fdzeros and build the
 # workload's inputs with fdzeros constructors.
@@ -117,32 +114,29 @@ class ScaledClock:
         self._nominal = nominal
         self._last_ref = reference()
 
-    def _reference_after(self, wall: float) -> float:
-        """Mean time of one reference run, repeated for REF_SHARE of wall."""
-        runs, total = 0, 0.0
-        while runs == 0 or total < REF_SHARE * wall:
-            total += self._reference()
-            runs += 1
-        return total / runs
-
     def measure(self, fn):
-        """Run fn(); return its result and its scaled seconds."""
+        """Run fn(); return its result, its scaled and its raw seconds."""
         t0 = time.perf_counter()
         out = fn()
         wall = time.perf_counter() - t0
-        ref = self._reference_after(wall)
+        ref = self._reference()
         scaled = wall * self._nominal / (0.5 * (self._last_ref + ref))
         self._last_ref = ref
-        return out, scaled
+        return out, scaled, wall
 
     def measure_pass(self, ops):
-        """Run every op of a pass; return their outputs and the scaled total."""
-        outputs, total = [], 0.0
+        """Run every op of a pass; return their outputs and the scaled total.
+
+        Also returns the pass's scale factor, scaled over raw seconds, which
+        puts the traced pass's span times on the same footing.
+        """
+        outputs, total, raw = [], 0.0, 0.0
         for op in ops:
-            out, scaled = self.measure(op)
+            out, scaled, wall = self.measure(op)
             outputs.append(out)
             total += scaled
-        return outputs, total
+            raw += wall
+        return outputs, total, total / raw
 
 
 def _fresh_env() -> dict:
@@ -176,7 +170,7 @@ def measure_cold_start(clock, op_path: Path, tally) -> float:
     argv = [sys.executable, "-c", CLI_ENTRY, "analyze", str(op_path)]
     times = []
     for _ in range(FRESH_STARTS):
-        proc, scaled = clock.measure(lambda: _run_checked(argv))
+        proc, scaled, _ = clock.measure(lambda: _run_checked(argv))
         if not json.loads(proc.stdout)["hyperbolicity_preserver"]:
             tally.mismatches.append("cold start: preserver not recognised")
         times.append(scaled)
@@ -197,24 +191,24 @@ def timed_passes(clock, wl, seconds: float, tally, tracer=None):
 
     Without a tracer a round is one untraced pass.  With one, a round is an
     untraced pass followed by a traced pass, and the per-layer summary of each
-    traced pass is kept.  Returns the scaled untraced times, the scaled traced
-    times and the traced summaries.  Every pass is checked; the checks are not
-    timed.
+    traced pass is kept, its times scaled like the pass's.  Returns the scaled
+    untraced times, the scaled traced times and the traced summaries.  Every
+    pass is checked; the checks are not timed.
     """
     wl.check([op() for op in wl.ops])  # warm-up: lazy imports, caches, oracles
     plain, traced, layers = [], [], []
     start = time.perf_counter()
     while len(plain) < MIN_PASSES or time.perf_counter() - start < seconds:
-        out, scaled = clock.measure_pass(wl.ops)
+        out, scaled, _ = clock.measure_pass(wl.ops)
         plain.append(scaled)
         tally.add(wl.check(out))
         if tracer is None:
             continue
         tracer.reset()
         with tracer.installed():
-            out, scaled = clock.measure_pass(wl.ops)
+            out, scaled, factor = clock.measure_pass(wl.ops)
         traced.append(scaled)
-        layers.append(tracer.summary())
+        layers.append(tracer.summary(factor))
         tally.add(wl.check(out))
     return plain, traced, layers
 
@@ -274,10 +268,13 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     for problem in tally.mismatches[:10]:
         print(f"mismatch: {problem}", file=sys.stderr)
+    # Counts are per pass, so they do not grow with the number of passes that
+    # fit in --seconds; every pass attempts the same operations.  A failure
+    # seen in any pass counts as a whole one.
     print(json.dumps({
         "correct": not tally.mismatches,
-        "attempted": tally.attempted,
-        "failed": tally.failed,
+        "attempted": tally.attempted // passes,
+        "failed": math.ceil(tally.failed / passes),
         "metrics": metrics,
     }))
     return 0

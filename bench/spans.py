@@ -115,11 +115,12 @@ class Tracer:
             for m, attr, original in reversed(patches):
                 setattr(m, attr, original)
 
-    def summary(self) -> dict[str, float]:
+    def summary(self, scale: float) -> dict[str, float]:
         """Per-layer totals over the spans recorded since the last reset.
 
         `_s` sums the spans of a name that have no ancestor of the same name,
-        `_self_s` subtracts the time covered by direct children.
+        `_self_s` subtracts the time covered by direct children.  Times are
+        multiplied by `scale`.
         """
         child = defaultdict(float)
         for name, start, end, parent in self.spans:
@@ -140,13 +141,13 @@ class Tracer:
         for module, fns in LAYERS.items():
             for fn in fns:
                 key = f"{module}.{fn}"
-                out[f"{key}_s"] = total[key]
-                out[f"{key}_self_s"] = self_t[key]
+                out[f"{key}_s"] = total[key] * scale
+                out[f"{key}_self_s"] = self_t[key] * scale
                 out[f"{key}_calls"] = calls[key]
         out["rootfind.aberth_rows"] = self.counts["rootfind.aberth_rows"]
         out["rootfind.nonconvergence"] = self.counts["rootfind.nonconvergence"]
         for name in property_names():
-            out[f"harness.{name}_s"] = total[f"harness.{name}"]
+            out[f"harness.{name}_s"] = total[f"harness.{name}"] * scale
         out["trace.spans"] = len(self.spans)
         return out
 
