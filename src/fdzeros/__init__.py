@@ -40,7 +40,6 @@ from .poly import (
 )
 from .rootfind import (
     DEFAULT_REAL_TOL,
-    RootConfig,
     RootSet,
     classify_real,
     extremes,

@@ -27,7 +27,7 @@ from .errors import (
     MatchAmbiguity,
 )
 from .poly import Polynomial, evaluate_many
-from .rootfind import RootConfig, roots
+from .rootfind import roots
 
 __all__ = [
     "MonicHead",
@@ -126,23 +126,21 @@ def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.nda
     return pred
 
 
-def actual_roots(p: Polynomial, theta: float, h: float,
-                 cfg: RootConfig | None = None) -> np.ndarray:
+def actual_roots(p: Polynomial, theta: float, h: float) -> np.ndarray:
     """Roots of the image, sorted ascending by real part."""
     image = apply_tb(DeBruijnOp(theta, h), p)
-    z = np.array(roots(image, cfg).roots)
+    z = np.array(roots(image).roots)
     return z[np.argsort(z.real)]
 
 
-def sweep_h_floor(p: Polynomial, cfg: RootConfig | None = None) -> float:
+def sweep_h_floor(p: Polynomial) -> float:
     """Default smallest h at which sorted-order root matching is safe."""
-    r = max(abs(z) for z in roots(p, cfg).roots)
+    r = max(abs(z) for z in roots(p).roots)
     return 2.0 * (1.0 + r)
 
 
 def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
-                   steps: int, order: int,
-                   cfg: RootConfig | None = None) -> AsymptoticReport:
+                   steps: int, order: int) -> AsymptoticReport:
     """Predicted-vs-actual residuals over a geometric h-grid.
 
     Matching is by sorted order (leading terms x_j*h separate strictly);
@@ -150,7 +148,7 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     """
     if not (0 < h_min < h_max) or steps < 2:
         raise InvalidInput("need 0 < h_min < h_max and steps >= 2")
-    floor = sweep_h_floor(p, cfg)
+    floor = sweep_h_floor(p)
     if h_min < floor:
         raise InvalidInput(
             f"h_min {h_min} is below the matching floor {floor:.6g}"
@@ -160,7 +158,7 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     records: list[RootRecord] = []
     scaled = []
     for h in grid:
-        act = actual_roots(p, theta, float(h), cfg)
+        act = actual_roots(p, theta, float(h))
         pred = predict_roots(head, theta, float(h), order)
         if len(act) != len(pred):
             raise InvalidInput(

@@ -33,32 +33,16 @@ from .walsh import apolar_report, walsh_convolve
 __all__ = ["main"]
 
 
-def _format_value(v) -> str:
-    # 17 significant digits round-trips doubles exactly
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, np.integer):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value in output: {v}")
-        return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        items = (f"{json.dumps(str(k))}: {_format_value(x)}" for k, x in v.items())
-        return "{" + ", ".join(items) + "}"
+def _json_default(v):
+    if isinstance(v, np.generic):
+        return v.item()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def _emit(obj) -> None:
-    print(_format_value(obj))
+    # Python's float repr round-trips doubles exactly; a NaN or inf in the
+    # output raises ValueError, which main reports as exit code 2.
+    print(json.dumps(obj, default=_json_default, allow_nan=False))
 
 
 def _read_json(path: str):

@@ -25,7 +25,6 @@ from .poly import (
 )
 from .rootfind import (
     DEFAULT_REAL_TOL,
-    RootConfig,
     classify_real,
     roots,
     sorted_real_parts,
@@ -163,10 +162,9 @@ def gn(n: int, theta: float, h: float) -> Polynomial:
 
 
 def extremal_bounds(p: Polynomial, theta: float, h: float,
-                    tol: float = DEFAULT_REAL_TOL,
-                    cfg: RootConfig | None = None) -> dict:
+                    tol: float = DEFAULT_REAL_TOL) -> dict:
     """Upper/lower bounds on the extreme image roots: ext(P) + h * ext(Q_n)."""
-    rs = roots(p, cfg)
+    rs = roots(p)
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("extremal bounds require a real-rooted polynomial")
     qz = qn_zeros(p.degree, theta)
@@ -189,10 +187,9 @@ def mesh_floor(n: int, theta: float, h: float) -> float:
 
 
 def simplicity_margin(p: Polynomial, theta: float, h: float,
-                      tol: float = DEFAULT_REAL_TOL,
-                      cfg: RootConfig | None = None) -> float:
+                      tol: float = DEFAULT_REAL_TOL) -> float:
     """Minimal gap between sorted image roots; +inf for a single-root image."""
-    rs = roots(p, cfg)
+    rs = roots(p)
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("simplicity margin requires a real-rooted input")
     image = apply_tb(DeBruijnOp(theta, h), p)
@@ -200,7 +197,7 @@ def simplicity_margin(p: Polynomial, theta: float, h: float,
         raise TooFewRoots("image is constant; no roots to separate")
     if image.degree == 1:
         return math.inf
-    irs = roots(image, cfg)
+    irs = roots(image)
     xs = sorted_real_parts(irs)
     return float(np.min(np.diff(xs)))
 

@@ -861,12 +861,3 @@ def report_to_json(report: SuiteReport) -> dict:
         "passed": report.passed,
     }
 
-
-def report_to_text(report: SuiteReport) -> str:
-    lines = []
-    for r in report.records:
-        status = "pass" if r.failures == 0 else "FAIL"
-        lines.append(f"{status}  {r.name}  trials={r.trials} failures={r.failures} "
-                     f"worst={r.worst_violation:.3e}")
-    lines.append(f"total failures: {report.total_failures}")
-    return "\n".join(lines)

@@ -8,7 +8,6 @@ monomial powers for operators the verdict rejects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +15,13 @@ import numpy as np
 from .errors import InvalidInput
 from .poly import (
     Polynomial,
+    _finite_pair,
     linear_combine,
     monomial,
     poly_to_json,
     shift_arg,
 )
-from .rootfind import RootConfig, RootSet, roots, rootset_to_json
+from .rootfind import RootSet, roots, rootset_to_json
 
 __all__ = [
     "FDOperator",
@@ -134,15 +134,14 @@ def generating_fn(op: FDOperator) -> GeneratingFn:
     return GeneratingFn(l, Polynomial(tuple(coeffs)))
 
 
-def analyze(op: FDOperator, tol: float = 1e-8,
-            cfg: RootConfig | None = None) -> OperatorVerdict:
+def analyze(op: FDOperator, tol: float = 1e-8) -> OperatorVerdict:
     """Per-condition breakdown deciding preserver / strip-preserver status."""
     l, m = op.support_low, op.support_high
     re_abs = abs(op.lam.real)
     cond1 = re_abs <= tol * abs(op.lam)
     cond2 = l == -m
     g = generating_fn(op)
-    g_roots = roots(g.poly, cfg)
+    g_roots = roots(g.poly)
     defect = float(max(abs(abs(r) - 1.0) for r in g_roots.roots))
     cond3 = bool(defect <= tol)
     prod = dict(op.terms)[l] * dict(op.terms)[m]
@@ -163,41 +162,64 @@ def analyze(op: FDOperator, tol: float = 1e-8,
 
 
 def _candidates(max_degree: int, strip_b: float | None):
+    # (label, n, s) for the candidate (x - s)^n
     shifts = (0.0, 0.5, -0.5, 1.0)
     for n in range(1, max_degree + 1):
         for s in shifts:
             label = f"x^{n}" if s == 0 else f"(x-{s})^{n}"
-            yield label, shift_arg(monomial(n), s)
+            yield label, n, s
         if strip_b:
             for sgn in (1.0, -1.0):
-                base = shift_arg(monomial(n), sgn * 1j * strip_b)
-                yield f"(x{'-' if sgn > 0 else '+'}{strip_b}i)^{n}", base
+                yield f"(x{'-' if sgn > 0 else '+'}{strip_b}i)^{n}", n, sgn * 1j * strip_b
+
+
+def _offense_confirmed(op: FDOperator, n: int, s: complex, z: complex,
+                       band: float, margin: float) -> bool:
+    """Whether an image root z of (x - s)^n still leaves the band once refined.
+
+    Up to 8 Newton steps on sum_j a_j (x - j*lam - s)^n, evaluated in product
+    form: the expanded image loses digits to cancellation, and its roots can
+    stray off the real line although the true image is real-rooted.
+    """
+    centres = np.array([j * op.lam + s for j, _ in op.terms])
+    coefs = np.array([a for _, a in op.terms])
+    step = np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            w = z - centres
+            step = np.sum(coefs * w**n) / (n * np.sum(coefs * w ** (n - 1)))
+            z = z - step
+            if not step:
+                break
+    return bool(abs(z.imag) - band > margin and abs(step) <= 1e-6 * max(1.0, abs(z)))
 
 
 def witness_search(op: FDOperator, max_degree: int = 24,
-                   strip_b: float | None = None, tol: float = 1e-8,
-                   cfg: RootConfig | None = None) -> Witness | None:
+                   strip_b: float | None = None, tol: float = 1e-8) -> Witness | None:
     """Search monomial powers and small shifts for a zero-location violation.
 
     Returns None both when the verdict says preserver (nothing to find) and
     when the heuristic family is exhausted; callers must not read the latter
     as a preserver certificate.
     """
-    verdict = analyze(op, tol, cfg)
+    verdict = analyze(op, tol)
     if strip_b is None:
         if verdict.hyperbolicity_preserver:
             return None
     elif verdict.strip_preserver:
         return None
     band = strip_b or 0.0
-    for label, cand in _candidates(max_degree, strip_b):
+    for label, n, s in _candidates(max_degree, strip_b):
+        cand = shift_arg(monomial(n), s)
         image = apply_op(op, cand)
         if image.is_zero or image.degree == 0:
             continue
-        rs = roots(image, cfg)
+        rs = roots(image)
         scale = max(1.0, max(abs(r) for r in rs.roots))
-        excess = max(abs(r.imag) for r in rs.roots) - band
-        if excess > 10.0 * tol * scale:
+        worst = max(rs.roots, key=lambda r: abs(r.imag))
+        excess = abs(worst.imag) - band
+        margin = 10.0 * tol * scale
+        if excess > margin and _offense_confirmed(op, n, s, worst, band, margin):
             return Witness(cand, label, rs, float(excess))
     return None
 
@@ -223,14 +245,7 @@ def operator_to_json(op: FDOperator) -> dict:
 def operator_from_json(obj) -> FDOperator:
     if not isinstance(obj, dict) or "lambda" not in obj or "terms" not in obj:
         raise InvalidInput("operator JSON needs 'lambda' and 'terms' fields")
-    lam_raw = obj["lambda"]
-    if (
-        not isinstance(lam_raw, (list, tuple))
-        or len(lam_raw) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in lam_raw)
-        or not all(math.isfinite(x) for x in lam_raw)
-    ):
-        raise InvalidInput("lambda: expected a finite [re, im] pair")
+    lam = _finite_pair(obj["lambda"], "lambda")
     terms_raw = obj["terms"]
     if not isinstance(terms_raw, list) or not terms_raw:
         raise InvalidInput("terms: expected a nonempty list")
@@ -241,16 +256,8 @@ def operator_from_json(obj) -> FDOperator:
         j = t["j"]
         if not isinstance(j, int) or isinstance(j, bool):
             raise InvalidInput(f"terms[{k}].j: expected an integer")
-        a = t["a"]
-        if (
-            not isinstance(a, (list, tuple))
-            or len(a) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a)
-            or not all(math.isfinite(x) for x in a)
-        ):
-            raise InvalidInput(f"terms[{k}].a: expected a finite [re, im] pair")
-        pairs.append((j, complex(a[0], a[1])))
-    return make_operator(complex(lam_raw[0], lam_raw[1]), pairs)
+        pairs.append((j, _finite_pair(t["a"], f"terms[{k}].a")))
+    return make_operator(lam, pairs)
 
 
 def verdict_to_json(v: OperatorVerdict) -> dict:

@@ -1,9 +1,10 @@
 """Simultaneous root computation and root-set predicates.
 
-Roots are found by Aberth-Ehrlich iteration (all roots at once, residual
-certified).  Degrees 1 and 2 use closed forms.  The predicates below
-(realness, mesh, extremes, interlacing) are the language the zero-location
-guarantees elsewhere in the package are stated in.
+Every root-find goes through one engine, `aberth_batch`: closed forms for
+degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) above that, and
+one residual certificate for every degree.  The predicates below (realness,
+mesh, extremes, interlacing) are the language the zero-location guarantees
+elsewhere in the package are stated in.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
 from .poly import Polynomial, coeff_scale, evaluate_many, make_poly
 
 __all__ = [
-    "RootConfig",
     "RootSet",
     "RealnessVerdict",
     "roots",
@@ -43,11 +43,11 @@ __all__ = [
 
 DEFAULT_REAL_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class RootConfig:
-    max_iter: int = 160
-    tol: float = 1e-10
+# Aberth iteration budget, and the residual certified relative to the error
+# bound sum_k |a_k| |z|^k.  Iteration runs to near machine level first.
+MAX_ITER = 160
+TOL = 1e-10
+_ITER_TOL = TOL * 1e-4
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,6 @@ class RealnessVerdict(NamedTuple):
     tol_used: float
 
 
-def _quadratic(a: np.ndarray) -> np.ndarray:
-    c0, c1, c2 = a
-    sq = np.sqrt(complex(c1 * c1 - 4.0 * c2 * c0))
-    if (np.conj(c1) * sq).real < 0:
-        sq = -sq
-    q = -(c1 + sq) / 2.0
-    if q == 0:
-        r = np.sqrt(complex(-c0 / c2))
-        return np.array([r, -r])
-    return np.array([q / c2, c0 / q])
-
-
 def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     # c: (B, m) ascending coefficients, z: (B, n) points
     acc = np.zeros_like(z)
@@ -83,117 +71,130 @@ def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def aberth_batch(c: np.ndarray, max_iter: int = 160, tol: float = 1e-10) -> np.ndarray:
-    """All roots for a batch of same-degree polynomials.
+def _residual_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, tol: float):
+    """Per-root test |p(z)| <= tol * max(1, sum_k |a_k| |z|^k), and p(z).
 
-    c is (B, n+1), ascending, with nonzero leading column.  Returns (B, n)
-    roots.  Convergence is judged against the running error bound
-    sum_k |a_k| |z|^k, so large-magnitude roots are not held to an
-    unattainable absolute residual.
+    A root whose error bound is not finite (NaN or overflowing z) never passes.
     """
-    c = np.asarray(c, dtype=complex)
-    B, m = c.shape
+    p = _horner_rows(a, z)
+    err = _horner_rows(absa, np.abs(z))
+    return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err), p
+
+
+def _aberth(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
+    # a: (B, n+1) monic rows, n >= 3.  Each row iterates on its own: a root
+    # stops once its residual passes, a row stops once its own steps stagnate.
+    B, m = a.shape
     n = m - 1
-    if n < 1:
-        raise ConstantPolynomial("batch root finding needs degree >= 1")
-    if n == 1:
-        return -c[:, :1] / c[:, 1:]
-    a = c / c[:, -1:]
     dcoef = a[:, 1:] * np.arange(1, n + 1)
-    absa = np.abs(a)
     # Fujiwara root bound on the monic form; Cauchy's 1 + max|a_k| overshoots
     # badly when the coefficient range is wide.
-    with np.errstate(divide="ignore"):
-        radius = 2.0 * np.max(
-            np.abs(a[:, :-1]) ** (1.0 / np.arange(n, 0, -1)), axis=1
-        )
+    radius = 2.0 * np.max(absa[:, :-1] ** (1.0 / np.arange(n, 0, -1)), axis=1)
     radius = np.maximum(radius, 1e-3)
     k = np.arange(n)
     angles = 2.0 * np.pi * (k + 0.25) / n + 0.43
     wobble = 1.0 + 0.05 * np.cos(7.0 * k + 1.0)
     z = radius[:, None] * (np.exp(1j * angles) * wobble)[None, :]
     eye = np.eye(n, dtype=bool)[None, :, :]
-    # Iterate to near machine level; certify afterwards at the looser tol.
-    eps = np.finfo(float).eps
-    iter_tol = max(4.0 * eps, tol * 1e-4)
-    cert_tol = max(tol, 64.0 * eps)
-
-    done = np.zeros((B, n), dtype=bool)
-    for it in range(max_iter):
-        p = _horner_rows(a, z)
-        err = _horner_rows(absa.astype(complex), np.abs(z).astype(complex)).real
-        done = np.abs(p) <= iter_tol * np.maximum(err, 1.0)
+    stalled = np.zeros(B, dtype=bool)
+    for it in range(MAX_ITER):
+        done, p = _residual_ok(a, absa, z, _ITER_TOL)
+        done |= stalled[:, None]
         if done.all():
             break
         dp = _horner_rows(dcoef, z)
-        w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.1 * (1.0 + np.abs(z)))
+        w = np.where(dp != 0, p / dp, 0.1 * (1.0 + np.abs(z)))
         diff = z[:, :, None] - z[:, None, :]
-        inv = np.zeros_like(diff)
-        mask = ~eye & (diff != 0)
-        inv[mask] = 1.0 / diff[mask]
-        s = inv.sum(axis=2)
+        s = np.where(~eye & (diff != 0), 1.0 / diff, 0.0).sum(axis=2)
         denom = 1.0 - w * s
-        step = np.where(np.abs(denom) > 1e-30, w / np.where(denom != 0, denom, 1.0), w)
+        step = np.where(np.abs(denom) > 1e-30, w / denom, w)
         step = np.where(np.isfinite(step), step, 0.05 * (1.0 + np.abs(z)) * np.exp(1j * it))
         step = np.where(done, 0.0, step)
         z = z - step
-        if np.max(np.abs(step)) <= 1e-16 * (1.0 + np.max(np.abs(z))):
-            break
-    p = _horner_rows(a, z)
-    err = _horner_rows(absa.astype(complex), np.abs(z).astype(complex)).real
-    done = np.abs(p) <= cert_tol * np.maximum(err, 1.0)
-    if not done.all():
-        raise NonConvergence(
-            f"Aberth iteration did not converge within {max_iter} iterations",
-            best=z,
-            residuals=np.abs(_horner_rows(a, z)),
-        )
-    # Newton polish: the Aberth stop rule certifies residuals; a few extra
-    # steps push simple roots close to machine accuracy.  Oversized steps
-    # (clustered roots) are rejected rather than applied.
+        stalled |= np.max(np.abs(step), axis=1) <= 1e-16 * (1.0 + np.max(np.abs(z), axis=1))
+    # Newton polish: a few extra steps push simple roots close to machine
+    # accuracy; the certificate then judges what is returned.  Oversized and
+    # non-finite steps (clustered roots, vanishing derivative) are rejected.
     for _ in range(3):
-        p = _horner_rows(a, z)
-        dp = _horner_rows(dcoef, z)
-        step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        big = np.abs(step) > 0.5 * (1.0 + np.abs(z))
-        step = np.where(big, 0.0, step)
-        z = z - step
+        step = _horner_rows(a, z) / _horner_rows(dcoef, z)
+        z = z - np.where(np.abs(step) <= 0.5 * (1.0 + np.abs(z)), step, 0.0)
     return z
 
 
-def roots(p: Polynomial, cfg: RootConfig | None = None) -> RootSet:
-    """All degree-many roots of p, residual-certified.
+def aberth_batch(c: np.ndarray) -> np.ndarray:
+    """All roots for a batch of same-degree polynomials.
 
-    Raises ZeroPolynomial / ConstantPolynomial for degenerate input and
-    NonConvergence (with the best iterate attached) on budget exhaustion.
+    c is (B, n+1), ascending, with nonzero leading column.  Returns (B, n)
+    roots.  Degrees 1 and 2 use closed forms, higher degrees Aberth-Ehrlich
+    iteration with Newton polish.  Every row is certified against the error
+    bound sum_k |a_k| |z|^k of its monic form, so large-magnitude roots are
+    not held to an unattainable absolute residual; a row with a non-finite
+    root or error bound is never certified.  Raises NonConvergence (with the
+    best iterate attached) if any row fails.
     """
-    cfg = cfg or RootConfig()
+    c = np.asarray(c, dtype=complex)
+    n = c.shape[1] - 1
+    if n < 1:
+        raise ConstantPolynomial("batch root finding needs degree >= 1")
+    with np.errstate(all="ignore"):
+        a = c / c[:, -1:]
+        absa = np.abs(a)
+        if n == 1:
+            z = -c[:, :1] / c[:, 1:]
+        elif n == 2:
+            # Cancellation-free quadratic formula.  q = 0 only when the linear
+            # coefficient and the computed discriminant both vanish.
+            c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+            sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+            sq = np.where((np.conj(c1) * sq).real < 0, -sq, sq)
+            q = -(c1 + sq) / 2.0
+            r = np.sqrt(-c0 / c2)
+            z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
+                         np.stack([q / c2, c0 / q], axis=1))
+        else:
+            z = _aberth(a, absa)
+        ok, p = _residual_ok(a, absa, z, TOL)
+    if not ok.all():
+        how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
+        raise NonConvergence(
+            f"{how} roots of degree {n} failed the residual certificate",
+            best=z,
+            residuals=np.abs(p),
+        )
+    return z
+
+
+def _sorted(z: np.ndarray) -> np.ndarray:
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def roots(p: Polynomial) -> RootSet:
+    """All degree-many roots of p, residual-certified, sorted by (real, imag).
+
+    The B = 1 call of `aberth_batch`: closed forms for degrees 1 and 2,
+    Aberth iteration above.  The monomial-coefficient representation caps
+    the reachable degree: `roots(gn(n, 0.7, 1))` converges at n = 56 and
+    raises at n = 64.  Above that ceiling the answer is NonConvergence (with
+    the best iterate attached), never NaN roots.  Raises ZeroPolynomial /
+    ConstantPolynomial for degenerate input.
+    """
     if p.is_zero:
         raise ZeroPolynomial("cannot root-find the zero polynomial")
     if p.degree == 0:
         raise ConstantPolynomial("cannot root-find a nonzero constant")
-    a = p.as_array()
-    n = p.degree
-    if n == 1:
-        z = np.array([-a[0] / a[1]])
-    elif n == 2:
-        z = _quadratic(a)
-    else:
-        z = aberth_batch(a[None, :], cfg.max_iter, cfg.tol)[0]
-    order = np.lexsort((z.imag, z.real))
-    z = z[order]
+    z = _sorted(aberth_batch(p.as_array()[None, :])[0])
     res = np.abs(evaluate_many(p, z))
     return RootSet(tuple(z), tuple(float(r) for r in res), coeff_scale(p))
 
 
-def roots_many(ps, cfg: RootConfig | None = None) -> list[np.ndarray]:
+def roots_many(ps) -> list[np.ndarray]:
     """Roots for a sequence of polynomials, batching equal degrees together.
 
     Much faster than looping roots() when many same-degree polynomials are
-    processed (property suites, Monte-Carlo checks).  Root arrays come back
-    sorted by (real, imag), aligned with the input order.
+    processed (property suites, Monte-Carlo checks).  Each row's roots equal
+    what roots() returns for it alone.  Root arrays come back sorted by
+    (real, imag), aligned with the input order.
     """
-    cfg = cfg or RootConfig()
     out: list[np.ndarray | None] = [None] * len(ps)
     by_degree: dict[int, list[int]] = {}
     for i, p in enumerate(ps):
@@ -202,16 +203,10 @@ def roots_many(ps, cfg: RootConfig | None = None) -> list[np.ndarray]:
         if p.degree == 0:
             raise ConstantPolynomial("cannot root-find a nonzero constant")
         by_degree.setdefault(p.degree, []).append(i)
-    for n, idxs in by_degree.items():
-        if n <= 2:
-            for i in idxs:
-                out[i] = np.array(roots(ps[i], cfg).roots)
-            continue
-        mat = np.array([ps[i].as_array() for i in idxs])
-        z = aberth_batch(mat, cfg.max_iter, cfg.tol)
+    for idxs in by_degree.values():
+        z = aberth_batch(np.array([ps[i].as_array() for i in idxs]))
         for row, i in enumerate(idxs):
-            zi = z[row]
-            out[i] = zi[np.lexsort((zi.imag, zi.real))]
+            out[i] = _sorted(z[row])
     return out  # type: ignore[return-value]
 
 
@@ -259,10 +254,9 @@ def _weakly_alternates(a: np.ndarray, b: np.ndarray, slack: float) -> bool:
     return True
 
 
-def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL,
-              cfg: RootConfig | None = None) -> bool:
+def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bool:
     """Non-strict interlacing of the sorted root lists, with ties within slack."""
-    rp, rq = roots(p, cfg), roots(q, cfg)
+    rp, rq = roots(p), roots(q)
     for rs, name in ((rp, "first"), (rq, "second")):
         if not classify_real(rs, tol).is_real_rooted:
             raise NotRealRooted(f"{name} polynomial is not real-rooted at tol {tol}")
@@ -278,35 +272,32 @@ def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL,
 
 
 def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
-                             seed: int = 0, tol: float = 1e-7,
-                             cfg: RootConfig | None = None) -> bool:
+                             seed: int = 0, tol: float = 1e-7) -> bool:
     """Monte-Carlo check that c*P + d*Q is real-rooted along the unit circle.
 
-    Serves as an independent oracle for interlace; returns False as soon as
-    any sampled direction yields a non-real-rooted combination.
+    Serves as an independent oracle for interlace; returns False if any
+    sampled direction yields a non-real-rooted combination.  Realness is
+    judged as in classify_real.
     """
     if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
         raise InvalidInput("pencil sampling needs equal degrees >= 1")
-    cfg = cfg or RootConfig()
-    n = p.degree
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     pa, qa = p.as_array(), q.as_array()
     rows = np.cos(phi)[:, None] * pa[None, :] + np.sin(phi)[:, None] * qa[None, :]
-    rowmax = np.max(np.abs(rows), axis=1)
-    trivial = rowmax == 0.0
-    dropped = (~trivial) & (np.abs(rows[:, -1]) <= 1e-12 * rowmax)
-    full = ~trivial & ~dropped
+    full = rows[:, -1] != 0
     if full.any():
-        z = aberth_batch(rows[full], cfg.max_iter, cfg.tol)
+        z = aberth_batch(rows[full])
         scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
         if np.any(np.max(np.abs(z.imag), axis=1) > tol * scale):
             return False
-    for row in rows[dropped]:
+    # A direction that cancels the leading coefficient exactly leaves a
+    # lower-degree (possibly constant or zero) combination.
+    for row in rows[~full]:
         pr = make_poly(row)
         if pr.is_zero or pr.degree == 0:
             continue
-        if not classify_real(roots(pr, cfg), tol).is_real_rooted:
+        if not classify_real(roots(pr), tol).is_real_rooted:
             return False
     return True
 

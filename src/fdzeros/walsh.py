@@ -16,7 +16,6 @@ from .debruijn import gn
 from .poly import Polynomial, derivative, linear_combine, make_poly
 from .rootfind import (
     DEFAULT_REAL_TOL,
-    RootConfig,
     classify_real,
     roots,
     sorted_real_parts,
@@ -92,14 +91,13 @@ def tb_via_walsh(p: Polynomial, theta: float, h: float) -> Polynomial:
 
 
 def walsh_interval_bound(p: Polynomial, q: Polynomial, n: int,
-                         tol: float = DEFAULT_REAL_TOL,
-                         cfg: RootConfig | None = None) -> dict:
+                         tol: float = DEFAULT_REAL_TOL) -> dict:
     """Root interval [mu(P)+mu(Q), lambda(P)+lambda(Q)] containing P [+] Q zeros."""
     if p.degree != n or q.degree != n:
         raise InvalidInput("interval bound is stated for degree == frame")
     lo = hi = 0.0
     for poly in (p, q):
-        rs = roots(poly, cfg)
+        rs = roots(poly)
         if not classify_real(rs, tol).is_real_rooted:
             raise NotRealRooted("interval bound requires real-rooted operands")
         xs = sorted_real_parts(rs)

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fdzeros import cli
 from fdzeros.cli import main
 
 PRESERVER = {"lambda": [0, 1], "terms": [{"j": -1, "a": [1, 0]},
@@ -158,3 +160,10 @@ def test_seventeen_digit_output(tmp_path, capsys):
     assert code == 0
     # full precision: value round-trips to the exact double
     assert float(out.strip()) == 3.0000000000000004 or float(out.strip()) == 3.0
+
+
+def test_emit_numpy_scalars_and_rejects_non_finite(capsys):
+    cli._emit({"b": np.bool_(True), "i": np.int64(3), "x": np.float64(0.1)})
+    assert json.loads(capsys.readouterr().out) == {"b": True, "i": 3, "x": 0.1}
+    with pytest.raises(ValueError):  # main turns this into exit code 2
+        cli._emit({"roots": [[float("nan"), 0.0]]})

@@ -16,6 +16,7 @@ from fdzeros import (
     operator_from_json,
     operator_to_json,
     random_preserver,
+    random_strip_operator,
     roots,
     verdict_to_json,
     witness_search,
@@ -111,6 +112,13 @@ def test_witness_none_for_preserver():
     assert witness_search(make_operator(1j, {-1: 1, 1: 1})) is None
 
 
+def test_witness_none_for_strip_preserver():
+    # e^{i phi} times a preserver: every image of (x - 1)^n is real-rooted, but
+    # the expanded image's computed roots leave the real line at n = 20.
+    op = random_strip_operator(1, np.random.default_rng([3, 77, 1]))
+    assert witness_search(op) is None
+
+
 def test_witness_modulus_violation():
     # generating roots +-i/2, off the unit circle
     op = make_operator(1j, {-1: 1, 1: 4})
@@ -173,6 +181,9 @@ def test_operator_json_roundtrip():
     ({"lambda": [0, 1]}, "terms"),
     ({"lambda": [0, 1], "terms": []}, "terms"),
     ({"lambda": "x", "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [float("nan"), 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [True, 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [0, 1, 2], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
     ({"lambda": [0, 1], "terms": [{"j": 0.5, "a": [1, 0]}]}, r"terms\[0\].j"),
     ({"lambda": [0, 1], "terms": [{"j": 0, "a": [1]}]}, r"terms\[0\].a"),
     ({"lambda": [0, 1], "terms": [{"a": [1, 0]}]}, r"terms\[0\]"),

@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fdzeros import (
     ConstantPolynomial,
+    DeBruijnOp,
     DegreeGapTooLarge,
+    NonConvergence,
     NotRealRooted,
-    RootConfig,
     TooFewRoots,
     ZeroPolynomial,
+    apply_tb,
     classify_real,
     extremes,
     from_roots,
@@ -64,10 +67,13 @@ def test_roots_many_matches_roots():
     rng = np.random.default_rng(4)
     ps = [from_roots(rng.uniform(-5, 5, size=int(rng.integers(1, 9))))
           for _ in range(30)]
+    # A leading coefficient of 1e-13 puts one root near -3e13 in a batch of
+    # ordinary degree-8 rows.
+    ps.append(make_poly([1, 2, -3, 0.5, 1, 2, 1, 3, 1e-13]))
     batched = roots_many(ps)  # arrays sorted by (real, imag), input order
     for p, zs in zip(ps, batched):
-        solo = sorted(roots(p).roots, key=lambda z: (z.real, z.imag))
-        assert max(abs(x - y) for x, y in zip(zs, solo)) < 1e-9
+        solo = roots(p).roots
+        assert max(abs(x - y) / max(1.0, abs(y)) for x, y in zip(zs, solo)) < 1e-14
 
 
 def test_classify_real():
@@ -151,6 +157,13 @@ def test_root_count_matches_degree():
         assert len(roots(p).roots) == n
 
 
-def test_custom_config():
-    rs = roots(make_poly([-1, 0, 1]), RootConfig(max_iter=50, tol=1e-12))
-    assert sorted_real_parts(rs) == pytest.approx([-1, 1])
+def test_high_degree_nonconvergence_is_typed_and_silent():
+    # The error bound overflows at this degree; the answer must be a typed
+    # error, not NaN roots, and numpy's floating-point warnings stay inside.
+    p = from_roots(np.sort(np.random.default_rng(128).uniform(-5, 5, 128)))
+    image = apply_tb(DeBruijnOp(0.7, 1.0), p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergence):
+            roots(image)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
