@@ -181,12 +181,12 @@ def test_operator_json_roundtrip():
     ({"lambda": [0, 1]}, "terms"),
     ({"lambda": [0, 1], "terms": []}, "terms"),
     ({"lambda": "x", "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
-    ({"lambda": [float("nan"), 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
-    ({"lambda": [True, 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
-    ({"lambda": [0, 1, 2], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
     ({"lambda": [0, 1], "terms": [{"j": 0.5, "a": [1, 0]}]}, r"terms\[0\].j"),
     ({"lambda": [0, 1], "terms": [{"j": 0, "a": [1]}]}, r"terms\[0\].a"),
     ({"lambda": [0, 1], "terms": [{"a": [1, 0]}]}, r"terms\[0\]"),
+    ({"lambda": [float("nan"), 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [True, 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [0, 1, 2], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
 ])
 def test_operator_json_rejects(bad, field):
     with pytest.raises(InvalidInput, match=field):
