@@ -57,6 +57,17 @@ def _read_json(path: str):
         raise FDZerosError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    # argparse names the option in its error message and exits with code 2.
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
 def _theta_of(args) -> float:
     if args.theta_pi is not None:
         return args.theta_pi * math.pi
@@ -67,8 +78,8 @@ def _theta_of(args) -> float:
 
 def _add_theta(sub, required=True):
     group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--theta", type=float, help="angle in radians")
-    group.add_argument("--theta-pi", type=float, metavar="Q",
+    group.add_argument("--theta", type=_finite_float, help="angle in radians")
+    group.add_argument("--theta-pi", type=_finite_float, metavar="Q",
                        help="angle as Q*pi (exact for degenerate angles)")
 
 
@@ -82,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("analyze", help="classify an operator")
     s.add_argument("operator", help="operator JSON file or -")
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_finite_float, default=1e-8)
 
     s = subs.add_parser("apply", help="apply an operator to a polynomial")
     s.add_argument("operator")
@@ -91,16 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("tb", help="apply T_{theta,h}")
     s.add_argument("poly")
     _add_theta(s)
-    s.add_argument("--h", type=float, required=True)
+    s.add_argument("--h", type=_finite_float, required=True)
 
     s = subs.add_parser("zeros", help="closed-form monomial-image zeros")
     s.add_argument("--n", type=int, required=True)
     _add_theta(s)
-    s.add_argument("--h", type=float, default=1.0)
+    s.add_argument("--h", type=_finite_float, default=1.0)
 
     s = subs.add_parser("mesh", help="minimal root gap of a real-rooted polynomial")
     s.add_argument("poly")
-    s.add_argument("--tol", type=float, default=DEFAULT_REAL_TOL)
+    s.add_argument("--tol", type=_finite_float, default=DEFAULT_REAL_TOL)
 
     s = subs.add_parser("walsh", help="Walsh convolution in a frame degree")
     s.add_argument("p")
@@ -111,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("p")
     s.add_argument("q")
     s.add_argument("--frame", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_finite_float, default=1e-8)
 
     s = subs.add_parser("asymptotics", help="large-h residual sweep as CSV")
     s.add_argument("poly")
     _add_theta(s)
-    s.add_argument("--h-min", type=float, required=True)
-    s.add_argument("--h-max", type=float, required=True)
+    s.add_argument("--h-min", type=_finite_float, required=True)
+    s.add_argument("--h-max", type=_finite_float, required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--order", type=int, default=1, choices=(0, 1, 2))
     s.add_argument("--summary", action="store_true",
@@ -126,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("witness", help="search for a zero-location violation")
     s.add_argument("operator")
     s.add_argument("--max-degree", type=int, default=24)
-    s.add_argument("--strip", type=float, default=None, metavar="B",
+    s.add_argument("--strip", type=_finite_float, default=None, metavar="B",
                    help="search against the strip |Im z| <= B instead")
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_finite_float, default=1e-8)
 
     s = subs.add_parser("verify", help="run the seeded property suite")
     s.add_argument("--seed", type=int, default=42)

@@ -31,6 +31,7 @@ from .debruijn import (
     qn_zeros,
     simplicity_margin,
 )
+from .errors import FDZerosError
 from .operators import (
     FDOperator,
     analyze,
@@ -806,6 +807,13 @@ ALL_PROPERTIES: tuple[Property, ...] = (
 
 
 def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
+    """Run each property's checker on its seeded instances.
+
+    An instance fails when its checker returns a positive violation or
+    raises a typed fdzeros error (for example NonConvergence on roots the
+    engine cannot certify); an error has no violation, so it leaves
+    worst_violation alone.
+    """
     records = []
     for prop in sorted(properties, key=lambda p: p.name):
         rng = np.random.default_rng([cfg.seed, prop.stream])
@@ -814,8 +822,12 @@ def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
         worst = -math.inf
         example = None
         for inst in instances:
-            v = float(prop.check(inst))
-            worst = max(worst, v)
+            try:
+                v = float(prop.check(inst))
+            except FDZerosError:
+                v = math.inf
+            else:
+                worst = max(worst, v)
             if v > 0:
                 failures += 1
                 if example is None:
@@ -852,7 +864,9 @@ def report_to_json(report: SuiteReport) -> dict:
                 "name": r.name,
                 "trials": r.trials,
                 "failures": r.failures,
-                "worst_violation": r.worst_violation,
+                # JSON has no inf or NaN: None when the worst is not finite
+                "worst_violation": (r.worst_violation
+                                    if math.isfinite(r.worst_violation) else None),
                 "example_failure": r.example_failure,
             }
             for r in report.records

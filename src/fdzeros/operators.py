@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NonConvergence
 from .poly import (
     Polynomial,
     _finite_pair,
@@ -200,7 +200,8 @@ def witness_search(op: FDOperator, max_degree: int = 24,
 
     Returns None both when the verdict says preserver (nothing to find) and
     when the heuristic family is exhausted; callers must not read the latter
-    as a preserver certificate.
+    as a preserver certificate.  A candidate whose image roots cannot be
+    certified is skipped: it is evidence neither way.
     """
     verdict = analyze(op, tol)
     if strip_b is None:
@@ -214,7 +215,10 @@ def witness_search(op: FDOperator, max_degree: int = 24,
         image = apply_op(op, cand)
         if image.is_zero or image.degree == 0:
             continue
-        rs = roots(image)
+        try:
+            rs = roots(image)
+        except NonConvergence:
+            continue
         scale = max(1.0, max(abs(r) for r in rs.roots))
         worst = max(rs.roots, key=lambda r: abs(r.imag))
         excess = abs(worst.imag) - band

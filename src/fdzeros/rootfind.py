@@ -1,14 +1,16 @@
 """Simultaneous root computation and root-set predicates.
 
 Every root-find goes through one engine, `aberth_batch`: closed forms for
-degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) above that, and
-one residual certificate for every degree.  The predicates below (realness,
+degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
+companion-matrix eigenvalues above that, and a residual and a forward-error
+certificate for every degree.  The predicates below (realness,
 mesh, extremes, interlacing) are the language the zero-location guarantees
 elsewhere in the package are stated in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +50,14 @@ DEFAULT_REAL_TOL = 1e-8
 MAX_ITER = 160
 TOL = 1e-10
 _ITER_TOL = TOL * 1e-4
+# Forward certificate: each root's first-order forward-error estimate,
+# relative to max(1, |z|).  Roots that are backward-stable for an
+# ill-conditioned polynomial pass the residual certificate although they can
+# be far from the true ones; this catches them.  A root that fails as a simple
+# root is judged again as a member of a cluster of at most _CLUSTER_MAX roots.
+FWD_TOL = 1e-3
+_CLUSTER_MAX = 8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -72,37 +82,129 @@ def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _residual_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, tol: float):
-    """Per-root test |p(z)| <= tol * max(1, sum_k |a_k| |z|^k), and p(z).
+    """Per-root test |p(z)| <= tol * max(1, err), p(z), and the error bound
+    err = sum_k |a_k| |z|^k.
 
     A root whose error bound is not finite (NaN or overflowing z) never passes.
     """
     p = _horner_rows(a, z)
     err = _horner_rows(absa, np.abs(z))
-    return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err), p
+    return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err), p, err
 
 
-def _aberth(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
-    # a: (B, n+1) monic rows, n >= 3.  Each row iterates on its own: a root
-    # stops once its residual passes, a row stops once its own steps stagnate.
-    B, m = a.shape
-    n = m - 1
-    dcoef = a[:, 1:] * np.arange(1, n + 1)
-    # Fujiwara root bound on the monic form; Cauchy's 1 + max|a_k| overshoots
-    # badly when the coefficient range is wide.
-    radius = 2.0 * np.max(absa[:, :-1] ** (1.0 / np.arange(n, 0, -1)), axis=1)
-    radius = np.maximum(radius, 1e-3)
-    k = np.arange(n)
-    angles = 2.0 * np.pi * (k + 0.25) / n + 0.43
-    wobble = 1.0 + 0.05 * np.cos(7.0 * k + 1.0)
-    z = radius[:, None] * (np.exp(1j * angles) * wobble)[None, :]
+def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray, settled: bool) -> np.ndarray:
+    """Forward-error estimate of each root z[rows, cols] as a cluster member,
+    relative to max(1, |c|).
+
+    The cluster is its m nearest roots in the row (itself included),
+    2 <= m <= _CLUSTER_MAX, with centre c, the mean; the estimate is the best
+    over m of the m-fold sensitivity (eta * m! / |p^(m)(c)|)^(1/m), where
+    eta = n eps sum_k |a_k| |c|^k.  For settled roots eta also covers
+    |p(c)|, and the spread max |z_j - c| counts too; unsettled iterates are
+    judged by the rounding floor alone.
+    """
+    n = z.shape[1]
+    top = min(_CLUSTER_MAX, n)
+    if top < 2 or rows.size == 0:
+        return np.full(rows.size, np.inf)
+    zr = z[rows]
+    near = np.argsort(np.abs(zr - z[rows, cols][:, None]), axis=1)[:, :top]
+    zs = np.take_along_axis(zr, near, axis=1)  # (P, top), nearest first
+    m = np.arange(2, top + 1)
+    c = np.cumsum(zs, axis=1)[:, 1:] / m  # (P, top - 1) centres
+    # p^(m)(c) / m! = sum_i C(i + m, m) a_(i+m) c^i, by Horner in c alongside
+    # p(c) and sum_k |a_k| |c|^k
+    ar, absr = a[rows], absa[rows]
+    shifted = np.zeros(c.shape + (n + 1,), dtype=complex)
+    for j, mm in enumerate(m):
+        binom = np.array([math.comb(k, mm) for k in range(mm, n + 1)], dtype=float)
+        shifted[:, j, : n + 1 - mm] = ar[:, mm:] * binom
+    absc = np.abs(c)
+    taylor = np.zeros_like(c)
+    pc = np.zeros_like(c)
+    err = np.zeros_like(absc)
+    for k in range(n, -1, -1):
+        taylor = taylor * c + shifted[:, :, k]
+        pc = pc * c + ar[:, k, None]
+        err = err * absc + absr[:, k, None]
+    eta = n * _EPS * err
+    if settled:
+        eta = np.maximum(eta, np.abs(pc))
+    bound = (eta / np.abs(taylor)) ** (1.0 / m)
+    if settled:
+        member = np.arange(top)[None, :] < m[:, None]  # (top - 1, top)
+        dist = np.abs(zs[:, None, :] - c[:, :, None])
+        bound = np.maximum(bound, np.max(np.where(member, dist, 0.0), axis=2))
+    bound = bound / np.maximum(1.0, absc)
+    return np.min(np.where(np.isnan(bound), np.inf, bound), axis=1)
+
+
+def _forward_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
+                   dp: np.ndarray, p: np.ndarray | None = None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """Per-root first-order forward-error estimate, relative to max(1, |z|):
+    max(|p(z)|, n eps err) / |p'(z)| for a simple root, and where that
+    exceeds FWD_TOL the cluster estimate if it is smaller.
+
+    With p None only the rounding floor n eps err counts: a root whose floor
+    exceeds FWD_TOL cannot be certified however long it iterates.  Only the
+    rows selected by `rows` (all by default) get the cluster estimate.
+    """
+    n = z.shape[1]
+    eta = n * _EPS * err
+    if p is not None:
+        eta = np.maximum(eta, np.abs(p))
+    bound = eta / (np.abs(dp) * np.maximum(1.0, np.abs(z)))
+    bad = ~(bound <= FWD_TOL)
+    if rows is not None:
+        bad &= rows[:, None]
+    r, i = np.nonzero(bad)
+    bound[r, i] = np.fmin(bound[r, i], _cluster_bound(a, absa, z, r, i, p is not None))
+    return bound
+
+
+def _companion_eigvals(a: np.ndarray) -> np.ndarray:
+    # a: (B, n+1) monic rows.  Eigenvalues of the companion matrices, with
+    # real arithmetic for real rows; a row with a non-finite coefficient
+    # starts (and fails) at NaN.
+    B, n = a.shape[0], a.shape[1] - 1
+    z = np.full((B, n), np.nan, dtype=complex)
+    finite = np.isfinite(a).all(axis=1)
+    real = ~np.any(a.imag != 0, axis=1)
+    for rows, part in ((finite & real, a.real), (finite & ~real, a)):
+        if not rows.any():
+            continue
+        comp = np.zeros((int(rows.sum()), n, n), dtype=part.dtype)
+        comp[:, 0, :] = -part[rows][:, n - 1::-1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        try:
+            z[rows] = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"companion eigenvalues of degree {n}: {exc}") from exc
+    return z
+
+
+def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
+    # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
+    # iterates on its own from its companion eigenvalues: a root stops once
+    # its residual passes, a row stops once its own steps stagnate or a root
+    # fails the rounding floor of the forward certificate.
+    B = a.shape[0]
+    z = _companion_eigvals(a)
+    n = z.shape[1]
     eye = np.eye(n, dtype=bool)[None, :, :]
     stalled = np.zeros(B, dtype=bool)
     for it in range(MAX_ITER):
-        done, p = _residual_ok(a, absa, z, _ITER_TOL)
+        done, p, err = _residual_ok(a, absa, z, _ITER_TOL)
         done |= stalled[:, None]
         if done.all():
             break
         dp = _horner_rows(dcoef, z)
+        live = ~done.all(axis=1)
+        floor = _forward_bound(a, absa, z, err, dp, rows=live)
+        stalled |= live & ~np.all(floor <= FWD_TOL, axis=1)
+        done |= stalled[:, None]
         w = np.where(dp != 0, p / dp, 0.1 * (1.0 + np.abs(z)))
         diff = z[:, :, None] - z[:, None, :]
         s = np.where(~eye & (diff != 0), 1.0 / diff, 0.0).sum(axis=2)
@@ -112,12 +214,20 @@ def _aberth(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
         step = np.where(done, 0.0, step)
         z = z - step
         stalled |= np.max(np.abs(step), axis=1) <= 1e-16 * (1.0 + np.max(np.abs(z), axis=1))
-    # Newton polish: a few extra steps push simple roots close to machine
-    # accuracy; the certificate then judges what is returned.  Oversized and
-    # non-finite steps (clustered roots, vanishing derivative) are rejected.
+    # Newton polish with p(z) evaluated in extended precision (np.clongdouble;
+    # plain double where long double is double): a few steps push simple
+    # roots to the accuracy the double-precision coefficients allow; the
+    # certificates then judge what is returned.  Non-finite steps (vanishing
+    # derivative) are rejected, and so are steps longer than half the gap to
+    # the nearest other root: inside a cluster a step that long comes from
+    # rounding noise in p(z), not from the polynomial.
+    gap = np.where(eye, np.inf, np.abs(z[:, :, None] - z[:, None, :])).min(axis=2)
+    limit = 0.5 * np.minimum(1.0 + np.abs(z), gap)
+    a_long = a.astype(np.clongdouble)
     for _ in range(3):
-        step = _horner_rows(a, z) / _horner_rows(dcoef, z)
-        z = z - np.where(np.abs(step) <= 0.5 * (1.0 + np.abs(z)), step, 0.0)
+        pz = _horner_rows(a_long, z.astype(np.clongdouble))
+        step = (pz / _horner_rows(dcoef, z)).astype(complex)
+        z = z - np.where(np.abs(step) <= limit, step, 0.0)
     return z
 
 
@@ -126,11 +236,14 @@ def aberth_batch(c: np.ndarray) -> np.ndarray:
 
     c is (B, n+1), ascending, with nonzero leading column.  Returns (B, n)
     roots.  Degrees 1 and 2 use closed forms, higher degrees Aberth-Ehrlich
-    iteration with Newton polish.  Every row is certified against the error
-    bound sum_k |a_k| |z|^k of its monic form, so large-magnitude roots are
-    not held to an unattainable absolute residual; a row with a non-finite
-    root or error bound is never certified.  Raises NonConvergence (with the
-    best iterate attached) if any row fails.
+    iteration from the companion-matrix eigenvalues with an extended-precision
+    Newton polish.  Every row passes two certificates on its monic form:
+    a residual one against the error bound sum_k |a_k| |z|^k, so that
+    large-magnitude roots are not held to an unattainable absolute residual,
+    and a forward one, a first-order error estimate per root (simple, or as
+    part of a cluster of up to 8) of at most FWD_TOL * max(1, |z|).  A row
+    with a non-finite root or error bound is never certified.  Raises
+    NonConvergence (with the best iterate attached) if any row fails.
     """
     c = np.asarray(c, dtype=complex)
     n = c.shape[1] - 1
@@ -139,6 +252,7 @@ def aberth_batch(c: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         a = c / c[:, -1:]
         absa = np.abs(a)
+        dcoef = a[:, 1:] * np.arange(1, n + 1)
         if n == 1:
             z = -c[:, :1] / c[:, 1:]
         elif n == 2:
@@ -152,12 +266,17 @@ def aberth_batch(c: np.ndarray) -> np.ndarray:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z = _aberth(a, absa)
-        ok, p = _residual_ok(a, absa, z, TOL)
+            z = _aberth(a, absa, dcoef)
+        ok, p, err = _residual_ok(a, absa, z, TOL)
+        if ok.all():
+            ok = _forward_bound(a, absa, z, err, _horner_rows(dcoef, z), p) <= FWD_TOL
+            what = "forward"
+        else:
+            what = "residual"
     if not ok.all():
         how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
         raise NonConvergence(
-            f"{how} roots of degree {n} failed the residual certificate",
+            f"{how} roots of degree {n} failed the {what} certificate",
             best=z,
             residuals=np.abs(p),
         )
@@ -169,14 +288,19 @@ def _sorted(z: np.ndarray) -> np.ndarray:
 
 
 def roots(p: Polynomial) -> RootSet:
-    """All degree-many roots of p, residual-certified, sorted by (real, imag).
+    """All degree-many roots of p, certified, sorted by (real, imag).
 
     The B = 1 call of `aberth_batch`: closed forms for degrees 1 and 2,
-    Aberth iteration above.  The monomial-coefficient representation caps
-    the reachable degree: `roots(gn(n, 0.7, 1))` converges at n = 56 and
-    raises at n = 64.  Above that ceiling the answer is NonConvergence (with
-    the best iterate attached), never NaN roots.  Raises ZeroPolynomial /
-    ConstantPolynomial for degenerate input.
+    Aberth iteration from the companion eigenvalues above, then a residual
+    certificate and a forward one (each root's first-order error estimate,
+    as a simple root or as part of a cluster, at most FWD_TOL * max(1, |z|)).
+    The monomial-coefficient representation caps the reachable degree:
+    `roots(gn(n, 0.7, 1))` converges at n = 80 and raises at n = 88, and
+    random real-rooted inputs with roots in [-5, 5] begin to raise above
+    degree 20.  Past the cap the answer is NonConvergence (with the best
+    iterate attached), never NaN roots nor roots whose forward-error
+    estimate exceeds FWD_TOL.  Raises ZeroPolynomial / ConstantPolynomial for
+    degenerate input.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot root-find the zero polynomial")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,26 @@ def test_emit_numpy_scalars_and_rejects_non_finite(capsys):
     assert json.loads(capsys.readouterr().out) == {"b": True, "i": 3, "x": 0.1}
     with pytest.raises(ValueError):  # main turns this into exit code 2
         cli._emit({"roots": [[float("nan"), 0.0]]})
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option, argv", [
+    ("--theta", ["zeros", "--n", "3", "--theta", "{}"]),
+    ("--theta-pi", ["zeros", "--n", "3", "--theta-pi", "{}"]),
+    ("--h", ["zeros", "--n", "3", "--theta", "0.5", "--h", "{}"]),
+    ("--h-min", ["asymptotics", "p.json", "--theta", "0.7", "--h-min", "{}",
+                 "--h-max", "500", "--steps", "3"]),
+    ("--h-max", ["asymptotics", "p.json", "--theta", "0.7", "--h-min", "20",
+                 "--h-max", "{}", "--steps", "3"]),
+    ("--strip", ["witness", "op.json", "--strip", "{}"]),
+    ("--tol", ["mesh", "p.json", "--tol", "{}"]),
+])
+def test_exit_2_on_non_finite_option(capsys, option, argv, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}" in captured.err and "must be finite" in captured.err
+    assert "Warning" not in captured.err and captured.out == ""

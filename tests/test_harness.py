@@ -9,6 +9,7 @@ from fdzeros import (
     SuiteConfig,
     analyze,
     classify_real,
+    gn,
     make_poly,
     random_hyperbolic,
     random_line_poly,
@@ -100,6 +101,29 @@ def test_injected_failure_is_replayable():
     # the serialized instance replays to the same violation
     assert chk(rec.example_failure) == pytest.approx(rec.worst_violation, abs=1.0)
     assert chk(rec.example_failure) > 0
+
+
+def test_typed_error_is_a_failing_instance():
+    # A checker whose root-find cannot be certified (gn(96)'s roots fail the
+    # forward certificate) fails that instance instead of aborting the run.
+    def gen(cfg, rng):
+        return [{"n": n} for n in (8, 96, 12, 96)]
+
+    def chk(inst):
+        roots(gn(inst["n"], 0.7, 1.0))
+        return -1.0
+
+    report = run_properties(SuiteConfig(seed=6), [Property("uncertified", 998, gen, chk)])
+    rec = report.records[0]
+    assert (rec.trials, rec.failures) == (4, 2)
+    assert rec.example_failure == {"n": 96}
+    assert rec.worst_violation == -1.0
+    assert not report.passed
+
+    only_errors = Property("only_errors", 997, lambda cfg, rng: [{"n": 96}], chk)
+    d = report_to_json(run_properties(SuiteConfig(seed=6), [only_errors]))
+    assert d["properties"][0]["worst_violation"] is None
+    json.dumps(d, allow_nan=False)
 
 
 def test_replay_known_property():

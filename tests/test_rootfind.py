@@ -1,26 +1,31 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fdzeros import (
+    ALL_PROPERTIES,
     ConstantPolynomial,
     DeBruijnOp,
     DegreeGapTooLarge,
     NonConvergence,
     NotRealRooted,
+    SuiteConfig,
     TooFewRoots,
     ZeroPolynomial,
     apply_tb,
     classify_real,
     extremes,
     from_roots,
+    gn,
     interlace,
     make_poly,
     mesh,
     multiply,
     pencil_hyperbolic_sample,
+    poly_from_json,
     roots,
     roots_many,
     rootset_to_json,
@@ -167,3 +172,81 @@ def test_high_degree_nonconvergence_is_typed_and_silent():
         with pytest.raises(NonConvergence):
             roots(image)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# Oracles for the forward certificate: closed forms, de Bruijn's phase
+# equation and mpmath, never the engine itself.
+
+def _cotangent_zeros(n, theta, h):
+    return np.sort(h / np.tan((np.pi * np.arange(1, n + 1) - theta) / n))
+
+
+def _phase_zeros(r, theta, h):
+    # Zeros of T_{theta,h}(P) for P with real roots r, 0 < theta < pi: the n
+    # solutions of theta + sum_k arccot((x - r_k)/h) = pi k, by bisection
+    # inside [min r, max r] + h cot((pi k - theta)/n).
+    r = np.sort(r)
+    n = len(r)
+    t = np.pi * np.arange(1, n + 1) - theta
+    lo, hi = r[0] + h / np.tan(t / n), r[-1] + h / np.tan(t / n)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = np.arctan2(h, mid[:, None] - r[None, :]).sum(axis=1) > t
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.sort(0.5 * (lo + hi))
+
+
+def _rel_err(z, want):
+    return np.max(np.abs(np.sort(np.real(z)) - want) / np.maximum(1.0, np.abs(want)))
+
+
+def test_forward_certificate_rejects_ill_conditioned_roots():
+    # The companion eigenvalues of gn(96) pass the residual certificate, but
+    # are forward-wrong; only the forward certificate can catch them.
+    with pytest.raises(NonConvergence, match="forward certificate"):
+        roots(gn(96, 0.7, 1.0))
+
+
+def test_gn_72_matches_cotangent_closed_form():
+    z = np.array(roots(gn(72, 0.7, 1.0)).roots)
+    assert np.max(np.abs(z.imag)) < 1e-7
+    assert _rel_err(z, _cotangent_zeros(72, 0.7, 1.0)) < 1e-7
+
+
+def test_ill_conditioned_image_raises_or_matches_phase_equation():
+    r = np.sort(np.random.default_rng(64).uniform(-5, 5, 64))
+    image = apply_tb(DeBruijnOp(0.7, 1.0), from_roots(r))
+    try:
+        z = np.array(roots(image).roots)
+    except NonConvergence:
+        return
+    assert np.max(np.abs(z.imag) / np.maximum(1.0, np.abs(z))) < 1e-6
+    assert _rel_err(z, _phase_zeros(r, 0.7, 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("exact", [[1.0, 1.0], [2.0, 2.0, 2.0, 2.0, -1.0], [0.0] * 5],
+                         ids=["(x-1)^2", "(x-2)^4(x+1)", "x^5"])
+def test_exact_multiple_roots_certify(exact):
+    z = np.sort_complex(np.array(roots(from_roots(exact)).roots))
+    want = np.sort(exact)
+    # an m-fold root is attainable to about eps^(1/m): 1e-4 for m = 4
+    assert np.max(np.abs(z - want) / np.maximum(1.0, np.abs(want))) < 1e-3
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is plain double here, so the Newton "
+                           "polish has no extra precision")
+def test_extended_polish_reaches_exact_roots_of_product():
+    # roots_product_multiset at seed 42, instance 14: a degree-16 product
+    # whose exact roots (mpmath, on its floating-point coefficients) lie
+    # 4.8e-10 from the union of the factor roots.
+    prop = next(q for q in ALL_PROPERTIES if q.name == "roots_product_multiset")
+    cfg = SuiteConfig(seed=42, trials=20)
+    inst = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))[14]
+    p = multiply(poly_from_json(inst["p"]), poly_from_json(inst["q"]))
+    with mpmath.workdps(60):
+        exact = mpmath.polyroots([mpmath.mpc(c) for c in reversed(p.coeffs)],
+                                 maxsteps=400, extraprec=400)
+        exact = np.sort_complex(np.array([complex(x) for x in exact]))
+    got = np.sort_complex(np.array(roots(p).roots))
+    assert np.max(np.abs(got - exact)) < 1e-9
