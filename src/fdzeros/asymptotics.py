@@ -27,7 +27,7 @@ from .errors import (
     MatchAmbiguity,
 )
 from .poly import Polynomial, evaluate_many
-from .rootfind import roots
+from .rootfind import roots, roots_many
 
 __all__ = [
     "MonicHead",
@@ -90,6 +90,51 @@ def monic_head(p: Polynomial) -> MonicHead:
     )
 
 
+def _prediction_terms(head: MonicHead, theta: float, order: int):
+    """The h-independent parts of the order-`order` prediction.
+
+    Returns (xs, num1, num2, den): the ascending cotangent grid, the 1/h and
+    1/h^2 correction numerators coef * Q_{n-2}(xs) and coef * Q_{n-3}(xs)
+    (None where the order or degree leaves them out) and the denominator
+    Q_{n-1}(xs) (None at order 0).
+    """
+    if order not in (0, 1, 2):
+        raise InvalidInput("order must be 0, 1 or 2")
+    n = head.n
+    xs = np.sort(np.array(qn_zeros(n, theta).zeros))
+    num1 = num2 = den = None
+    if order >= 1:
+        qn1 = qn(n - 1, theta)
+        qn2 = qn(n - 2, theta)
+        den = evaluate_many(qn1, xs)
+        floor = _Q_COND_FLOOR * max(
+            1.0, float(np.max(np.abs(qn1.as_array()))) if qn1.coeffs else 0.0
+        )
+        if np.any(np.abs(den) <= floor):
+            raise DegenerateQ("Q_{n-1} below conditioning floor at a grid zero")
+        coef1 = head.a**2 * (n - 1) / (2.0 * n * n) - head.b / n
+        num1 = coef1 * evaluate_many(qn2, xs)
+        if order >= 2 and n >= 3:
+            qn3 = qn(n - 3, theta)
+            coef2 = (
+                -head.a**3 * (n - 1) * (n - 2) / (3.0 * n**3)
+                + head.a * head.b * (n - 2) / (n * n)
+                - head.c / n
+            )
+            num2 = coef2 * evaluate_many(qn3, xs)
+    return xs, num1, num2, den
+
+
+def _predict_at(head: MonicHead, terms, h: float) -> np.ndarray:
+    xs, num1, num2, den = terms
+    pred = xs * h - head.a / head.n
+    if num1 is not None:
+        pred = pred + num1 / den / h
+    if num2 is not None:
+        pred = pred + num2 / den / (h * h)
+    return pred
+
+
 def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.ndarray:
     """Predicted image roots at the given expansion order, ascending.
 
@@ -101,29 +146,7 @@ def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.nda
         raise InvalidInput("order must be 0, 1 or 2")
     if not h > 0:
         raise InvalidInput("h must be > 0")
-    n = head.n
-    xs = np.sort(np.array(qn_zeros(n, theta).zeros))
-    pred = xs * h - head.a / n
-    if order >= 1:
-        qn1 = qn(n - 1, theta)
-        qn2 = qn(n - 2, theta)
-        den = evaluate_many(qn1, xs)
-        floor = _Q_COND_FLOOR * max(
-            1.0, float(np.max(np.abs(qn1.as_array()))) if qn1.coeffs else 0.0
-        )
-        if np.any(np.abs(den) <= floor):
-            raise DegenerateQ("Q_{n-1} below conditioning floor at a grid zero")
-        coef1 = head.a**2 * (n - 1) / (2.0 * n * n) - head.b / n
-        pred = pred + coef1 * evaluate_many(qn2, xs) / den / h
-        if order >= 2 and n >= 3:
-            qn3 = qn(n - 3, theta)
-            coef2 = (
-                -head.a**3 * (n - 1) * (n - 2) / (3.0 * n**3)
-                + head.a * head.b * (n - 2) / (n * n)
-                - head.c / n
-            )
-            pred = pred + coef2 * evaluate_many(qn3, xs) / den / (h * h)
-    return pred
+    return _predict_at(head, _prediction_terms(head, theta, order), h)
 
 
 def actual_roots(p: Polynomial, theta: float, h: float) -> np.ndarray:
@@ -143,8 +166,15 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
                    steps: int, order: int) -> AsymptoticReport:
     """Predicted-vs-actual residuals over a geometric h-grid.
 
-    Matching is by sorted order (leading terms x_j*h separate strictly);
-    MatchAmbiguity is raised if two actual roots sit closer than 1e-6*h.
+    The images at every h are root-found in one batch, and the prediction
+    terms that do not depend on h are computed once.  Matching is by sorted
+    order (leading terms x_j*h separate strictly); MatchAmbiguity is raised if
+    two actual roots sit closer than 1e-6*h.
+
+    Errors come in this order: InvalidInput for the grid arguments or an h_min
+    below the matching floor, NonConvergence for an image at any h, then
+    InvalidInput for the order and DegenerateQ, then, h by h from h_min up,
+    InvalidInput for a root-count mismatch and MatchAmbiguity.
     """
     if not (0 < h_min < h_max) or steps < 2:
         raise InvalidInput("need 0 < h_min < h_max and steps >= 2")
@@ -155,11 +185,14 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
         )
     head = monic_head(p)
     grid = np.geomspace(h_min, h_max, steps)
+    images = [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
+    found = roots_many(images)
+    terms = _prediction_terms(head, theta, order)
     records: list[RootRecord] = []
     scaled = []
-    for h in grid:
-        act = actual_roots(p, theta, float(h))
-        pred = predict_roots(head, theta, float(h), order)
+    for h, z in zip(grid, found):
+        act = z[np.argsort(z.real)]  # as actual_roots sorts
+        pred = _predict_at(head, terms, float(h))
         if len(act) != len(pred):
             raise InvalidInput(
                 f"image root count {len(act)} does not match grid size {len(pred)}"

@@ -19,11 +19,11 @@ from .debruijn import DeBruijnOp, apply_tb, qn_zeros_report
 from .errors import FDZerosError, NonConvergence
 from .harness import SuiteConfig, report_to_json, run_suite
 from .operators import (
+    _search_candidates,
     analyze,
     apply_op,
     operator_from_json,
     verdict_to_json,
-    witness_search,
     witness_to_json,
 )
 from .poly import poly_from_json, poly_to_json
@@ -221,8 +221,7 @@ def _cmd_witness(args) -> int:
     if preserved:
         _emit({"status": "preserver", "witness": None})
         return 0
-    w = witness_search(op, max_degree=args.max_degree, strip_b=args.strip,
-                       tol=args.tol)
+    w = _search_candidates(op, args.max_degree, args.strip, args.tol)
     if w is None:
         _emit({"status": "inconclusive", "witness": None})
     else:

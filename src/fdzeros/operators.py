@@ -209,6 +209,13 @@ def witness_search(op: FDOperator, max_degree: int = 24,
             return None
     elif verdict.strip_preserver:
         return None
+    return _search_candidates(op, max_degree, strip_b, tol)
+
+
+def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
+                       tol: float) -> Witness | None:
+    """The candidate loop of `witness_search`, for a caller that already has
+    the verdict and knows the operator is no preserver."""
     band = strip_b or 0.0
     for label, n, s in _candidates(max_degree, strip_b):
         cand = shift_arg(monomial(n), s)

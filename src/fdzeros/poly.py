@@ -87,22 +87,27 @@ def evaluate(p: Polynomial, z: complex) -> complex:
 
 
 def evaluate_many(p: Polynomial, zs: np.ndarray) -> np.ndarray:
+    """p at each point of zs; a value that overflows comes back inf or NaN,
+    without a numpy warning."""
     zs = np.asarray(zs, dtype=complex)
     acc = np.zeros_like(zs)
-    for c in reversed(p.coeffs):
-        acc = acc * zs + c
+    with np.errstate(all="ignore"):
+        for c in reversed(p.coeffs):
+            acc = acc * zs + c
     return acc
 
 
 def shift_arg(p: Polynomial, lam: complex) -> Polynomial:
     """Coefficients of P(x - lam) via repeated synthetic division.
 
-    Degree is preserved exactly; the leading coefficient is untouched.
+    Degree is preserved exactly; the leading coefficient is untouched.  The
+    division runs on Python complex numbers, which round as numpy's
+    complex128 does but overflow to inf or NaN without a warning.
     """
     lam = complex(lam)
     if p.is_zero or lam == 0:
         return p
-    a = p.as_array().copy()
+    a = [complex(c) for c in p.coeffs]
     n = len(a) - 1
     s = -lam
     for k in range(n):
@@ -129,11 +134,12 @@ def linear_combine(pairs, trim_tol: float | None = None) -> Polynomial:
     length = max((len(p.coeffs) for _, p in pairs), default=0)
     acc = np.zeros(length, dtype=complex)
     mass = np.zeros(length)
-    for s, p in pairs:
-        if p.coeffs:
-            term = complex(s) * p.as_array()
-            acc[: len(p.coeffs)] += term
-            mass[: len(p.coeffs)] += np.abs(term)
+    with np.errstate(all="ignore"):  # overflow gives inf or NaN, unwarned
+        for s, p in pairs:
+            if p.coeffs:
+                term = complex(s) * p.as_array()
+                acc[: len(p.coeffs)] += term
+                mass[: len(p.coeffs)] += np.abs(term)
     if trim_tol is not None and length:
         k = length
         while k > 0 and abs(acc[k - 1]) <= trim_tol * mass[k - 1]:

@@ -223,11 +223,16 @@ def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
     # rounding noise in p(z), not from the polynomial.
     gap = np.where(eye, np.inf, np.abs(z[:, :, None] - z[:, None, :])).min(axis=2)
     limit = 0.5 * np.minimum(1.0 + np.abs(z), gap)
+    # The polish stops once a step leaves every root bit for bit unchanged:
+    # a further step from the same z would compute the same zero change.
     a_long = a.astype(np.clongdouble)
     for _ in range(3):
         pz = _horner_rows(a_long, z.astype(np.clongdouble))
         step = (pz / _horner_rows(dcoef, z)).astype(complex)
-        z = z - np.where(np.abs(step) <= limit, step, 0.0)
+        moved = z - np.where(np.abs(step) <= limit, step, 0.0)
+        if np.array_equal(moved.view(np.uint64), z.view(np.uint64)):
+            break
+        z = moved
     return z
 
 
@@ -334,14 +339,18 @@ def roots_many(ps) -> list[np.ndarray]:
     return out  # type: ignore[return-value]
 
 
-def _root_scale(rs: RootSet) -> float:
-    return max(1.0, max((abs(r) for r in rs.roots), default=0.0))
+def _root_scale(zs) -> float:
+    return max(1.0, max((abs(r) for r in zs), default=0.0))
+
+
+def _realness(zs, tol: float) -> RealnessVerdict:
+    max_imag = max((abs(r.imag) for r in zs), default=0.0)
+    tol_used = tol * _root_scale(zs)
+    return RealnessVerdict(max_imag <= tol_used, max_imag, tol_used)
 
 
 def classify_real(rs: RootSet, tol: float = DEFAULT_REAL_TOL) -> RealnessVerdict:
-    max_imag = max((abs(r.imag) for r in rs.roots), default=0.0)
-    tol_used = tol * _root_scale(rs)
-    return RealnessVerdict(max_imag <= tol_used, max_imag, tol_used)
+    return _realness(rs.roots, tol)
 
 
 def sorted_real_parts(rs: RootSet) -> np.ndarray:
@@ -379,17 +388,21 @@ def _weakly_alternates(a: np.ndarray, b: np.ndarray, slack: float) -> bool:
 
 
 def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bool:
-    """Non-strict interlacing of the sorted root lists, with ties within slack."""
-    rp, rq = roots(p), roots(q)
-    for rs, name in ((rp, "first"), (rq, "second")):
-        if not classify_real(rs, tol).is_real_rooted:
+    """Non-strict interlacing of the sorted root lists, with ties within slack.
+
+    Both root sets come from one `roots_many` call, which equals two `roots`
+    calls row for row.
+    """
+    zp, zq = roots_many([p, q])
+    for zs, name in ((zp, "first"), (zq, "second")):
+        if not _realness(zs, tol).is_real_rooted:
             raise NotRealRooted(f"{name} polynomial is not real-rooted at tol {tol}")
     if abs(p.degree - q.degree) > 1:
         raise DegreeGapTooLarge("degrees must be equal or differ by one")
-    a, b = sorted_real_parts(rp), sorted_real_parts(rq)
+    a, b = np.sort(zp.real), np.sort(zq.real)
     if len(a) < len(b):
         a, b = b, a
-    slack = tol * max(_root_scale(rp), _root_scale(rq))
+    slack = tol * max(_root_scale(zp), _root_scale(zq))
     if len(a) == len(b):
         return _weakly_alternates(a, b, slack) or _weakly_alternates(b, a, slack)
     return _weakly_alternates(a, b, slack)

@@ -5,19 +5,26 @@ import numpy as np
 import pytest
 
 from fdzeros import (
+    AsymptoticReport,
     DegreeTooSmall,
     InvalidInput,
+    MatchAmbiguity,
+    RootRecord,
     actual_roots,
+    evaluate_many,
     from_roots,
     make_poly,
     monic_head,
     monomial,
     predict_roots,
+    qn,
+    qn_zeros,
     report_summary,
     report_to_csv,
     residual_sweep,
     sweep_h_floor,
 )
+from fdzeros import asymptotics
 
 
 def test_monic_head():
@@ -63,6 +70,30 @@ def test_predict_validation():
         predict_roots(head, 0.5, 1.0, 3)
     with pytest.raises(InvalidInput):
         predict_roots(head, 0.5, -1.0, 1)
+
+
+def test_predict_roots_equals_direct_formula():
+    # The expansion written out at one h, each term in the order of the
+    # module docstring; the h-independent terms are shared across a sweep,
+    # and the result must not change by a bit.
+    rng = np.random.default_rng(8)
+    for k in range(30):
+        n = int(rng.integers(2, 9))
+        head = monic_head(make_poly(rng.uniform(-2, 2, size=n).tolist() + [1.0]))
+        theta = 0.0 if k % 5 == 0 else float(rng.uniform(0.2, 2.9))
+        h = float(rng.uniform(5.0, 80.0))
+        xs = np.sort(np.array(qn_zeros(n, theta).zeros))
+        want = [xs * h - head.a / n]
+        den = evaluate_many(qn(n - 1, theta), xs)
+        coef1 = head.a**2 * (n - 1) / (2.0 * n * n) - head.b / n
+        want.append(want[0] + coef1 * evaluate_many(qn(n - 2, theta), xs) / den / h)
+        coef2 = (-head.a**3 * (n - 1) * (n - 2) / (3.0 * n**3)
+                 + head.a * head.b * (n - 2) / (n * n) - head.c / n)
+        want.append(want[1] + coef2 * evaluate_many(qn(n - 3, theta), xs) / den / (h * h)
+                    if n >= 3 else want[1])
+        for order in (0, 1, 2):
+            got = predict_roots(head, theta, h, order)
+            assert np.array_equal(got, want[order]), (k, order)
 
 
 def test_actual_roots_examples():
@@ -137,3 +168,62 @@ def test_summary():
     assert s["n"] == 2 and s["steps"] == 3 and s["order"] == 1
     assert s["omega_bound_ok"] in (True, False)
     assert s["max_residual"] > 0
+
+
+def _reference_sweep(p, theta, h_min, h_max, steps, order):
+    # One actual_roots and one predict_roots call per h, as residual_sweep
+    # computed it before it batched the grid.
+    head = monic_head(p)
+    grid = np.geomspace(h_min, h_max, steps)
+    records, scaled = [], []
+    for h in grid:
+        act = actual_roots(p, theta, float(h))
+        pred = predict_roots(head, theta, float(h), order)
+        assert len(act) == len(pred)
+        gaps = np.diff(act.real)
+        if len(gaps) and np.min(gaps) < 1e-6 * h:
+            raise MatchAmbiguity(f"h = {h}")
+        res = np.abs(act - pred)
+        for j in range(len(act)):
+            records.append(RootRecord(float(h), j + 1, float(act[j].real),
+                                      float(pred[j].real), float(res[j])))
+            scaled.append(float(res[j]) * float(h) ** (order + 1))
+    pts = [(math.log(r.h), math.log(r.residual)) for r in records
+           if r.residual > 1e-13 * max(1.0, abs(r.actual))]
+    fitted = float(np.polyfit([x for x, _ in pts], [y for _, y in pts], 1)[0])
+    guard = 1e-12 * max(1.0, max(abs(r.actual) for r in records))
+    omega_ok = bool(np.max(scaled) <= 10.0 * np.median(scaled) + guard)
+    return AsymptoticReport(head.n, theta, order, tuple(float(h) for h in grid),
+                            tuple(records), fitted, omega_ok)
+
+
+def test_batched_sweep_equals_per_h_loop():
+    # 24 random monic heads of degree 2-8, a quarter at the degenerate theta = 0
+    rng = np.random.default_rng(2024)
+    for k in range(24):
+        n = int(rng.integers(2, 9))
+        p = make_poly(rng.uniform(-2, 2, size=n).tolist() + [1.0])
+        theta = 0.0 if k % 4 == 0 else float(rng.uniform(0.2, 2.9))
+        floor = sweep_h_floor(p)
+        for order in (0, 1, 2):
+            args = (p, theta, floor * 1.05, floor * 10.5, 6, order)
+            assert residual_sweep(*args) == _reference_sweep(*args), (k, order)
+
+
+def test_batched_sweep_degenerate_theta_drops_a_degree():
+    p = make_poly([5, -1, 2, 1])
+    for order in (0, 1, 2):
+        rep = residual_sweep(p, 0.0, 20.0, 500.0, 7, order)
+        assert {r.j for r in rep.records} == {1, 2}
+        assert rep == _reference_sweep(p, 0.0, 20.0, 500.0, 7, order)
+
+
+def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("image built or root-found before the floor check")
+
+    monkeypatch.setattr(asymptotics, "apply_tb", forbidden)
+    monkeypatch.setattr(asymptotics, "roots_many", forbidden)
+    p = from_roots([-3.0, 1.0, 4.0])
+    with pytest.raises(InvalidInput, match="matching floor"):
+        residual_sweep(p, 0.7, sweep_h_floor(p) / 2, 100.0, 5, 1)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdzeros import cli
+from fdzeros import cli, operators, witness_search
 from fdzeros.cli import main
 
 PRESERVER = {"lambda": [0, 1], "terms": [{"j": -1, "a": [1, 0]},
@@ -116,6 +116,24 @@ def test_witness_preserver(tmp_path, capsys):
     assert json.loads(out)["status"] == "preserver"
 
 
+def test_witness_analyzes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = operators.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(operators, "analyze", counted)
+    code, out = run(capsys, ["witness", write(tmp_path, "op.json", REAL_SHIFT)])
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    want = witness_search(cli.operator_from_json(REAL_SHIFT))
+    assert json.loads(out) == {"status": "witness",
+                               "witness": cli.witness_to_json(want)}
+
+
 def test_verify(capsys):
     code, out = run(capsys, ["verify", "--trials", "1", "--seed", "42"])
     assert code == 0
@@ -191,3 +209,20 @@ def test_exit_2_on_non_finite_option(capsys, option, argv, value):
     captured = capsys.readouterr()
     assert f"argument {option}" in captured.err and "must be finite" in captured.err
     assert "Warning" not in captured.err and captured.out == ""
+
+
+def test_overflowing_zeros_exit_2_without_warnings(capsys):
+    # h^3 overflows double; the RuntimeWarning filter turns any numpy
+    # warning on the way into an error
+    code = main(["zeros", "--n", "3", "--theta", "0.5", "--h", "1e300"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_overflowing_tb_exit_3_without_warnings(tmp_path, capsys):
+    p = write(tmp_path, "p.json", {"coeffs": [[1, 0], [2, 0], [0.5, 0], [1, 0]]})
+    code = main(["tb", p, "--theta", "0.5", "--h", "1e200"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -17,6 +17,7 @@ from fdzeros import (
     ZeroPolynomial,
     apply_tb,
     classify_real,
+    derivative,
     extremes,
     from_roots,
     gn,
@@ -77,8 +78,8 @@ def test_roots_many_matches_roots():
     ps.append(make_poly([1, 2, -3, 0.5, 1, 2, 1, 3, 1e-13]))
     batched = roots_many(ps)  # arrays sorted by (real, imag), input order
     for p, zs in zip(ps, batched):
-        solo = roots(p).roots
-        assert max(abs(x - y) / max(1.0, abs(y)) for x, y in zip(zs, solo)) < 1e-14
+        # bit for bit: interlace and residual_sweep rely on it
+        assert np.array_equal(zs, np.array(roots(p).roots))
 
 
 def test_classify_real():
@@ -132,6 +133,48 @@ def test_interlace_boundary_tie():
     p = from_roots([0.0, 1.0, 3.0])
     lam = 1.0  # mesh(P)
     assert interlace(p, shift_arg(p, lam), 1e-8)
+
+
+def _interlace_reference(p, q, tol):
+    # Two roots() calls, as interlace computed it before it batched the pair,
+    # for real-rooted inputs whose degrees differ by at most one.
+    rp, rq = roots(p), roots(q)
+    a, b = sorted_real_parts(rp), sorted_real_parts(rq)
+    if len(a) < len(b):
+        a, b = b, a
+    scale = max(max(1.0, max(abs(r) for r in rs.roots)) for rs in (rp, rq))
+    slack = tol * scale
+
+    def alternates(a, b):
+        return all(a[i] <= b[i] + slack
+                   and (i + 1 >= len(a) or b[i] <= a[i + 1] + slack)
+                   for i in range(len(b)))
+
+    if len(a) == len(b):
+        return alternates(a, b) or alternates(b, a)
+    return alternates(a, b)
+
+
+def test_interlace_batched_matches_two_roots_calls():
+    rng = np.random.default_rng(11)
+    verdicts = {True: 0, False: 0}
+    for k in range(120):
+        n = int(rng.integers(2, 9))
+        p = from_roots(rng.uniform(-5, 5, size=n))
+        kind = k % 4
+        if kind == 0:    # equal degrees, a small shift: mostly interlaces
+            q = shift_arg(p, float(rng.uniform(0.0, 0.3)))
+        elif kind == 1:  # equal degrees, unrelated roots
+            q = from_roots(rng.uniform(-5, 5, size=n))
+        elif kind == 2:  # one degree less, the derivative: interlaces
+            q = derivative(p)
+        else:            # one degree less, unrelated roots
+            q = from_roots(rng.uniform(-5, 5, size=n - 1))
+        for a, b in ((p, q), (q, p)):
+            want = _interlace_reference(a, b, 1e-8)
+            assert interlace(a, b, 1e-8) == want, (k, kind)
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 40
 
 
 def test_interlace_degree_gap():
