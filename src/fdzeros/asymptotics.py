@@ -176,6 +176,14 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     InvalidInput for the order and DegenerateQ, then, h by h from h_min up,
     InvalidInput for a root-count mismatch and MatchAmbiguity.
     """
+    return _residual_sweeps(p, theta, h_min, h_max, steps, (order,))[0]
+
+
+def _residual_sweeps(p: Polynomial, theta: float, h_min: float, h_max: float,
+                     steps: int, orders) -> list[AsymptoticReport]:
+    """`residual_sweep` at each of `orders`, all served by one batch of image
+    roots.  Each report equals the `residual_sweep` call at its order, and
+    the errors come as from those calls made one after the other."""
     if not (0 < h_min < h_max) or steps < 2:
         raise InvalidInput("need 0 < h_min < h_max and steps >= 2")
     floor = sweep_h_floor(p)
@@ -186,12 +194,17 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     head = monic_head(p)
     grid = np.geomspace(h_min, h_max, steps)
     images = [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
-    found = roots_many(images)
+    acts = [z[np.argsort(z.real)] for z in roots_many(images)]  # as actual_roots sorts
+    return [_sweep_report(head, theta, grid, acts, order) for order in orders]
+
+
+def _sweep_report(head: MonicHead, theta: float, grid: np.ndarray, acts,
+                  order: int) -> AsymptoticReport:
+    # One order's report from the sorted image roots `acts` at each h of grid.
     terms = _prediction_terms(head, theta, order)
     records: list[RootRecord] = []
     scaled = []
-    for h, z in zip(grid, found):
-        act = z[np.argsort(z.real)]  # as actual_roots sorts
+    for h, act in zip(grid, acts):
         pred = _predict_at(head, terms, float(h))
         if len(act) != len(pred):
             raise InvalidInput(

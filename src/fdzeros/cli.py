@@ -19,6 +19,7 @@ from .debruijn import DeBruijnOp, apply_tb, qn_zeros_report
 from .errors import FDZerosError, NonConvergence
 from .harness import SuiteConfig, report_to_json, run_suite
 from .operators import (
+    _check_search_args,
     _search_candidates,
     analyze,
     apply_op,
@@ -215,6 +216,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_witness(args) -> int:
     op = operator_from_json(_read_json(args.operator))
+    _check_search_args(args.max_degree, args.strip)
     verdict = analyze(op, tol=args.tol)
     preserved = (verdict.strip_preserver if args.strip is not None
                  else verdict.hyperbolicity_preserver)

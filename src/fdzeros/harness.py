@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import (
+    _residual_sweeps,
     monic_head,
     predict_roots,
     residual_sweep,
@@ -750,8 +751,8 @@ def _chk_asym_hierarchy(inst):
     p = poly_from_json(inst["poly"])
     floor = sweep_h_floor(p)
     h_min, h_max = floor * 1.1, floor * 11.0
-    reps = [residual_sweep(p, inst["theta"], h_min, h_max, inst["steps"], order)
-            for order in (0, 1, 2)]
+    # one batch of image roots serves all three orders
+    reps = _residual_sweeps(p, inst["theta"], h_min, h_max, inst["steps"], (0, 1, 2))
     # compare the per-h worst residual: a single root can have an
     # accidentally tiny low-order residual when its correction coefficient
     # nearly vanishes, but the profile over all roots still orders strictly

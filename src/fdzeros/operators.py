@@ -3,16 +3,18 @@
 Includes the generating Laurent polynomial, the four-condition verdict
 engine (pure-imaginary shift, symmetric support, unimodular generating
 roots, positive endpoint product), and a heuristic witness search over
-monomial powers for operators the verdict rejects.
+monomial powers for operators the verdict rejects, root-found one batch per
+degree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonConvergence
+from .errors import InvalidInput
 from .poly import (
     Polynomial,
     _finite_pair,
@@ -21,7 +23,7 @@ from .poly import (
     poly_to_json,
     shift_arg,
 )
-from .rootfind import RootSet, roots, rootset_to_json
+from .rootfind import RootSet, _certified_many, _rootset, roots, rootset_to_json
 
 __all__ = [
     "FDOperator",
@@ -161,16 +163,13 @@ def analyze(op: FDOperator, tol: float = 1e-8) -> OperatorVerdict:
     )
 
 
-def _candidates(max_degree: int, strip_b: float | None):
-    # (label, n, s) for the candidate (x - s)^n
-    shifts = (0.0, 0.5, -0.5, 1.0)
-    for n in range(1, max_degree + 1):
-        for s in shifts:
-            label = f"x^{n}" if s == 0 else f"(x-{s})^{n}"
-            yield label, n, s
-        if strip_b:
-            for sgn in (1.0, -1.0):
-                yield f"(x{'-' if sgn > 0 else '+'}{strip_b}i)^{n}", n, sgn * 1j * strip_b
+def _candidates(n: int, strip_b: float | None):
+    # (label, s) for the degree-n candidates (x - s)^n, in search order
+    for s in (0.0, 0.5, -0.5, 1.0):
+        yield (f"x^{n}" if s == 0 else f"(x-{s})^{n}"), s
+    if strip_b:
+        for sgn in (1.0, -1.0):
+            yield f"(x{'-' if sgn > 0 else '+'}{strip_b}i)^{n}", sgn * 1j * strip_b
 
 
 def _offense_confirmed(op: FDOperator, n: int, s: complex, z: complex,
@@ -198,11 +197,18 @@ def witness_search(op: FDOperator, max_degree: int = 24,
                    strip_b: float | None = None, tol: float = 1e-8) -> Witness | None:
     """Search monomial powers and small shifts for a zero-location violation.
 
-    Returns None both when the verdict says preserver (nothing to find) and
-    when the heuristic family is exhausted; callers must not read the latter
-    as a preserver certificate.  A candidate whose image roots cannot be
-    certified is skipped: it is evidence neither way.
+    The candidates are (x - s)^n for n = 1..max_degree, s in {0, 0.5, -0.5,
+    1}, plus (x -+ i strip_b)^n with a strip.  Their images are root-found
+    one batch per degree, from n = 1 up, and each row is certified on its
+    own; the first certified image in candidate order whose offense is
+    confirmed is the witness.  Returns None both when the verdict says
+    preserver (nothing to find) and when the heuristic family is exhausted;
+    callers must not read the latter as a preserver certificate.  A
+    candidate whose image roots cannot be certified is skipped: it is
+    evidence neither way.  Raises InvalidInput for max_degree < 1 or a
+    negative or non-finite strip_b.
     """
+    _check_search_args(max_degree, strip_b)
     verdict = analyze(op, tol)
     if strip_b is None:
         if verdict.hyperbolicity_preserver:
@@ -212,26 +218,43 @@ def witness_search(op: FDOperator, max_degree: int = 24,
     return _search_candidates(op, max_degree, strip_b, tol)
 
 
+def _check_search_args(max_degree: int, strip_b: float | None) -> None:
+    """Reject a witness search that would search nothing or a strip of
+    negative (or non-finite) half-width."""
+    if max_degree < 1:
+        raise InvalidInput(f"max degree must be >= 1, got {max_degree}")
+    if strip_b is not None and not 0.0 <= strip_b < math.inf:
+        raise InvalidInput(f"strip half-width must be finite and >= 0, got {strip_b}")
+
+
 def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
                        tol: float) -> Witness | None:
-    """The candidate loop of `witness_search`, for a caller that already has
-    the verdict and knows the operator is no preserver."""
+    """The candidate search of `witness_search`, for a caller that already
+    has the verdict and knows the operator is no preserver.
+
+    Degree by degree: the degree-n candidates' images are built, those of
+    degree >= 1 are root-found with one `aberth_core` call per image degree,
+    and the certified ones are tested in candidate order, so a witness at
+    n = 1 costs one degree of work.
+    """
     band = strip_b or 0.0
-    for label, n, s in _candidates(max_degree, strip_b):
-        cand = shift_arg(monomial(n), s)
-        image = apply_op(op, cand)
-        if image.is_zero or image.degree == 0:
-            continue
-        try:
-            rs = roots(image)
-        except NonConvergence:
-            continue
-        scale = max(1.0, max(abs(r) for r in rs.roots))
-        worst = max(rs.roots, key=lambda r: abs(r.imag))
-        excess = abs(worst.imag) - band
-        margin = 10.0 * tol * scale
-        if excess > margin and _offense_confirmed(op, n, s, worst, band, margin):
-            return Witness(cand, label, rs, float(excess))
+    for n in range(1, max_degree + 1):
+        found = []  # (label, s, candidate, image)
+        for label, s in _candidates(n, strip_b):
+            cand = shift_arg(monomial(n), s)
+            image = apply_op(op, cand)
+            if not (image.is_zero or image.degree == 0):
+                found.append((label, s, cand, image))
+        rooted = _certified_many([image for *_, image in found])
+        for (label, s, cand, image), z in zip(found, rooted):
+            if z is None:
+                continue
+            scale = max(1.0, max(abs(r) for r in z))
+            worst = max(z, key=lambda r: abs(r.imag))
+            excess = abs(worst.imag) - band
+            margin = 10.0 * tol * scale
+            if excess > margin and _offense_confirmed(op, n, s, worst, band, margin):
+                return Witness(cand, label, _rootset(image, z), float(excess))
     return None
 
 

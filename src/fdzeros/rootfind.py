@@ -1,9 +1,10 @@
 """Simultaneous root computation and root-set predicates.
 
-Every root-find goes through one engine, `aberth_batch`: closed forms for
+Every root-find goes through one engine, `aberth_core`: closed forms for
 degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
 companion-matrix eigenvalues above that, and a residual and a forward-error
-certificate for every degree.  The predicates below (realness,
+certificate for every degree, judged row by row.  `aberth_batch` is the same
+engine raising NonConvergence when any row of its batch fails.  The predicates below (realness,
 mesh, extremes, interlacing) are the language the zero-location guarantees
 elsewhere in the package are stated in.
 """
@@ -33,6 +34,8 @@ __all__ = [
     "roots",
     "roots_many",
     "aberth_batch",
+    "aberth_core",
+    "BatchRoots",
     "classify_real",
     "sorted_real_parts",
     "mesh",
@@ -164,34 +167,45 @@ def _forward_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarr
     return bound
 
 
-def _companion_eigvals(a: np.ndarray) -> np.ndarray:
+def _companion_eigvals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a: (B, n+1) monic rows.  Eigenvalues of the companion matrices, with
     # real arithmetic for real rows; a row with a non-finite coefficient
-    # starts (and fails) at NaN.
+    # starts (and fails) at NaN.  A stack on which LAPACK does not converge is
+    # retried row by row, and only the rows that fail again are flagged in
+    # the returned mask; they start at NaN too.
     B, n = a.shape[0], a.shape[1] - 1
     z = np.full((B, n), np.nan, dtype=complex)
+    broken = np.zeros(B, dtype=bool)
     finite = np.isfinite(a).all(axis=1)
     real = ~np.any(a.imag != 0, axis=1)
     for rows, part in ((finite & real, a.real), (finite & ~real, a)):
-        if not rows.any():
+        idx = np.flatnonzero(rows)
+        if not idx.size:
             continue
-        comp = np.zeros((int(rows.sum()), n, n), dtype=part.dtype)
-        comp[:, 0, :] = -part[rows][:, n - 1::-1]
+        comp = np.zeros((idx.size, n, n), dtype=part.dtype)
+        comp[:, 0, :] = -part[idx][:, n - 1::-1]
         comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         try:
-            z[rows] = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"companion eigenvalues of degree {n}: {exc}") from exc
-    return z
+            z[idx] = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError:
+            for k, i in enumerate(idx):
+                try:
+                    z[i] = np.linalg.eigvals(comp[k])
+                except np.linalg.LinAlgError:
+                    broken[i] = True
+    return z, broken
 
 
-def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
+def _aberth(a: np.ndarray, absa: np.ndarray,
+            dcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
     # iterates on its own from its companion eigenvalues: a root stops once
     # its residual passes, a row stops once its own steps stagnate or a root
-    # fails the rounding floor of the forward certificate.
+    # fails the rounding floor of the forward certificate.  No row's iterates
+    # depend on the other rows.  Returns the roots and the mask of rows whose
+    # companion eigenvalues did not converge.
     B = a.shape[0]
-    z = _companion_eigvals(a)
+    z, broken = _companion_eigvals(a)
     n = z.shape[1]
     eye = np.eye(n, dtype=bool)[None, :, :]
     stalled = np.zeros(B, dtype=bool)
@@ -233,27 +247,44 @@ def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
         if np.array_equal(moved.view(np.uint64), z.view(np.uint64)):
             break
         z = moved
-    return z
+    return z, broken
 
 
-def aberth_batch(c: np.ndarray) -> np.ndarray:
-    """All roots for a batch of same-degree polynomials.
+class BatchRoots(NamedTuple):
+    """Roots of a batch of same-degree polynomials, with each row's outcome.
 
-    c is (B, n+1), ascending, with nonzero leading column.  Returns (B, n)
-    roots.  Degrees 1 and 2 use closed forms, higher degrees Aberth-Ehrlich
-    iteration from the companion-matrix eigenvalues with an extended-precision
-    Newton polish.  Every row passes two certificates on its monic form:
-    a residual one against the error bound sum_k |a_k| |z|^k, so that
-    large-magnitude roots are not held to an unattainable absolute residual,
-    and a forward one, a first-order error estimate per root (simple, or as
-    part of a cluster of up to 8) of at most FWD_TOL * max(1, |z|).  A row
-    with a non-finite root or error bound is never certified.  Raises
-    NonConvergence (with the best iterate attached) if any row fails.
+    z is (B, n): a certified row's roots, or a failed row's best iterate.
+    residuals is |p(z)| on the monic rows.  failed[i] is None for a certified
+    row; otherwise it names the step that rejected the row: "eigvals" (its
+    companion eigenvalues did not converge), "residual" or "forward" (the
+    first certificate it failed).
+    """
+
+    z: np.ndarray
+    residuals: np.ndarray
+    failed: tuple[str | None, ...]
+
+
+def aberth_core(c: np.ndarray) -> BatchRoots:
+    """All roots for a batch of same-degree polynomials, certified row by row.
+
+    c is (B, n+1), ascending, with nonzero leading column.  Degrees 1 and 2
+    use closed forms, higher degrees Aberth-Ehrlich iteration from the
+    companion-matrix eigenvalues with an extended-precision Newton polish.
+    Each row is judged by two certificates on its monic form: a residual one
+    against the error bound sum_k |a_k| |z|^k, so that large-magnitude roots
+    are not held to an unattainable absolute residual, and a forward one, a
+    first-order error estimate per root (simple, or as part of a cluster of
+    up to 8) of at most FWD_TOL * max(1, |z|).  A row with a non-finite root
+    or error bound is never certified.  Rows do not interact: a row's roots
+    and outcome are the same in any batch, alone included.  Never raises for
+    a row that fails; see `aberth_batch` for the raising form.
     """
     c = np.asarray(c, dtype=complex)
     n = c.shape[1] - 1
     if n < 1:
         raise ConstantPolynomial("batch root finding needs degree >= 1")
+    broken = np.zeros(c.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         a = c / c[:, -1:]
         absa = np.abs(a)
@@ -271,21 +302,39 @@ def aberth_batch(c: np.ndarray) -> np.ndarray:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z = _aberth(a, absa, dcoef)
+            z, broken = _aberth(a, absa, dcoef)
         ok, p, err = _residual_ok(a, absa, z, TOL)
-        if ok.all():
-            ok = _forward_bound(a, absa, z, err, _horner_rows(dcoef, z), p) <= FWD_TOL
-            what = "forward"
+        residual_ok = ok.all(axis=1)
+        bound = _forward_bound(a, absa, z, err, _horner_rows(dcoef, z), p,
+                               rows=residual_ok)
+        certified = residual_ok & np.all(bound <= FWD_TOL, axis=1)
+    failed = tuple(None if good else "eigvals" if bad else
+                   "forward" if res else "residual"
+                   for good, bad, res in zip(certified.tolist(), broken.tolist(),
+                                             residual_ok.tolist()))
+    return BatchRoots(z, np.abs(p), failed)
+
+
+def aberth_batch(c: np.ndarray) -> np.ndarray:
+    """`aberth_core` for callers that need every row: returns the (B, n)
+    roots, or raises NonConvergence (with the best iterate of the whole batch
+    attached) if any row is not certified.
+
+    The message names what failed: the companion eigenvalues if any row's
+    did not converge, else the residual certificate if any row failed it,
+    else the forward one.
+    """
+    out = aberth_core(c)
+    if any(out.failed):
+        n = out.z.shape[1]
+        if "eigvals" in out.failed:
+            message = f"companion eigenvalues of degree {n} did not converge"
         else:
-            what = "residual"
-    if not ok.all():
-        how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
-        raise NonConvergence(
-            f"{how} roots of degree {n} failed the {what} certificate",
-            best=z,
-            residuals=np.abs(p),
-        )
-    return z
+            what = "residual" if "residual" in out.failed else "forward"
+            how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
+            message = f"{how} roots of degree {n} failed the {what} certificate"
+        raise NonConvergence(message, best=out.z, residuals=out.residuals)
+    return out.z
 
 
 def _sorted(z: np.ndarray) -> np.ndarray:
@@ -311,9 +360,26 @@ def roots(p: Polynomial) -> RootSet:
         raise ZeroPolynomial("cannot root-find the zero polynomial")
     if p.degree == 0:
         raise ConstantPolynomial("cannot root-find a nonzero constant")
-    z = _sorted(aberth_batch(p.as_array()[None, :])[0])
+    return _rootset(p, aberth_batch(p.as_array()[None, :])[0])
+
+
+def _rootset(p: Polynomial, z: np.ndarray) -> RootSet:
+    # The RootSet of p from its roots z as the engine returned them.
+    z = _sorted(z)
     res = np.abs(evaluate_many(p, z))
     return RootSet(tuple(z), tuple(float(r) for r in res), coeff_scale(p))
+
+
+def _by_degree(ps) -> dict[int, list[int]]:
+    # Indices of ps grouped by degree, in input order within each group.
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(ps):
+        if p.is_zero:
+            raise ZeroPolynomial("cannot root-find the zero polynomial")
+        if p.degree == 0:
+            raise ConstantPolynomial("cannot root-find a nonzero constant")
+        groups.setdefault(p.degree, []).append(i)
+    return groups
 
 
 def roots_many(ps) -> list[np.ndarray]:
@@ -325,18 +391,24 @@ def roots_many(ps) -> list[np.ndarray]:
     (real, imag), aligned with the input order.
     """
     out: list[np.ndarray | None] = [None] * len(ps)
-    by_degree: dict[int, list[int]] = {}
-    for i, p in enumerate(ps):
-        if p.is_zero:
-            raise ZeroPolynomial("cannot root-find the zero polynomial")
-        if p.degree == 0:
-            raise ConstantPolynomial("cannot root-find a nonzero constant")
-        by_degree.setdefault(p.degree, []).append(i)
-    for idxs in by_degree.values():
+    for idxs in _by_degree(ps).values():
         z = aberth_batch(np.array([ps[i].as_array() for i in idxs]))
         for row, i in enumerate(idxs):
             out[i] = _sorted(z[row])
     return out  # type: ignore[return-value]
+
+
+def _certified_many(ps) -> list[np.ndarray | None]:
+    """`roots_many` without the raise: one `aberth_core` call per degree, and
+    None in place of the roots of a polynomial that is not certified.  Each
+    array equals the roots `roots` returns for its polynomial alone."""
+    out: list[np.ndarray | None] = [None] * len(ps)
+    for idxs in _by_degree(ps).values():
+        batch = aberth_core(np.array([ps[i].as_array() for i in idxs]))
+        for row, i in enumerate(idxs):
+            if batch.failed[row] is None:
+                out[i] = _sorted(batch.z[row])
+    return out
 
 
 def _root_scale(zs) -> float:

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from fdzeros import (
+    ALL_PROPERTIES,
     AsymptoticReport,
     DegreeTooSmall,
     InvalidInput,
     MatchAmbiguity,
     RootRecord,
+    SuiteConfig,
     actual_roots,
     evaluate_many,
     from_roots,
     make_poly,
     monic_head,
     monomial,
+    poly_from_json,
     predict_roots,
     qn,
     qn_zeros,
@@ -227,3 +230,40 @@ def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
     p = from_roots([-3.0, 1.0, 4.0])
     with pytest.raises(InvalidInput, match="matching floor"):
         residual_sweep(p, 0.7, sweep_h_floor(p) / 2, 100.0, 5, 1)
+
+
+def test_shared_sweeps_equal_one_sweep_per_order():
+    rng = np.random.default_rng(2025)
+    for k in range(12):
+        n = int(rng.integers(2, 9))
+        p = make_poly(rng.uniform(-2, 2, size=n).tolist() + [1.0])
+        theta = 0.0 if k % 4 == 0 else float(rng.uniform(0.2, 2.9))
+        floor = sweep_h_floor(p)
+        args = (p, theta, floor * 1.1, floor * 11.0, 8)
+        want = [residual_sweep(*args, order) for order in (0, 1, 2)]
+        assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want, k
+
+
+def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
+    # asym_order_hierarchy's instances at seed 42: one roots_many batch per
+    # instance serves the three orders, with the reports of three sweeps
+    prop = next(q for q in ALL_PROPERTIES if q.name == "asym_order_hierarchy")
+    cfg = SuiteConfig(seed=42, trials=20)
+    instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+    original = asymptotics.roots_many
+    batches = []
+
+    def counted(ps):
+        batches.append(len(ps))
+        return original(ps)
+
+    monkeypatch.setattr(asymptotics, "roots_many", counted)
+    for inst in instances:
+        batches.clear()
+        prop.check(inst)
+        assert batches == [inst["steps"]]
+        p = poly_from_json(inst["poly"])
+        floor = sweep_h_floor(p)
+        args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
+        want = [residual_sweep(*args, order) for order in (0, 1, 2)]
+        assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdzeros import cli, operators, witness_search
+from fdzeros import InvalidInput, cli, operators, witness_search
 from fdzeros.cli import main
 
 PRESERVER = {"lambda": [0, 1], "terms": [{"j": -1, "a": [1, 0]},
@@ -114,6 +114,29 @@ def test_witness_preserver(tmp_path, capsys):
     code, out = run(capsys, ["witness", write(tmp_path, "op.json", PRESERVER)])
     assert code == 0
     assert json.loads(out)["status"] == "preserver"
+
+
+@pytest.mark.parametrize("max_degree", [0, -3])
+def test_witness_rejects_max_degree_below_1(tmp_path, capsys, max_degree):
+    # a search over no candidate used to print "inconclusive" and exit 0
+    with pytest.raises(InvalidInput, match="max degree"):
+        witness_search(cli.operator_from_json(REAL_SHIFT), max_degree=max_degree)
+    code = main(["witness", write(tmp_path, "op.json", REAL_SHIFT),
+                 "--max-degree", str(max_degree)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: max degree must be >= 1")
+
+
+def test_witness_rejects_negative_strip(tmp_path, capsys):
+    # with a band of -1 the real root 0.5 of x + (x - 1) used to be reported
+    # as a witness with offense 1.0
+    with pytest.raises(InvalidInput, match="strip half-width"):
+        witness_search(cli.operator_from_json(REAL_SHIFT), strip_b=-1.0)
+    code = main(["witness", write(tmp_path, "op.json", REAL_SHIFT), "--strip", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: strip half-width must be finite and >= 0")
 
 
 def test_witness_analyzes_once(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fdzeros import (
     InvalidInput,
+    NonConvergence,
+    Witness,
     analyze,
     apply_op,
     classify_real,
@@ -18,10 +22,12 @@ from fdzeros import (
     random_preserver,
     random_strip_operator,
     roots,
+    shift_arg,
     verdict_to_json,
     witness_search,
     witness_to_json,
 )
+from fdzeros import operators
 
 
 def test_make_operator_validation():
@@ -117,6 +123,108 @@ def test_witness_none_for_strip_preserver():
     # the expanded image's computed roots leave the real line at n = 20.
     op = random_strip_operator(1, np.random.default_rng([3, 77, 1]))
     assert witness_search(op) is None
+
+
+def _search_reference(op, strip_b, max_degree=24, tol=1e-8):
+    # The candidate search as a per-candidate loop with one roots() call
+    # each, as it ran before the images were batched by degree.  Also
+    # returns how many candidates it skipped for NonConvergence.
+    band = strip_b or 0.0
+    skipped = 0
+    for n in range(1, max_degree + 1):
+        cands = [(f"x^{n}" if s == 0 else f"(x-{s})^{n}", s)
+                 for s in (0.0, 0.5, -0.5, 1.0)]
+        if strip_b:
+            cands += [(f"(x-{strip_b}i)^{n}", 1j * strip_b),
+                      (f"(x+{strip_b}i)^{n}", -1j * strip_b)]
+        for label, s in cands:
+            cand = shift_arg(monomial(n), s)
+            image = apply_op(op, cand)
+            if image.is_zero or image.degree == 0:
+                continue
+            try:
+                rs = roots(image)
+            except NonConvergence:
+                skipped += 1
+                continue
+            scale = max(1.0, max(abs(r) for r in rs.roots))
+            worst = max(rs.roots, key=lambda r: abs(r.imag))
+            excess = abs(worst.imag) - band
+            margin = 10.0 * tol * scale
+            if excess > margin and operators._offense_confirmed(op, n, s, worst,
+                                                                band, margin):
+                return Witness(cand, label, rs, float(excess)), skipped
+    return None, skipped
+
+
+def _bits(zs):
+    return np.array(zs, dtype=complex).view(np.uint64)
+
+
+def _assert_same_witness(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.label, got.offense, got.input) == (want.label, want.offense, want.input)
+    assert np.array_equal(_bits(got.image_roots.roots), _bits(want.image_roots.roots))
+    assert got.image_roots.residuals == want.image_roots.residuals
+    assert got.image_roots.scale == want.image_roots.scale
+
+
+def _real_shift(m, rng):
+    base = random_preserver(m, rng)
+    return make_operator(complex(float(rng.uniform(0.2, 1.0)), base.lam.imag), base.terms)
+
+
+def _off_circle(m, rng):
+    # one generating root off the unit circle
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=2 * m)
+    moduli = np.ones(2 * m)
+    moduli[0] = float(rng.uniform(1.3, 2.0))
+    coeffs = np.array([1.0 + 0j])
+    for psi, rho in zip(angles, moduli):
+        coeffs = np.convolve(coeffs, [-rho * np.exp(1j * psi), 1.0])
+    return make_operator(1j * float(rng.uniform(0.3, 2.0)),
+                         {k - m: coeffs[k] for k in range(2 * m + 1)})
+
+
+def _rotated(m, rng):
+    # e^{i phi} times a preserver with |beta| >= 1: nothing to find
+    base = random_preserver(m, rng, lam=1j * float(rng.uniform(1.0, 2.0)))
+    phi = float(rng.uniform(0.4, 1.2))
+    return make_operator(base.lam, {j: complex(math.cos(phi), math.sin(phi)) * a
+                                    for j, a in base.terms})
+
+
+@pytest.mark.parametrize("strip_b", [None, 1.0], ids=["line", "strip"])
+@pytest.mark.parametrize("kind", [_real_shift, _off_circle, _rotated],
+                         ids=["real_shift", "off_circle", "rotated"])
+def test_batched_search_equals_per_candidate_loop(kind, strip_b):
+    for m in (1, 2):
+        op = kind(m, np.random.default_rng([5, m]))
+        want, _ = _search_reference(op, strip_b)
+        _assert_same_witness(operators._search_candidates(op, 24, strip_b, 1e-8), want)
+        assert (want is None) == (kind is _rotated)
+
+
+def test_batched_search_finds_degree_2_witnesses_as_the_loop_did():
+    # real shifts: every degree-1 image is real-rooted, and with a strip the
+    # witness is the fifth degree-2 candidate
+    for op in (make_operator(1, {0: 1, 1: 1}), make_operator(0.5, {-1: 1, 0: 3, 1: 1})):
+        for strip_b in (None, 0.5, 2.0):
+            want, _ = _search_reference(op, strip_b)
+            assert want.input.degree == 2
+            _assert_same_witness(operators._search_candidates(op, 24, strip_b, 1e-8),
+                                 want)
+
+
+def test_batched_search_skips_uncertified_rows_as_the_loop_did():
+    # The clustered strip preserver of test_witness_none_for_strip_preserver:
+    # some of its images cannot be certified and are skipped either way.
+    op = random_strip_operator(1, np.random.default_rng([3, 77, 1]))
+    want, skipped = _search_reference(op, None)
+    assert want is None and skipped > 0
+    assert operators._search_candidates(op, 24, None, 1e-8) is None
 
 
 def test_witness_modulus_violation():

@@ -33,6 +33,7 @@ from fdzeros import (
     shift_arg,
     sorted_real_parts,
 )
+from fdzeros.rootfind import aberth_batch, aberth_core
 
 
 def test_roots_basic():
@@ -293,3 +294,75 @@ def test_extended_polish_reaches_exact_roots_of_product():
         exact = np.sort_complex(np.array([complex(x) for x in exact]))
     got = np.sort_complex(np.array(roots(p).roots))
     assert np.max(np.abs(got - exact)) < 1e-9
+
+
+# Per-row outcomes of the engine core.  Degree-24 real-rooted inputs with
+# roots in [-5, 5]: seeds 0-3 certify, seed 6 has two roots too close for the
+# forward certificate.
+
+def _degree_24(seed):
+    return from_roots(np.random.default_rng([seed, 24]).uniform(-5, 5, 24))
+
+
+def _by_real_imag(z):
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def _mixed_batch():
+    good = [_degree_24(s) for s in (0, 1, 2, 3)]
+    # an infinite coefficient starts the row at NaN: it fails the residual one
+    broken = good[0].as_array().copy()
+    broken[5] = np.inf
+    rows = [good[0].as_array(), _degree_24(6).as_array(), good[1].as_array(),
+            broken, good[2].as_array(), good[3].as_array()]
+    return np.array(rows), good
+
+
+def test_aberth_core_certifies_row_by_row():
+    c, good = _mixed_batch()
+    out = aberth_core(c)
+    assert out.failed == (None, "forward", None, "residual", None, None)
+    for row, p in zip((0, 2, 4, 5), good):
+        assert np.array_equal(_by_real_imag(out.z[row]), np.array(roots(p).roots))
+    # a failed row's best iterate is the one it has alone
+    with pytest.raises(NonConvergence, match="forward certificate") as alone:
+        roots(_degree_24(6))
+    assert np.array_equal(out.z[1], alone.value.best[0])
+    # aberth_batch raises for the whole batch, naming the residual
+    # certificate before the forward one, with the batch's iterate attached
+    with pytest.raises(NonConvergence) as exc:
+        aberth_batch(c)
+    assert str(exc.value) == ("160-iteration Aberth roots of degree 24 "
+                              "failed the residual certificate")
+    assert np.array_equal(exc.value.best, out.z, equal_nan=True)
+    assert np.array_equal(exc.value.residuals, out.residuals, equal_nan=True)
+    with pytest.raises(NonConvergence) as exc:
+        aberth_batch(np.delete(c, 3, axis=0))
+    assert str(exc.value) == ("160-iteration Aberth roots of degree 24 "
+                              "failed the forward certificate")
+    assert np.array_equal(exc.value.best, np.delete(out.z, 3, axis=0))
+
+
+def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
+    c, _ = _mixed_batch()
+    c = np.delete(c, (1, 3), axis=0)  # four rows that certify
+    want = aberth_core(c)
+    original = np.linalg.eigvals
+    calls = []
+
+    def flaky(m):
+        # the stack fails, and so does the matrix of the third row alone
+        calls.append(m.ndim)
+        if m.ndim == 3 or np.array_equal(m[0], -c[2, -2::-1].real):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    out = aberth_core(c)
+    assert calls == [3, 2, 2, 2, 2]
+    assert out.failed == (None, None, "eigvals", None)
+    for row in (0, 1, 3):
+        assert np.array_equal(out.z[row], want.z[row])
+    with pytest.raises(NonConvergence, match="^companion eigenvalues of degree 24 "
+                                             "did not converge$"):
+        aberth_batch(c)
