@@ -4,9 +4,9 @@ Every root-find goes through one engine, `aberth_core`: closed forms for
 degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
 companion-matrix eigenvalues above that, and a residual and a forward-error
 certificate for every degree, judged row by row.  `aberth_batch` is the same
-engine raising NonConvergence when any row of its batch fails.  The predicates below (realness,
-mesh, extremes, interlacing) are the language the zero-location guarantees
-elsewhere in the package are stated in.
+engine raising NonConvergence when any row of its batch fails.  The
+predicates below (realness, mesh, extremes, interlacing) are the language
+the zero-location guarantees elsewhere in the package are stated in.
 """
 
 from __future__ import annotations

@@ -161,14 +161,32 @@ def _bits(zs):
     return np.array(zs, dtype=complex).view(np.uint64)
 
 
-def _assert_same_witness(got, want):
+def _assert_same_search(monkeypatch, op, strip_b):
+    # The batched search returns the loop's witness and confirms offenses on
+    # the same candidates and roots, in the same order.  Returns the loop's
+    # witness and its NonConvergence skip count.
+    original = operators._offense_confirmed
+    log = []
+
+    def recorded(op, n, s, z, band, margin):
+        log.append((n, s, z, margin))
+        return original(op, n, s, z, band, margin)
+
+    monkeypatch.setattr(operators, "_offense_confirmed", recorded)
+    want, skipped = _search_reference(op, strip_b)
+    looped, log[:] = log[:], []
+    got = operators._search_candidates(op, 24, strip_b, 1e-8)
+    assert log == looped
     if want is None:
         assert got is None
-        return
-    assert (got.label, got.offense, got.input) == (want.label, want.offense, want.input)
-    assert np.array_equal(_bits(got.image_roots.roots), _bits(want.image_roots.roots))
-    assert got.image_roots.residuals == want.image_roots.residuals
-    assert got.image_roots.scale == want.image_roots.scale
+    else:
+        assert (got.label, got.offense, got.input) == (want.label, want.offense,
+                                                       want.input)
+        assert np.array_equal(_bits(got.image_roots.roots),
+                              _bits(want.image_roots.roots))
+        assert got.image_roots.residuals == want.image_roots.residuals
+        assert got.image_roots.scale == want.image_roots.scale
+    return want, skipped
 
 
 def _real_shift(m, rng):
@@ -199,32 +217,29 @@ def _rotated(m, rng):
 @pytest.mark.parametrize("strip_b", [None, 1.0], ids=["line", "strip"])
 @pytest.mark.parametrize("kind", [_real_shift, _off_circle, _rotated],
                          ids=["real_shift", "off_circle", "rotated"])
-def test_batched_search_equals_per_candidate_loop(kind, strip_b):
+def test_batched_search_equals_per_candidate_loop(monkeypatch, kind, strip_b):
     for m in (1, 2):
         op = kind(m, np.random.default_rng([5, m]))
-        want, _ = _search_reference(op, strip_b)
-        _assert_same_witness(operators._search_candidates(op, 24, strip_b, 1e-8), want)
+        want, _ = _assert_same_search(monkeypatch, op, strip_b)
         assert (want is None) == (kind is _rotated)
 
 
-def test_batched_search_finds_degree_2_witnesses_as_the_loop_did():
+def test_batched_search_finds_degree_2_witnesses_as_the_loop_did(monkeypatch):
     # real shifts: every degree-1 image is real-rooted, and with a strip the
     # witness is the fifth degree-2 candidate
     for op in (make_operator(1, {0: 1, 1: 1}), make_operator(0.5, {-1: 1, 0: 3, 1: 1})):
         for strip_b in (None, 0.5, 2.0):
-            want, _ = _search_reference(op, strip_b)
+            want, _ = _assert_same_search(monkeypatch, op, strip_b)
             assert want.input.degree == 2
-            _assert_same_witness(operators._search_candidates(op, 24, strip_b, 1e-8),
-                                 want)
 
 
-def test_batched_search_skips_uncertified_rows_as_the_loop_did():
+def test_batched_search_skips_uncertified_rows_as_the_loop_did(monkeypatch):
     # The clustered strip preserver of test_witness_none_for_strip_preserver:
-    # some of its images cannot be certified and are skipped either way.
+    # some of its images cannot be certified, and neither search looks at
+    # their roots.
     op = random_strip_operator(1, np.random.default_rng([3, 77, 1]))
-    want, skipped = _search_reference(op, None)
+    want, skipped = _assert_same_search(monkeypatch, op, None)
     assert want is None and skipped > 0
-    assert operators._search_candidates(op, 24, None, 1e-8) is None
 
 
 def test_witness_modulus_violation():
