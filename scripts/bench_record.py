@@ -1,19 +1,16 @@
 """Record a parent/change benchmark comparison to a BENCH_<n>.json file.
 
     python3 scripts/bench_record.py --parent REV [--change REV] --out BENCH_<n>.json \\
-        [--pairs 10] [--seconds 20] [--seed-base 101] [--workloads suite,high_degree,classify]
+        [--seed-base 101]
 
 Run it from the root of the repository.  Each revision's committed files are
 exported with `git archive` into a scratch directory, so both sides run the
 same benchmark code from a clean checkout.  For every workload it runs
-`--pairs` pairs of `bench/run.py --trace 0` at seeds seed-base, seed-base+1,
-..., alternating which side runs first, and keeps every result line.  It
-then records one traced `classify` run per side (`--trace 1`) and a probe
-that also times the engine core, `rootfind.aberth_core`, which the
-benchmark's tracer does not wrap: where the core is called directly (the
-witness search), its time would otherwise count as its caller's self time.
+PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
+seed-base+1, ..., alternating which side runs first, and keeps every result
+line.  It then records one traced `classify` run per side (`--trace 1`).
 The output holds the git revisions, machine information, every result line,
-and per-metric medians and quartiles.
+per-metric medians and quartiles, and the traced root-finding layers.
 """
 
 from __future__ import annotations
@@ -33,55 +30,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT = 600
-
-# Passes of the classify workload under the benchmark's tracer, with the
-# engine core wrapped as well; prints per-pass root-finding self times.
-PROBE = r"""
-import json, statistics, sys, tempfile, time
-from pathlib import Path
-sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
-import spans, workloads
-from fdzeros import rootfind
-passes = int(sys.argv[2])
-tracer = spans.Tracer()
-with tempfile.TemporaryDirectory() as d:
-    wl = workloads.build("classify", int(sys.argv[3]), Path(d))
-    wl.check([op() for op in wl.ops])
-    core = getattr(rootfind, "aberth_core", None)
-    rows = []
-    for _ in range(passes):
-        tracer.reset()
-        with tracer.installed():
-            if core is not None:
-                rootfind.aberth_core = tracer.wrap("rootfind.aberth_core", core)
-            try:
-                t0 = time.perf_counter()
-                out = [op() for op in wl.ops]
-                wall = time.perf_counter() - t0
-            finally:
-                if core is not None:
-                    rootfind.aberth_core = core
-        if wl.check(out).mismatches:
-            raise SystemExit("classify output mismatch under the probe")
-        child = {}
-        for name, start, end, parent in tracer.spans:
-            if parent >= 0:
-                child[parent] = child.get(parent, 0.0) + end - start
-        self_s, calls = {}, {}
-        for i, (name, start, end, parent) in enumerate(tracer.spans):
-            if name.startswith("rootfind."):
-                self_s[name] = self_s.get(name, 0.0) + end - start - child.get(i, 0.0)
-                calls[name] = calls.get(name, 0) + 1
-        rows.append({"pass_s": wall, "rootfind_self_s": sum(self_s.values()),
-                     "self_s": self_s, "calls": calls})
-print(json.dumps({
-    "passes": passes,
-    "pass_s_median": statistics.median(r["pass_s"] for r in rows),
-    "rootfind_self_s_median": statistics.median(r["rootfind_self_s"] for r in rows),
-    "calls": rows[-1]["calls"],
-    "self_s_last_pass": rows[-1]["self_s"],
-}))
-"""
+# Ten pairs of 20 s runs is what a speed claim on the benchmark rests on.
+PAIRS = 10
+SECONDS = 20.0
+WORKLOADS = ("suite", "high_degree", "classify")
 
 
 def git(*args: str) -> str:
@@ -154,11 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed-base", type=int, default=101)
-    parser.add_argument("--workloads", default="suite,high_degree,classify")
-    parser.add_argument("--probe-passes", type=int, default=10)
     args = parser.parse_args(argv)
 
     revs = {side: git("rev-parse", rev) for side, rev in
@@ -167,33 +115,27 @@ def main(argv=None) -> int:
     try:
         trees = {side: export(rev, scratch / side) for side, rev in revs.items()}
         workloads = {}
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 seed = args.seed_base + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(trees[side], workload, seed, args.seconds, 0)
+                    pair[side] = run_bench(trees[side], workload, seed, SECONDS, 0)
                 print(f"{workload} seed {seed}: parent "
                       f"{pair['parent']['metrics']['pass_s']['value']:.3f} s, change "
                       f"{pair['change']['metrics']['pass_s']['value']:.3f} s",
                       file=sys.stderr)
                 pairs.append(pair)
             workloads[workload] = {"runs": pairs, "summary": summarize(pairs)}
-        traced = {side: {
-            "bench_trace": run_bench(tree, "classify", args.seed_base, args.seconds, 1),
-            "probe": json.loads(subprocess.run(
-                [sys.executable, "-c", PROBE, str(tree), str(args.probe_passes),
-                 str(args.seed_base)],
-                capture_output=True, text=True, check=True,
-                timeout=RUN_TIMEOUT).stdout),
-        } for side, tree in trees.items()}
+        traced = {side: run_bench(tree, "classify", args.seed_base, SECONDS, 1)
+                  for side, tree in trees.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     def key_layers(side: str) -> dict:
-        metrics = traced[side]["bench_trace"]["metrics"]
+        metrics = traced[side]["metrics"]
         return {name: metrics[name]["value"] for name in metrics
                 if name.startswith("rootfind.") or name.startswith("cli.main")}
 
@@ -201,13 +143,12 @@ def main(argv=None) -> int:
         "revisions": {side: {"commit": rev, "src_tree": git("rev-parse", f"{rev}:src")}
                       for side, rev in revs.items()},
         "machine": machine(),
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.seed_base, args.seed_base + args.pairs - 1],
+        "settings": {"pairs": PAIRS, "seconds": SECONDS,
+                     "seeds": [args.seed_base, args.seed_base + PAIRS - 1],
                      "command": "python3 bench/run.py --workload W --seed S "
-                                f"--seconds {args.seconds:g} --trace 0"},
+                                f"--seconds {SECONDS:g} --trace 0"},
         "workloads": workloads,
-        "classify_traced": {side: {"layers": key_layers(side),
-                                   "probe": traced[side]["probe"]} for side in traced},
+        "classify_traced": {side: key_layers(side) for side in traced},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -233,9 +233,9 @@ def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
     has the verdict and knows the operator is no preserver.
 
     Degree by degree: the degree-n candidates' images are built, those of
-    degree >= 1 are root-found with one `aberth_core` call per image degree,
-    and the certified ones are tested in candidate order, so a witness at
-    n = 1 costs one degree of work.
+    degree >= 1 are root-found in one batch per image degree, certified row
+    by row, and the certified ones are tested in candidate order, so a
+    witness at n = 1 costs one degree of work.
     """
     band = strip_b or 0.0
     for n in range(1, max_degree + 1):

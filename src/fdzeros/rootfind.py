@@ -1,6 +1,6 @@
 """Simultaneous root computation and root-set predicates.
 
-Every root-find goes through one engine, `aberth_core`: closed forms for
+Every root-find goes through one engine, `_aberth_core`: closed forms for
 degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
 companion-matrix eigenvalues above that, and a residual and a forward-error
 certificate for every degree, judged row by row.  `aberth_batch` is the same
@@ -34,8 +34,6 @@ __all__ = [
     "roots",
     "roots_many",
     "aberth_batch",
-    "aberth_core",
-    "BatchRoots",
     "classify_real",
     "sorted_real_parts",
     "mesh",
@@ -167,15 +165,13 @@ def _forward_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarr
     return bound
 
 
-def _companion_eigvals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _companion_eigvals(a: np.ndarray) -> np.ndarray:
     # a: (B, n+1) monic rows.  Eigenvalues of the companion matrices, with
     # real arithmetic for real rows; a row with a non-finite coefficient
     # starts (and fails) at NaN.  A stack on which LAPACK does not converge is
-    # retried row by row, and only the rows that fail again are flagged in
-    # the returned mask; they start at NaN too.
+    # retried row by row, and a row that fails again starts at NaN too.
     B, n = a.shape[0], a.shape[1] - 1
     z = np.full((B, n), np.nan, dtype=complex)
-    broken = np.zeros(B, dtype=bool)
     finite = np.isfinite(a).all(axis=1)
     real = ~np.any(a.imag != 0, axis=1)
     for rows, part in ((finite & real, a.real), (finite & ~real, a)):
@@ -192,20 +188,18 @@ def _companion_eigvals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 try:
                     z[i] = np.linalg.eigvals(comp[k])
                 except np.linalg.LinAlgError:
-                    broken[i] = True
-    return z, broken
+                    pass
+    return z
 
 
-def _aberth(a: np.ndarray, absa: np.ndarray,
-            dcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
     # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
     # iterates on its own from its companion eigenvalues: a root stops once
     # its residual passes, a row stops once its own steps stagnate or a root
     # fails the rounding floor of the forward certificate.  No row's iterates
-    # depend on the other rows.  Returns the roots and the mask of rows whose
-    # companion eigenvalues did not converge.
+    # depend on the other rows.
     B = a.shape[0]
-    z, broken = _companion_eigvals(a)
+    z = _companion_eigvals(a)
     n = z.shape[1]
     eye = np.eye(n, dtype=bool)[None, :, :]
     stalled = np.zeros(B, dtype=bool)
@@ -247,17 +241,17 @@ def _aberth(a: np.ndarray, absa: np.ndarray,
         if np.array_equal(moved.view(np.uint64), z.view(np.uint64)):
             break
         z = moved
-    return z, broken
+    return z
 
 
-class BatchRoots(NamedTuple):
+class _BatchRoots(NamedTuple):
     """Roots of a batch of same-degree polynomials, with each row's outcome.
 
     z is (B, n): a certified row's roots, or a failed row's best iterate.
     residuals is |p(z)| on the monic rows.  failed[i] is None for a certified
-    row; otherwise it names the step that rejected the row: "eigvals" (its
-    companion eigenvalues did not converge), "residual" or "forward" (the
-    first certificate it failed).
+    row; otherwise it names the first certificate the row failed, "residual"
+    or "forward".  A row whose companion eigenvalues did not converge stays
+    at NaN and fails the residual one.
     """
 
     z: np.ndarray
@@ -265,7 +259,7 @@ class BatchRoots(NamedTuple):
     failed: tuple[str | None, ...]
 
 
-def aberth_core(c: np.ndarray) -> BatchRoots:
+def _aberth_core(c: np.ndarray) -> _BatchRoots:
     """All roots for a batch of same-degree polynomials, certified row by row.
 
     c is (B, n+1), ascending, with nonzero leading column.  Degrees 1 and 2
@@ -284,7 +278,6 @@ def aberth_core(c: np.ndarray) -> BatchRoots:
     n = c.shape[1] - 1
     if n < 1:
         raise ConstantPolynomial("batch root finding needs degree >= 1")
-    broken = np.zeros(c.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         a = c / c[:, -1:]
         absa = np.abs(a)
@@ -302,38 +295,33 @@ def aberth_core(c: np.ndarray) -> BatchRoots:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z, broken = _aberth(a, absa, dcoef)
+            z = _aberth(a, absa, dcoef)
         ok, p, err = _residual_ok(a, absa, z, TOL)
         residual_ok = ok.all(axis=1)
         bound = _forward_bound(a, absa, z, err, _horner_rows(dcoef, z), p,
                                rows=residual_ok)
         certified = residual_ok & np.all(bound <= FWD_TOL, axis=1)
-    failed = tuple(None if good else "eigvals" if bad else
-                   "forward" if res else "residual"
-                   for good, bad, res in zip(certified.tolist(), broken.tolist(),
-                                             residual_ok.tolist()))
-    return BatchRoots(z, np.abs(p), failed)
+    failed = tuple(None if good else "forward" if res else "residual"
+                   for good, res in zip(certified.tolist(), residual_ok.tolist()))
+    return _BatchRoots(z, np.abs(p), failed)
 
 
 def aberth_batch(c: np.ndarray) -> np.ndarray:
-    """`aberth_core` for callers that need every row: returns the (B, n)
-    roots, or raises NonConvergence (with the best iterate of the whole batch
-    attached) if any row is not certified.
+    """All roots for a batch of same-degree polynomials: the (B, n) roots of
+    `_aberth_core`, which certifies each row on its own, or NonConvergence
+    (with the best iterate of the whole batch attached) if any row is not
+    certified.
 
-    The message names what failed: the companion eigenvalues if any row's
-    did not converge, else the residual certificate if any row failed it,
-    else the forward one.
+    The message names the residual certificate if any row failed it, else
+    the forward one.
     """
-    out = aberth_core(c)
+    out = _aberth_core(c)
     if any(out.failed):
         n = out.z.shape[1]
-        if "eigvals" in out.failed:
-            message = f"companion eigenvalues of degree {n} did not converge"
-        else:
-            what = "residual" if "residual" in out.failed else "forward"
-            how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
-            message = f"{how} roots of degree {n} failed the {what} certificate"
-        raise NonConvergence(message, best=out.z, residuals=out.residuals)
+        what = "residual" if "residual" in out.failed else "forward"
+        how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
+        raise NonConvergence(f"{how} roots of degree {n} failed the {what} certificate",
+                             best=out.z, residuals=out.residuals)
     return out.z
 
 
@@ -399,12 +387,12 @@ def roots_many(ps) -> list[np.ndarray]:
 
 
 def _certified_many(ps) -> list[np.ndarray | None]:
-    """`roots_many` without the raise: one `aberth_core` call per degree, and
+    """`roots_many` without the raise: one `_aberth_core` call per degree, and
     None in place of the roots of a polynomial that is not certified.  Each
     array equals the roots `roots` returns for its polynomial alone."""
     out: list[np.ndarray | None] = [None] * len(ps)
     for idxs in _by_degree(ps).values():
-        batch = aberth_core(np.array([ps[i].as_array() for i in idxs]))
+        batch = _aberth_core(np.array([ps[i].as_array() for i in idxs]))
         for row, i in enumerate(idxs):
             if batch.failed[row] is None:
                 out[i] = _sorted(batch.z[row])

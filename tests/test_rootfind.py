@@ -33,7 +33,7 @@ from fdzeros import (
     shift_arg,
     sorted_real_parts,
 )
-from fdzeros.rootfind import aberth_batch, aberth_core
+from fdzeros.rootfind import _aberth_core, aberth_batch
 
 
 def test_roots_basic():
@@ -324,7 +324,7 @@ def _mixed_batch():
 
 def test_aberth_core_certifies_row_by_row():
     c, good = _mixed_batch()
-    out = aberth_core(c)
+    out = _aberth_core(c)
     assert out.failed == (None, "forward", None, "residual", None, None)
     for row, p in zip((0, 2, 4, 5), good):
         assert np.array_equal(_bits(_by_real_imag(out.z[row])), _bits(roots(p).roots))
@@ -350,7 +350,7 @@ def test_aberth_core_certifies_row_by_row():
 def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
     c, _ = _mixed_batch()
     c = np.delete(c, (1, 3), axis=0)  # four rows that certify
-    want = aberth_core(c)
+    want = _aberth_core(c)
     original = np.linalg.eigvals
     calls = []
 
@@ -362,11 +362,13 @@ def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
-    out = aberth_core(c)
+    out = _aberth_core(c)
     assert calls == [3, 2, 2, 2, 2]
-    assert out.failed == (None, None, "eigvals", None)
+    # the row that fails again stays at NaN and fails the residual certificate
+    assert out.failed == (None, None, "residual", None)
+    assert np.isnan(out.z[2]).all()
     for row in (0, 1, 3):
         assert np.array_equal(_bits(out.z[row]), _bits(want.z[row]))
-    with pytest.raises(NonConvergence, match="^companion eigenvalues of degree 24 "
-                                             "did not converge$"):
+    with pytest.raises(NonConvergence, match="^160-iteration Aberth roots of degree 24 "
+                                             "failed the residual certificate$"):
         aberth_batch(c)
