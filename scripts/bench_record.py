@@ -8,9 +8,12 @@ exported with `git archive` into a scratch directory, so both sides run the
 same benchmark code from a clean checkout.  For every workload it runs
 PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
 seed-base+1, ..., alternating which side runs first, and keeps every result
-line.  It then records one traced `classify` run per side (`--trace 1`).
+line.  It then records one traced `classify` run per side (`--trace 1`) and
+a layer table per side: the best of 5 in-process timings of `shift_arg`,
+`apply_op`, `roots` and `witness_search` at fixed inputs (LAYER_SCRIPT).
 The output holds the git revisions, machine information, every result line,
-per-metric medians and quartiles, and the traced root-finding layers.
+per-metric medians and quartiles, the traced root-finding layers and the
+layer tables.
 """
 
 from __future__ import annotations
@@ -35,6 +38,47 @@ PAIRS = 10
 SECONDS = 20.0
 WORKLOADS = ("suite", "high_degree", "classify")
 
+# Run in a fresh interpreter inside an exported tree; prints one JSON object,
+# seconds per call by layer and input, each the best of 5 repetitions of a
+# loop long enough (timeit's autorange) to be timed.  The inputs are fixed:
+# real-rooted polynomials with roots drawn from [-5, 5], a preserver of
+# half-support 2, gn(50, 0.7, 1), and the classify workload's m = 2
+# `rotated` operator, built as that workload builds it.
+LAYER_SCRIPT = """
+import json, sys, timeit
+import numpy as np
+sys.path[:0] = ["src", "bench"]
+from fdzeros import (apply_op, from_roots, gn, random_preserver, roots, shift_arg,
+                     witness_search)
+from workloads import FIXED_SEED, KINDS
+
+def best(fn):
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(5, number)) / number
+
+def poly(n):
+    return from_roots(np.random.default_rng([7, n]).uniform(-5.0, 5.0, n))
+
+op = random_preserver(2, np.random.default_rng(7))
+rotated = KINDS["rotated"][0](2, np.random.default_rng(
+    [FIXED_SEED, list(KINDS).index("rotated"), 2]))
+out = {}
+for n in (8, 50, 200):
+    p = poly(n)
+    out[f"shift_arg_n{n}_s"] = best(lambda: shift_arg(p, 1.5j))
+for n in (8, 50, 200):
+    p = poly(n)
+    out[f"apply_op_m2_n{n}_s"] = best(lambda: apply_op(op, p))
+for n in (8, 20):
+    p = poly(n)
+    out[f"roots_n{n}_s"] = best(lambda: roots(p))
+g = gn(50, 0.7, 1.0)
+out["roots_gn50_s"] = best(lambda: roots(g))
+out["witness_search_rotated_m2_s"] = best(lambda: witness_search(rotated))
+print(json.dumps(out))
+"""
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
@@ -57,6 +101,14 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {tree}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def layer_table(tree: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT], cwd=tree,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    if proc.returncode != 0:
+        raise RuntimeError(f"layer table in {tree}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -131,6 +183,7 @@ def main(argv=None) -> int:
             workloads[workload] = {"runs": pairs, "summary": summarize(pairs)}
         traced = {side: run_bench(tree, "classify", args.seed_base, SECONDS, 1)
                   for side, tree in trees.items()}
+        layers = {side: layer_table(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -149,6 +202,7 @@ def main(argv=None) -> int:
                                 f"--seconds {SECONDS:g} --trace 0"},
         "workloads": workloads,
         "classify_traced": {side: key_layers(side) for side in traced},
+        "layers": layers,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -180,13 +180,17 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
 
 
 def _residual_sweeps(p: Polynomial, theta: float, h_min: float, h_max: float,
-                     steps: int, orders) -> list[AsymptoticReport]:
+                     steps: int, orders, floor: float | None = None
+                     ) -> list[AsymptoticReport]:
     """`residual_sweep` at each of `orders`, all served by one batch of image
     roots.  Each report equals the `residual_sweep` call at its order, and
-    the errors come as from those calls made one after the other."""
+    the errors come as from those calls made one after the other.  A caller
+    that already has `sweep_h_floor(p)` passes it as `floor`, which spares a
+    second root-find of p."""
     if not (0 < h_min < h_max) or steps < 2:
         raise InvalidInput("need 0 < h_min < h_max and steps >= 2")
-    floor = sweep_h_floor(p)
+    if floor is None:
+        floor = sweep_h_floor(p)
     if h_min < floor:
         raise InvalidInput(
             f"h_min {h_min} is below the matching floor {floor:.6g}"

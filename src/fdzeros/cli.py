@@ -21,6 +21,7 @@ from .harness import SuiteConfig, report_to_json, run_suite
 from .operators import (
     _check_search_args,
     _search_candidates,
+    _settled_status,
     analyze,
     apply_op,
     operator_from_json,
@@ -217,11 +218,9 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_witness(args) -> int:
     op = operator_from_json(_read_json(args.operator))
     _check_search_args(args.max_degree, args.strip)
-    verdict = analyze(op, tol=args.tol)
-    preserved = (verdict.strip_preserver if args.strip is not None
-                 else verdict.hyperbolicity_preserver)
-    if preserved:
-        _emit({"status": "preserver", "witness": None})
+    status = _settled_status(analyze(op, tol=args.tol), args.strip)
+    if status is not None:
+        _emit({"status": status, "witness": None})
         return 0
     w = _search_candidates(op, args.max_degree, args.strip, args.tol)
     if w is None:

@@ -18,7 +18,6 @@ from .asymptotics import (
     _residual_sweeps,
     monic_head,
     predict_roots,
-    residual_sweep,
     sweep_h_floor,
 )
 from .debruijn import (
@@ -701,8 +700,8 @@ def _gen_asym_omega(cfg, rng):
 def _chk_asym_omega(inst):
     p = poly_from_json(inst["poly"])
     floor = sweep_h_floor(p)
-    rep = residual_sweep(p, inst["theta"], floor * 1.05, floor * 10.5,
-                         inst["steps"], inst["order"])
+    rep, = _residual_sweeps(p, inst["theta"], floor * 1.05, floor * 10.5,
+                            inst["steps"], (inst["order"],), floor=floor)
     return -1.0 if rep.omega_bound_ok else 1.0
 
 
@@ -752,7 +751,8 @@ def _chk_asym_hierarchy(inst):
     floor = sweep_h_floor(p)
     h_min, h_max = floor * 1.1, floor * 11.0
     # one batch of image roots serves all three orders
-    reps = _residual_sweeps(p, inst["theta"], h_min, h_max, inst["steps"], (0, 1, 2))
+    reps = _residual_sweeps(p, inst["theta"], h_min, h_max, inst["steps"], (0, 1, 2),
+                            floor=floor)
     # compare the per-h worst residual: a single root can have an
     # accidentally tiny low-order residual when its correction coefficient
     # nearly vanishes, but the profile over all roots still orders strictly

@@ -3,8 +3,8 @@
 Includes the generating Laurent polynomial, the four-condition verdict
 engine (pure-imaginary shift, symmetric support, unimodular generating
 roots, positive endpoint product), and a heuristic witness search over
-monomial powers for operators the verdict rejects, root-found one batch per
-degree.
+monomial powers for operators that fail condition 1, 2 or 3, root-found one
+batch per degree.
 """
 
 from __future__ import annotations
@@ -201,26 +201,49 @@ def witness_search(op: FDOperator, max_degree: int = 24,
     1}, plus (x -+ i strip_b)^n with a strip.  Their images are root-found
     one batch per degree, from n = 1 up, and each row is certified on its
     own; the first certified image in candidate order whose offense is
-    confirmed is the witness.  Returns None both when the verdict says
-    preserver (nothing to find) and when the heuristic family is exhausted;
-    callers must not read the latter as a preserver certificate.  A
-    candidate whose image roots cannot be certified is skipped: it is
-    evidence neither way.  Raises InvalidInput for max_degree < 1 or a
-    negative or non-finite strip_b.
+    confirmed is the witness.
+
+    Returns None without building any candidate when the verdict meets
+    conditions 1-3 (`strip_preserver`), with or without a strip: such an
+    operator preserves every strip |Im z| <= b, and if it fails condition 4
+    it is e^{i psi} times a hyperbolicity preserver, psi = arg(a_l a_m) / 2,
+    so the images of the real-rooted candidates have only real zeros.
+    Returns None too when the heuristic family is exhausted; callers must
+    not read that as a preserver certificate.  A candidate whose image roots
+    cannot be certified is skipped: it is evidence neither way.  Raises
+    InvalidInput for a max_degree that is not an integer >= 1 (a bool is
+    not one) or a negative or non-finite strip_b.
     """
     _check_search_args(max_degree, strip_b)
-    verdict = analyze(op, tol)
-    if strip_b is None:
-        if verdict.hyperbolicity_preserver:
-            return None
-    elif verdict.strip_preserver:
+    if _settled_status(analyze(op, tol), strip_b) is not None:
         return None
     return _search_candidates(op, max_degree, strip_b, tol)
+
+
+def _settled_status(verdict: OperatorVerdict, strip_b: float | None) -> str | None:
+    """The witness status the verdict settles without a search, or None when
+    the candidates must be searched.
+
+    "preserver" when the verdict proves the property searched for: strip
+    preservation with a strip, hyperbolicity preservation without one.
+    "inconclusive" for a strip preserver searched without a strip: its
+    images of real-rooted polynomials have only real zeros, so there is
+    nothing to find, but they need not have real coefficients, so it is no
+    hyperbolicity preserver.  Everything else (condition 1, 2 or 3 fails)
+    is searched.
+    """
+    if not verdict.strip_preserver:
+        return None
+    if strip_b is not None or verdict.hyperbolicity_preserver:
+        return "preserver"
+    return "inconclusive"
 
 
 def _check_search_args(max_degree: int, strip_b: float | None) -> None:
     """Reject a witness search that would search nothing or a strip of
     negative (or non-finite) half-width."""
+    if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
+        raise InvalidInput(f"max degree must be an integer, got {max_degree!r}")
     if max_degree < 1:
         raise InvalidInput(f"max degree must be >= 1, got {max_degree}")
     if strip_b is not None and not 0.0 <= strip_b < math.inf:
@@ -230,7 +253,7 @@ def _check_search_args(max_degree: int, strip_b: float | None) -> None:
 def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
                        tol: float) -> Witness | None:
     """The candidate search of `witness_search`, for a caller that already
-    has the verdict and knows the operator is no preserver.
+    has the verdict and knows that `_settled_status` leaves it unsettled.
 
     Degree by degree: the degree-n candidates' images are built, those of
     degree >= 1 are root-found in one batch per image degree, certified row

@@ -403,13 +403,21 @@ def _root_scale(zs) -> float:
     return max(1.0, max((abs(r) for r in zs), default=0.0))
 
 
+def _check_real_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInput(f"realness tolerance must be finite and >= 0, got {tol}")
+
+
 def _realness(zs, tol: float) -> RealnessVerdict:
+    _check_real_tol(tol)
     max_imag = max((abs(r.imag) for r in zs), default=0.0)
     tol_used = tol * _root_scale(zs)
     return RealnessVerdict(max_imag <= tol_used, max_imag, tol_used)
 
 
 def classify_real(rs: RootSet, tol: float = DEFAULT_REAL_TOL) -> RealnessVerdict:
+    """Whether every root has |Im| <= tol * max(1, max |root|).  Raises
+    InvalidInput for a tol that is negative or not finite."""
     return _realness(rs.roots, tol)
 
 
@@ -474,10 +482,15 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
 
     Serves as an independent oracle for interlace; returns False if any
     sampled direction yields a non-real-rooted combination.  Realness is
-    judged as in classify_real.
+    judged as in classify_real.  Raises InvalidInput unless n_samples is an
+    integer >= 1: with no sample the answer would be a vacuous True.
     """
     if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
         raise InvalidInput("pencil sampling needs equal degrees >= 1")
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1):
+        raise InvalidInput(f"pencil sampling needs n_samples >= 1, got {n_samples!r}")
+    _check_real_tol(tol)
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     pa, qa = p.as_array(), q.as_array()

@@ -267,3 +267,31 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
         args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
         assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want
+
+
+@pytest.mark.parametrize("name", ["asym_order_hierarchy", "asym_omega_bound"])
+def test_asymptotic_checks_root_find_p_once(monkeypatch, name):
+    # The floor that sets an instance's h range also serves the sweep's
+    # floor check, so p is root-found once per instance, and the check
+    # still judges the public residual_sweep's report.
+    prop = next(q for q in ALL_PROPERTIES if q.name == name)
+    cfg = SuiteConfig(seed=42, trials=20)
+    instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+    original = asymptotics.roots
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(asymptotics, "roots", counted)
+    for inst in instances:
+        calls.clear()
+        got = prop.check(inst)
+        p = poly_from_json(inst["poly"])
+        assert calls == [p]
+        if name == "asym_omega_bound":
+            floor = sweep_h_floor(p)
+            rep = residual_sweep(p, inst["theta"], floor * 1.05, floor * 10.5,
+                                 inst["steps"], inst["order"])
+            assert got == (-1.0 if rep.omega_bound_ok else 1.0)

@@ -5,7 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fdzeros import InvalidInput, cli, operators, witness_search
+from fdzeros import (
+    InvalidInput,
+    cli,
+    operator_to_json,
+    operators,
+    random_strip_operator,
+    rootfind,
+    witness_search,
+)
 from fdzeros.cli import main
 
 PRESERVER = {"lambda": [0, 1], "terms": [{"j": -1, "a": [1, 0]},
@@ -114,6 +122,24 @@ def test_witness_preserver(tmp_path, capsys):
     code, out = run(capsys, ["witness", write(tmp_path, "op.json", PRESERVER)])
     assert code == 0
     assert json.loads(out)["status"] == "preserver"
+
+
+def test_witness_settled_by_conditions_1_to_3(tmp_path, capsys, monkeypatch):
+    # e^{i phi} times a preserver: nothing to find on the real line, and a
+    # strip preserver against a strip; neither builds a candidate
+    op = operator_to_json(random_strip_operator(2, np.random.default_rng([7, 2])))
+    path = write(tmp_path, "op.json", op)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness candidate was built or root-found")
+
+    monkeypatch.setattr(operators, "apply_op", forbidden)
+    monkeypatch.setattr(operators, "_certified_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
+    assert run(capsys, ["witness", path]) == (
+        0, '{"status": "inconclusive", "witness": null}\n')
+    assert run(capsys, ["witness", path, "--strip", "1.0"]) == (
+        0, '{"status": "preserver", "witness": null}\n')
 
 
 @pytest.mark.parametrize("max_degree", [0, -3])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,7 +28,7 @@ from fdzeros import (
     witness_search,
     witness_to_json,
 )
-from fdzeros import operators
+from fdzeros import operators, rootfind
 
 
 def test_make_operator_validation():
@@ -120,9 +121,81 @@ def test_witness_none_for_preserver():
 
 def test_witness_none_for_strip_preserver():
     # e^{i phi} times a preserver: every image of (x - 1)^n is real-rooted, but
-    # the expanded image's computed roots leave the real line at n = 20.
+    # the expanded image's computed roots leave the real line at n = 20.  The
+    # verdict settles it before any search; the search itself is held to the
+    # same answer on this operator by
+    # test_batched_search_skips_uncertified_rows_as_the_loop_did.
     op = random_strip_operator(1, np.random.default_rng([3, 77, 1]))
     assert witness_search(op) is None
+
+
+def _classify_rotated(m):
+    # The benchmark's classify workload builds its two `rotated` operators
+    # (m = 1, 2) like this, from its fixed stream [1807_01926, 3, m].
+    rng = np.random.default_rng([1807_01926, 3, m])
+    beta = float(rng.uniform(1.0, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+    base = random_preserver(m, rng, lam=1j * beta)
+    phi = float(rng.uniform(0.4, 1.2))
+    rot = complex(math.cos(phi), math.sin(phi))
+    return make_operator(base.lam, {j: rot * a for j, a in base.terms})
+
+
+def _forbid_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness candidate was built or root-found")
+
+    monkeypatch.setattr(operators, "apply_op", forbidden)
+    monkeypatch.setattr(operators, "_certified_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
+
+
+def test_witness_search_skips_conditions_1_to_3(monkeypatch):
+    ops = [random_strip_operator(m, np.random.default_rng([7, m])) for m in (1, 2, 3)]
+    ops += [_classify_rotated(m) for m in (1, 2)]
+    for op in ops:
+        v = analyze(op)
+        assert v.strip_preserver and not v.hyperbolicity_preserver
+    _forbid_search(monkeypatch)
+    for op in ops:
+        for strip_b in (None, 0.0, 1.0):
+            assert witness_search(op, strip_b=strip_b) is None
+
+
+def _mp_image_zeros(op, n, s):
+    # Zeros of sum_j a_j (x - j lam - s)^n from mpmath at 50 digits: the
+    # binomial expansion of every term, then polyroots.  The double-precision
+    # start only speeds convergence; the 50-digit iteration and its
+    # convergence test decide the zeros.
+    with mpmath.workdps(50):
+        c = [mpmath.mpc(0)] * (n + 1)
+        for j, a in op.terms:
+            centre = j * mpmath.mpc(op.lam.real, op.lam.imag) + s
+            for k in range(n + 1):
+                c[k] += mpmath.mpc(a.real, a.imag) * mpmath.binomial(n, k) * (-centre) ** (n - k)
+        start = np.polynomial.polynomial.polyroots(np.array([complex(x) for x in c]))
+        return mpmath.polyroots(c[::-1], maxsteps=50, extraprec=50,
+                                roots_init=[mpmath.mpc(z) for z in start])
+
+
+def test_conditions_1_to_3_rotate_a_hyperbolicity_preserver():
+    # Soundness of skipping the search: an operator meeting conditions 1-3
+    # but not 4 is e^{i psi} times a hyperbolicity preserver, psi =
+    # arg(a_l a_m) / 2, so the images of real-rooted candidates have real
+    # zeros.  120 operators; operator k has the image of (x - s)^n for the
+    # k-th of the 12 (n, s) pairs, cyclically, so each pair is seen 10 times.
+    rng = np.random.default_rng([2018, 7])
+    pairs = [(n, s) for n in (3, 8, 14) for s in (0.0, 0.5, -0.5, 1.0)]
+    for k in range(120):
+        op = random_strip_operator(int(rng.integers(1, 4)), rng)
+        v = analyze(op)
+        assert v.strip_preserver and not v.hyperbolicity_preserver
+        unrot = complex(np.exp(-0.5j * np.angle(v.endpoint_product)))
+        assert analyze(make_operator(op.lam, {j: unrot * a for j, a in op.terms})
+                       ).hyperbolicity_preserver
+        n, s = pairs[k % len(pairs)]
+        zs = _mp_image_zeros(op, n, s)
+        assert len(zs) == n
+        assert all(abs(z.imag) <= 1e-9 * max(1, abs(z)) for z in zs), (k, n, s)
 
 
 def _search_reference(op, strip_b, max_degree=24, tol=1e-8):
@@ -314,6 +387,14 @@ def test_operator_json_roundtrip():
 def test_operator_json_rejects(bad, field):
     with pytest.raises(InvalidInput, match=field):
         operator_from_json(bad)
+
+
+@pytest.mark.parametrize("max_degree", [True, 2.5, "3"])
+def test_witness_rejects_max_degree_not_an_integer(max_degree):
+    # True used to search degree 1 only, and 2.5 raised a bare TypeError
+    with pytest.raises(InvalidInput, match="max degree must be an integer"):
+        witness_search(make_operator(1, {0: 1, 1: 1}), max_degree=max_degree)
+    assert witness_search(make_operator(1, {0: 1, 1: 1}), max_degree=np.int64(2))
 
 
 def test_verdict_and_witness_json():

@@ -10,6 +10,7 @@ from fdzeros import (
     ConstantPolynomial,
     DeBruijnOp,
     DegreeGapTooLarge,
+    InvalidInput,
     NonConvergence,
     NotRealRooted,
     SuiteConfig,
@@ -89,6 +90,19 @@ def test_classify_real():
     # tolerance semantics on a nearly-real root
     p = from_roots([1 + 1e-12j])
     assert classify_real(roots(p), 1e-9).is_real_rooted
+
+
+@pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+def test_realness_rejects_bad_tol(tol):
+    # a negative or NaN tol used to call the real roots 0 and 3 not real
+    rs = roots(from_roots([0.0, 3.0]))
+    for judge in (classify_real, mesh, extremes):
+        with pytest.raises(InvalidInput, match="realness tolerance"):
+            judge(rs, tol)
+    with pytest.raises(InvalidInput, match="realness tolerance"):
+        interlace(from_roots([0.0, 3.0]), from_roots([1.0, 2.0]), tol)
+    with pytest.raises(InvalidInput, match="realness tolerance"):
+        pencil_hyperbolic_sample(from_roots([0.0, 3.0]), from_roots([1.0, 2.0]), tol=tol)
 
 
 def test_mesh():
@@ -190,6 +204,15 @@ def test_pencil_sample():
     r = from_roots([3.0, 4.0])
     assert not pencil_hyperbolic_sample(p, r, 200, seed=0)
     assert pencil_hyperbolic_sample(p, p, 200, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, True, 2.5])
+def test_pencil_sample_rejects_bad_n_samples(n_samples):
+    # with no sample the non-interlacing pair used to pass as hyperbolic
+    p, q = from_roots([0.0, 3.0]), from_roots([1.0, 2.0])
+    assert not pencil_hyperbolic_sample(p, q, 200, seed=0)
+    with pytest.raises(InvalidInput, match="n_samples"):
+        pencil_hyperbolic_sample(p, q, n_samples=n_samples)
 
 
 def test_rootset_json():
