@@ -140,22 +140,19 @@ def _classify_rotated(m):
     return make_operator(base.lam, {j: rot * a for j, a in base.terms})
 
 
-def _forbid_search(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a witness candidate was built or root-found")
-
-    monkeypatch.setattr(operators, "apply_op", forbidden)
-    monkeypatch.setattr(operators, "_certified_many", forbidden)
-    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
-
-
 def test_witness_search_skips_conditions_1_to_3(monkeypatch):
     ops = [random_strip_operator(m, np.random.default_rng([7, m])) for m in (1, 2, 3)]
     ops += [_classify_rotated(m) for m in (1, 2)]
     for op in ops:
         v = analyze(op)
         assert v.strip_preserver and not v.hyperbolicity_preserver
-    _forbid_search(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness candidate was built or root-found")
+
+    monkeypatch.setattr(operators, "apply_op", forbidden)
+    monkeypatch.setattr(operators, "_certified_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
     for op in ops:
         for strip_b in (None, 0.0, 1.0):
             assert witness_search(op, strip_b=strip_b) is None
@@ -169,9 +166,9 @@ def _mp_image_zeros(op, n, s):
     with mpmath.workdps(50):
         c = [mpmath.mpc(0)] * (n + 1)
         for j, a in op.terms:
-            centre = j * mpmath.mpc(op.lam.real, op.lam.imag) + s
+            a, centre = mpmath.mpc(a), j * mpmath.mpc(op.lam) + s
             for k in range(n + 1):
-                c[k] += mpmath.mpc(a.real, a.imag) * mpmath.binomial(n, k) * (-centre) ** (n - k)
+                c[k] += a * mpmath.binomial(n, k) * (-centre) ** (n - k)
         start = np.polynomial.polynomial.polyroots(np.array([complex(x) for x in c]))
         return mpmath.polyroots(c[::-1], maxsteps=50, extraprec=50,
                                 roots_init=[mpmath.mpc(z) for z in start])
