@@ -10,7 +10,8 @@ PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
 seed-base+1, ..., alternating which side runs first, and keeps every result
 line.  It then records one traced `classify` run per side (`--trace 1`) and
 a layer table per side: the best of 5 in-process timings of `shift_arg`,
-`apply_op`, `roots` and `witness_search` at fixed inputs (LAYER_SCRIPT).
+`apply_op`, `apply_tb`, `roots`, `roots_many`, `witness_search` and
+`cli.main` at fixed inputs (LAYER_SCRIPT).
 The output holds the git revisions, machine information, every result line,
 per-metric medians and quartiles, the traced root-finding layers and the
 layer tables.
@@ -42,14 +43,16 @@ WORKLOADS = ("suite", "high_degree", "classify")
 # seconds per call by layer and input, each the best of 5 repetitions of a
 # loop long enough (timeit's autorange) to be timed.  The inputs are fixed:
 # real-rooted polynomials with roots drawn from [-5, 5], a preserver of
-# half-support 2, gn(50, 0.7, 1), and the classify workload's m = 2
-# `rotated` operator, built as that workload builds it.
+# half-support 2, T_{0.7,1}, gn(50, 0.7, 1), and the classify workload's
+# m = 2 `rotated` operator, built as that workload builds it; `cli.main`
+# runs `analyze` on that operator's file with stdout captured.
 LAYER_SCRIPT = """
-import json, sys, timeit
+import contextlib, io, json, sys, timeit
 import numpy as np
 sys.path[:0] = ["src", "bench"]
-from fdzeros import (apply_op, from_roots, gn, random_preserver, roots, shift_arg,
-                     witness_search)
+from fdzeros import (DeBruijnOp, apply_op, apply_tb, cli, from_roots, gn,
+                     operator_to_json, random_preserver, roots, roots_many,
+                     shift_arg, witness_search)
 from workloads import FIXED_SEED, KINDS
 
 def best(fn):
@@ -70,12 +73,26 @@ for n in (8, 50, 200):
 for n in (8, 50, 200):
     p = poly(n)
     out[f"apply_op_m2_n{n}_s"] = best(lambda: apply_op(op, p))
+for n in (8, 50, 200):
+    p = poly(n)
+    out[f"apply_tb_n{n}_s"] = best(lambda: apply_tb(DeBruijnOp(0.7, 1.0), p))
 for n in (8, 20):
     p = poly(n)
     out[f"roots_n{n}_s"] = best(lambda: roots(p))
 g = gn(50, 0.7, 1.0)
 out["roots_gn50_s"] = best(lambda: roots(g))
+many = [from_roots(np.random.default_rng([7, 8, k]).uniform(-5.0, 5.0, 8))
+        for k in range(200)]
+out["roots_many_200x8_s"] = best(lambda: roots_many(many))
 out["witness_search_rotated_m2_s"] = best(lambda: witness_search(rotated))
+with open("layer_rotated_m2.json", "w") as fh:
+    json.dump(operator_to_json(rotated), fh)
+
+def analyze_cli():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["analyze", "layer_rotated_m2.json"])
+
+out["cli_main_analyze_s"] = best(analyze_cli)
 print(json.dumps(out))
 """
 

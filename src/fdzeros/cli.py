@@ -8,6 +8,7 @@ error, 3 root-finding non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main call and reused by every later one in the
+    # process; a parser keeps no state between parse_args calls.
+    return build_parser()
+
+
 def _cmd_analyze(args) -> int:
     op = operator_from_json(_read_json(args.operator))
     _emit(verdict_to_json(analyze(op, tol=args.tol)))
@@ -253,7 +261,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except NonConvergence as exc:

@@ -23,7 +23,14 @@ from .poly import (
     poly_to_json,
     shift_arg,
 )
-from .rootfind import RootSet, _certified_many, _rootset, roots, rootset_to_json
+from .rootfind import (
+    RootSet,
+    _certified_many,
+    _check_tol,
+    _rootset,
+    roots,
+    rootset_to_json,
+)
 
 __all__ = [
     "FDOperator",
@@ -137,7 +144,10 @@ def generating_fn(op: FDOperator) -> GeneratingFn:
 
 
 def analyze(op: FDOperator, tol: float = 1e-8) -> OperatorVerdict:
-    """Per-condition breakdown deciding preserver / strip-preserver status."""
+    """Per-condition breakdown deciding preserver / strip-preserver status.
+
+    Raises InvalidInput for a tol that is negative or not finite."""
+    _check_tol(tol, "tolerance")
     l, m = op.support_low, op.support_high
     re_abs = abs(op.lam.real)
     cond1 = re_abs <= tol * abs(op.lam)

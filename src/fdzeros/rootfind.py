@@ -213,6 +213,8 @@ def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
         floor = _forward_bound(a, absa, z, err, dp, rows=live)
         stalled |= live & ~np.all(floor <= FWD_TOL, axis=1)
         done |= stalled[:, None]
+        if done.all():
+            break  # the step below would be zero everywhere
         w = np.where(dp != 0, p / dp, 0.1 * (1.0 + np.abs(z)))
         diff = z[:, :, None] - z[:, None, :]
         s = np.where(~eye & (diff != 0), 1.0 / diff, 0.0).sum(axis=2)
@@ -403,13 +405,13 @@ def _root_scale(zs) -> float:
     return max(1.0, max((abs(r) for r in zs), default=0.0))
 
 
-def _check_real_tol(tol: float) -> None:
+def _check_tol(tol: float, what: str) -> None:
     if not 0.0 <= tol < math.inf:
-        raise InvalidInput(f"realness tolerance must be finite and >= 0, got {tol}")
+        raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
 
 
 def _realness(zs, tol: float) -> RealnessVerdict:
-    _check_real_tol(tol)
+    _check_tol(tol, "realness tolerance")
     max_imag = max((abs(r.imag) for r in zs), default=0.0)
     tol_used = tol * _root_scale(zs)
     return RealnessVerdict(max_imag <= tol_used, max_imag, tol_used)
@@ -490,7 +492,7 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
             or n_samples < 1):
         raise InvalidInput(f"pencil sampling needs n_samples >= 1, got {n_samples!r}")
-    _check_real_tol(tol)
+    _check_tol(tol, "realness tolerance")
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     pa, qa = p.as_array(), q.as_array()

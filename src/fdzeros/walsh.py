@@ -16,6 +16,7 @@ from .debruijn import gn
 from .poly import Polynomial, derivative, linear_combine, make_poly
 from .rootfind import (
     DEFAULT_REAL_TOL,
+    _check_tol,
     classify_real,
     roots,
     sorted_real_parts,
@@ -61,8 +62,10 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
     """Apolarity verdict plus the magnitude of sum (-1)^k P^(k)(0) Q^(n-k)(0).
 
     The vanishing test is relative to the largest summand; an exactly zero
-    summand scale (both operands too sparse) counts as apolar.
+    summand scale (both operands too sparse) counts as apolar.  Raises
+    InvalidInput for a tol that is negative or not finite.
     """
+    _check_tol(tol, "tolerance")
     _check_frame(p, q, n)
     pd = _derivs_at_zero(p, n)
     qd = _derivs_at_zero(q, n)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -181,6 +184,88 @@ def test_witness_analyzes_once(tmp_path, capsys, monkeypatch):
     want = witness_search(cli.operator_from_json(REAL_SHIFT))
     assert json.loads(out) == {"status": "witness",
                                "witness": cli.witness_to_json(want)}
+
+
+def test_witness_rejects_negative_tol(tmp_path, capsys):
+    # with tol = -1 conditions 1, 3 and 4 failed, and the preserver's image of x
+    # was printed as the witness x^1 with offense 0.0
+    code = main(["witness", write(tmp_path, "op.json", PRESERVER), "--tol", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: tolerance must be finite and >= 0")
+
+
+def test_import_builds_no_parser():
+    # in a fresh interpreter: this one may have built the parser already
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import fdzeros.cli\n"
+        "print(len(built), fdzeros.cli._parser.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0 0\n"
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        op = write(tmp_path, "op.json", PRESERVER)
+        for argv in (["analyze", op], ["witness", op], ["analyze", op],
+                     ["zeros", "--n", "2", "--theta-pi", "0.5"]):
+            assert run(capsys, argv)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    rotated = write(tmp_path, "rot.json", operator_to_json(
+        random_strip_operator(2, np.random.default_rng([7, 2]))))
+    pre = write(tmp_path, "op.json", PRESERVER)
+    p = write(tmp_path, "p.json", X2_PLUS_1)
+    sequence = [
+        ["witness", rotated, "--strip", "1.0"], ["witness", rotated],
+        ["analyze", pre, "--tol", "1e-6"], ["analyze", pre],
+        ["tb", p, "--theta", "0.5", "--h", "2"], ["tb", p, "--theta-pi", "0.5", "--h", "2"],
+        ["tb", p, "--theta", "0.5", "--theta-pi", "0.5", "--h", "2"],
+        ["tb", p, "--theta-pi", "0.25", "--h", "2"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [outcome(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert [json.loads(shared[k][1])["status"] for k in (0, 1)] == [
+        "preserver", "inconclusive"]
+    assert [json.loads(shared[k][1])["tol"] for k in (2, 3)] == [1e-6, 1e-8]
+    assert "not allowed with argument" in shared[6][2]
 
 
 def test_verify(capsys):

@@ -75,6 +75,7 @@ def test_analyze_preserver():
     # generating roots are +-i, exactly unimodular
     assert v.max_modulus_defect < 1e-12
     assert v.endpoint_product == 1
+    assert analyze(make_operator(1j, {-1: 1, 1: 1}), 0.0).hyperbolicity_preserver
 
 
 def test_analyze_real_shift():
@@ -88,6 +89,15 @@ def test_analyze_strip_only():
     assert not v.cond4_positive_product
     assert v.strip_preserver
     assert not v.hyperbolicity_preserver
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_analyze_rejects_bad_tol(tol):
+    # with tol = -1 conditions 1, 3 and 4 failed, so a preserver read as none
+    with pytest.raises(InvalidInput, match="tolerance must be finite and >= 0"):
+        analyze(make_operator(1j, {-1: 1, 1: 1}), tol)
+    with pytest.raises(InvalidInput, match="tolerance must be finite and >= 0"):
+        witness_search(make_operator(1j, {-1: 1, 1: 1}), tol=tol)
 
 
 def test_verdict_consistency():

@@ -34,6 +34,7 @@ from fdzeros import (
     shift_arg,
     sorted_real_parts,
 )
+from fdzeros import rootfind
 from fdzeros.rootfind import _aberth_core, aberth_batch
 
 
@@ -272,6 +273,22 @@ def test_forward_certificate_rejects_ill_conditioned_roots():
     # are forward-wrong; only the forward certificate can catch them.
     with pytest.raises(NonConvergence, match="forward certificate"):
         roots(gn(96, 0.7, 1.0))
+
+
+def test_stalled_batch_takes_no_extra_residual_pass(monkeypatch):
+    # gn(96) stalls on the forward floor in the first iteration: one
+    # residual check in the loop and one certificate, not a second loop check
+    calls = []
+    original = rootfind._residual_ok
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rootfind, "_residual_ok", counted)
+    with pytest.raises(NonConvergence, match="forward certificate"):
+        roots(gn(96, 0.7, 1.0))
+    assert len(calls) == 2
 
 
 def test_gn_72_matches_cotangent_closed_form():

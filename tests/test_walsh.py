@@ -80,6 +80,16 @@ def test_apolar_examples():
     assert rep["sum_magnitude"] == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_apolar_report_rejects_bad_tol(tol):
+    # x^2 - 1 and x^2 + 1 are apolar in frame 2 (-1*2 - 0 + 2*1 = 0), but
+    # with tol = -1 they read as non-apolar
+    p, q = make_poly([-1, 0, 1]), make_poly([1, 0, 1])
+    assert apolar(p, q, 2, 0.0)
+    with pytest.raises(InvalidInput, match="tolerance must be finite and >= 0"):
+        apolar_report(p, q, 2, tol)
+
+
 def test_apolar_duality_with_convolution_roots():
     rng = np.random.default_rng(42)
     for _ in range(10):
