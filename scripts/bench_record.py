@@ -9,9 +9,11 @@ same benchmark code from a clean checkout.  For every workload it runs
 PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
 seed-base+1, ..., alternating which side runs first, and keeps every result
 line.  It then records one traced `classify` run per side (`--trace 1`) and
-a layer table per side: the best of 5 in-process timings of `shift_arg`,
-`apply_op`, `apply_tb`, `roots`, `roots_many`, `witness_search` and
-`cli.main` at fixed inputs (LAYER_SCRIPT).
+a layer table: the best of 5 in-process timings of `shift_arg`, `apply_op`,
+`apply_tb`, `roots`, `roots_many`, `witness_search` and `cli.main` at fixed
+inputs (LAYER_SCRIPT), run LAYER_ROUNDS times per side with the side that
+goes first alternating; each side's entry is its per-layer minimum over the
+rounds, and every round is kept.
 The output holds the git revisions, machine information, every result line,
 per-metric medians and quartiles, the traced root-finding layers and the
 layer tables.
@@ -38,6 +40,10 @@ RUN_TIMEOUT = 600
 PAIRS = 10
 SECONDS = 20.0
 WORKLOADS = ("suite", "high_degree", "classify")
+# Rounds of the layer table per side.  With one run per side, host drift
+# between the two runs reads as a layer change (up to 20% on this benchmark's
+# layers for unchanged code).
+LAYER_ROUNDS = 6
 
 # Run in a fresh interpreter inside an exported tree; prints one JSON object,
 # seconds per call by layer and input, each the best of 5 repetitions of a
@@ -128,6 +134,20 @@ def layer_table(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def layer_tables(trees: dict) -> dict:
+    rounds = []
+    for k in range(LAYER_ROUNDS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        rnd = {"first": order[0]}
+        for side in order:
+            rnd[side] = layer_table(trees[side])
+        rounds.append(rnd)
+    out = {side: {name: min(r[side][name] for r in rounds) for name in rounds[0][side]}
+           for side in trees}
+    out["rounds"] = rounds
+    return out
+
+
 def quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3, "n": len(values)}
@@ -200,7 +220,7 @@ def main(argv=None) -> int:
             workloads[workload] = {"runs": pairs, "summary": summarize(pairs)}
         traced = {side: run_bench(tree, "classify", args.seed_base, SECONDS, 1)
                   for side, tree in trees.items()}
-        layers = {side: layer_table(tree) for side, tree in trees.items()}
+        layers = layer_tables(trees)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -213,7 +233,7 @@ def main(argv=None) -> int:
         "revisions": {side: {"commit": rev, "src_tree": git("rev-parse", f"{rev}:src")}
                       for side, rev in revs.items()},
         "machine": machine(),
-        "settings": {"pairs": PAIRS, "seconds": SECONDS,
+        "settings": {"pairs": PAIRS, "seconds": SECONDS, "layer_rounds": LAYER_ROUNDS,
                      "seeds": [args.seed_base, args.seed_base + PAIRS - 1],
                      "command": "python3 bench/run.py --workload W --seed S "
                                 f"--seconds {SECONDS:g} --trace 0"},

@@ -20,9 +20,7 @@ from .debruijn import DeBruijnOp, apply_tb, qn_zeros_report
 from .errors import FDZerosError, NonConvergence
 from .harness import SuiteConfig, report_to_json, run_suite
 from .operators import (
-    _check_search_args,
-    _search_candidates,
-    _settled_status,
+    _witness,
     analyze,
     apply_op,
     operator_from_json,
@@ -225,16 +223,8 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_witness(args) -> int:
     op = operator_from_json(_read_json(args.operator))
-    _check_search_args(args.max_degree, args.strip)
-    status = _settled_status(analyze(op, tol=args.tol), args.strip)
-    if status is not None:
-        _emit({"status": status, "witness": None})
-        return 0
-    w = _search_candidates(op, args.max_degree, args.strip, args.tol)
-    if w is None:
-        _emit({"status": "inconclusive", "witness": None})
-    else:
-        _emit({"status": "witness", "witness": witness_to_json(w)})
+    status, w = _witness(op, args.max_degree, args.strip, args.tol)
+    _emit({"status": status, "witness": None if w is None else witness_to_json(w)})
     return 0
 
 

@@ -83,14 +83,19 @@ __all__ = [
 ]
 
 
+# Fixed for every run and printed in the report's config block: the interval
+# random roots are drawn from, the realness tolerance the checks pass to the
+# root tools, and the relative tolerance of the derivative-linearity identity.
+ROOT_RANGE = (-5.0, 5.0)
+TOL_REAL = 1e-7
+TOL_IDENTITY = 1e-10
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
     trials: int = 20
     degree_max: int = 8
-    root_range: tuple[float, float] = (-5.0, 5.0)
-    tol_real: float = 1e-7
-    tol_identity: float = 1e-10
 
     def __post_init__(self):
         if self.trials < 1:
@@ -230,7 +235,7 @@ def _gen_shift_eval(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         n = _draw_degree(cfg, rng)
-        p = random_hyperbolic(n, cfg.root_range, rng)
+        p = random_hyperbolic(n, ROOT_RANGE, rng)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         out.append({"poly": poly_to_json(p), "lam": [lam.real, lam.imag],
@@ -251,11 +256,11 @@ def _chk_shift_eval(inst):
 def _gen_poly_linearity(cfg, rng):
     out = []
     for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng), cfg.root_range, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+        q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
         a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
         out.append({"p": poly_to_json(p), "q": poly_to_json(q),
-                    "a": a, "b": b, "tol": cfg.tol_identity})
+                    "a": a, "b": b, "tol": TOL_IDENTITY})
     return out
 
 
@@ -276,8 +281,8 @@ def _chk_poly_linearity(inst):
 def _gen_roots_product(cfg, rng):
     out = []
     for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), cfg.root_range, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+        q = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
         out.append({"p": poly_to_json(p), "q": poly_to_json(q), "tol": 1e-8})
     return out
 
@@ -294,9 +299,9 @@ def _chk_roots_product(inst):
 def _gen_mesh_translation(cfg, rng):
     out = []
     for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 2), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng, 2), ROOT_RANGE, rng)
         out.append({"poly": poly_to_json(p), "t": float(rng.uniform(-4, 4)),
-                    "tol": 1e-9, "tol_real": cfg.tol_real})
+                    "tol": 1e-9, "tol_real": TOL_REAL})
     return out
 
 
@@ -315,15 +320,15 @@ def _gen_interlace_obreschkov(cfg, rng):
             n = int(rng.integers(2, 7))
             if k % 2 == 0:
                 # alternate draws of 2n points give a genuinely interlacing pair
-                pts = np.sort(rng.uniform(*cfg.root_range, size=2 * n))
+                pts = np.sort(rng.uniform(*ROOT_RANGE, size=2 * n))
                 pairs.append((from_roots(pts[0::2]), from_roots(pts[1::2])))
             else:
-                pairs.append((random_hyperbolic(n, cfg.root_range, rng),
-                              random_hyperbolic(n, cfg.root_range, rng)))
+                pairs.append((random_hyperbolic(n, ROOT_RANGE, rng),
+                              random_hyperbolic(n, ROOT_RANGE, rng)))
         out.append({
             "pairs": [[poly_to_json(p), poly_to_json(q)] for p, q in pairs],
             "seed": int(rng.integers(0, 2**31)),
-            "tol_real": cfg.tol_real,
+            "tol_real": TOL_REAL,
             "max_rate": 0.01,
         })
     return out
@@ -343,8 +348,8 @@ def _chk_interlace_obreschkov(inst):
 def _gen_derivative_mesh(cfg, rng):
     out = []
     for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 3), cfg.root_range, rng)
-        out.append({"poly": poly_to_json(p), "tol_real": cfg.tol_real})
+        p = random_hyperbolic(_draw_degree(cfg, rng, 3), ROOT_RANGE, rng)
+        out.append({"poly": poly_to_json(p), "tol_real": TOL_REAL})
     return out
 
 
@@ -365,8 +370,8 @@ def _gen_op_linearity(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         op = random_preserver(int(rng.integers(1, 4)), rng)
-        p = random_hyperbolic(_draw_degree(cfg, rng), cfg.root_range, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+        q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
         a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
         out.append({"op": operator_to_json(op), "p": poly_to_json(p),
                     "q": poly_to_json(q), "a": a, "b": b, "tol": 1e-12})
@@ -389,7 +394,7 @@ def _gen_op_composition(cfg, rng):
         beta = float(rng.uniform(0.3, 2.0))
         op1 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
         op2 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
-        p = random_hyperbolic(_draw_degree(cfg, rng), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
         out.append({"op1": operator_to_json(op1), "op2": operator_to_json(op2),
                     "poly": poly_to_json(p), "tol": 1e-10})
     return out
@@ -408,9 +413,9 @@ def _gen_op_preserver_sound(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         op = random_preserver(int(rng.integers(1, 4)), rng)
-        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), cfg.root_range, rng)
+        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
         out.append({"op": operator_to_json(op), "poly": poly_to_json(p),
-                    "tol_real": cfg.tol_real})
+                    "tol_real": TOL_REAL})
     return out
 
 
@@ -445,11 +450,11 @@ def _gen_op_strip_sound(cfg, rng):
     for _ in range(cfg.trials):
         op = random_strip_operator(int(rng.integers(1, 4)), rng)
         n = _draw_degree(cfg, rng, 1, 8)
-        zs = [complex(rng.uniform(*cfg.root_range), rng.uniform(-1, 1))
+        zs = [complex(rng.uniform(*ROOT_RANGE), rng.uniform(-1, 1))
               for _ in range(n)]
         out.append({"op": operator_to_json(op),
                     "poly": poly_to_json(from_roots(zs)),
-                    "b": 1.0, "tol_real": cfg.tol_real})
+                    "b": 1.0, "tol_real": TOL_REAL})
     return out
 
 
@@ -520,11 +525,11 @@ def _gen_tb_random(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         n = int(rng.integers(2, 11))
-        p = random_hyperbolic(n, cfg.root_range, rng)
+        p = random_hyperbolic(n, ROOT_RANGE, rng)
         out.append({"poly": poly_to_json(p),
                     "theta": float(rng.uniform(0.25, math.pi - 0.25)),
                     "h": float(rng.choice([0.5, 1.0, 2.0])),
-                    "tol_real": cfg.tol_real, "slack": 1e-9})
+                    "tol_real": TOL_REAL, "slack": 1e-9})
     return out
 
 
@@ -571,7 +576,7 @@ def _gen_tb_line_lemma(cfg, rng):
     for _ in range(cfg.trials):
         n = _draw_degree(cfg, rng, 1, 8)
         c = float(rng.uniform(-2, 2))
-        p = random_line_poly(n, c, cfg.root_range, rng)
+        p = random_line_poly(n, c, ROOT_RANGE, rng)
         out.append({"poly": poly_to_json(p), "c": c,
                     "beta": float(rng.uniform(-3, 3)),
                     "theta": float(rng.uniform(0.1, 2 * math.pi - 0.1)),
@@ -611,9 +616,9 @@ def _gen_walsh_pair(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         n = _draw_degree(cfg, rng, 2, 8)
-        out.append({"p": poly_to_json(random_hyperbolic(n, cfg.root_range, rng)),
-                    "q": poly_to_json(random_hyperbolic(n, cfg.root_range, rng)),
-                    "n": n, "tol_real": cfg.tol_real, "slack": 1e-9})
+        out.append({"p": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
+                    "q": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
+                    "n": n, "tol_real": TOL_REAL, "slack": 1e-9})
     return out
 
 
@@ -668,7 +673,7 @@ def _gen_walsh_dual_path(cfg, rng):
     out = []
     for _ in range(cfg.trials):
         n = _draw_degree(cfg, rng, 1, 8)
-        out.append({"poly": poly_to_json(random_hyperbolic(n, cfg.root_range, rng)),
+        out.append({"poly": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
                     "theta": float(rng.uniform(0.0, 2 * math.pi)),
                     "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-9})
     return out
@@ -856,9 +861,9 @@ def report_to_json(report: SuiteReport) -> dict:
             "seed": report.config.seed,
             "trials": report.config.trials,
             "degree_max": report.config.degree_max,
-            "root_range": list(report.config.root_range),
-            "tol_real": report.config.tol_real,
-            "tol_identity": report.config.tol_identity,
+            "root_range": list(ROOT_RANGE),
+            "tol_real": TOL_REAL,
+            "tol_identity": TOL_IDENTITY,
         },
         "properties": [
             {

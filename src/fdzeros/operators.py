@@ -224,10 +224,23 @@ def witness_search(op: FDOperator, max_degree: int = 24,
     InvalidInput for a max_degree that is not an integer >= 1 (a bool is
     not one) or a negative or non-finite strip_b.
     """
+    return _witness(op, max_degree, strip_b, tol)[1]
+
+
+def _witness(op: FDOperator, max_degree: int, strip_b: float | None,
+             tol: float) -> tuple[str, Witness | None]:
+    """The status of a witness search with its witness: ("witness", w) when
+    one is found, else the settled status or "inconclusive" with None.
+
+    The one place that decides the status, for `witness_search` and the
+    `witness` CLI command; raises as `witness_search` does.
+    """
     _check_search_args(max_degree, strip_b)
-    if _settled_status(analyze(op, tol), strip_b) is not None:
-        return None
-    return _search_candidates(op, max_degree, strip_b, tol)
+    status = _settled_status(analyze(op, tol), strip_b)
+    if status is not None:
+        return status, None
+    w = _search_candidates(op, max_degree, strip_b, tol)
+    return ("inconclusive", None) if w is None else ("witness", w)
 
 
 def _settled_status(verdict: OperatorVerdict, strip_b: float | None) -> str | None:
@@ -262,8 +275,8 @@ def _check_search_args(max_degree: int, strip_b: float | None) -> None:
 
 def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
                        tol: float) -> Witness | None:
-    """The candidate search of `witness_search`, for a caller that already
-    has the verdict and knows that `_settled_status` leaves it unsettled.
+    """The candidate search of `_witness`, once `_settled_status` has left
+    the verdict unsettled.
 
     Degree by degree: the degree-n candidates' images are built, those of
     degree >= 1 are root-found in one batch per image degree, certified row

@@ -1,38 +1,43 @@
-"""End-to-end acceptance checks, one per numbered criterion.
+"""End-to-end acceptance checks: the property registry, and one test per
+numbered criterion that no property states.
 
-Each test prints a single PASS/FAIL line (run pytest with -s to see them all
-on success).  Oracles are independent of the code under test wherever the
-quantity admits one: closed-form cotangent grids, generated root multisets,
-binomial/quadratic expansions, and the sqrt(h^2-1) benchmark.
+`test_property` runs each property of `ALL_PROPERTIES` at seed 42 and
+asserts that no instance fails.  The criteria that remain check what the
+registry does not: grid points outside a property's range, many operators
+against a fixed batch, violators, an absolute bound, and oracles built from
+the generated roots.  Each test prints a single PASS/FAIL line (run pytest
+with -s to see them all on success).  Oracles are independent of the code
+under test wherever the quantity admits one: closed-form cotangent grids,
+generated root multisets, binomial/quadratic expansions.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from fdzeros import (
+    ALL_PROPERTIES,
     DeBruijnOp,
+    SuiteConfig,
     analyze,
     apply_op,
     apply_tb,
     derivative,
     from_roots,
     gn,
-    interlace,
     line_image,
     make_operator,
     make_poly,
     mesh_floor,
-    monomial,
-    pencil_hyperbolic_sample,
     qn,
     qn_zeros,
     random_preserver,
-    random_strip_operator,
     reflect,
     residual_sweep,
     roots,
     roots_many,
+    run_properties,
     shift_arg,
     apolar,
     tb_via_walsh,
@@ -42,11 +47,50 @@ from fdzeros import (
 
 THETAS = (0.0, 0.3, math.pi / 2, 2.5, math.pi)
 HS = (0.5, 1.0, 3.0)
+# sin(theta) = 0: the image of x^n drops to degree n - 1, and the registry's
+# closed-form and ladder properties draw theta from ranges without them
+DEGENERATE_THETAS = (0.0, math.pi)
+
+# Instances per property where the registry run replaces a criterion or unit
+# test: that test's instance count.  Every other property runs
+# DEFAULT_TRIALS instances.
+DEFAULT_TRIALS = 4
+TRIALS = {
+    "tb_closed_form_roots": 300,  # criterion 1: 20 n x 5 theta x 3 h
+    "op_strip_sound": 200,  # criterion 4: 5 operators x 40 polynomials
+    "interlace_obreschkov_agreement": 50,  # criterion 8: 10 pairs each, 500
+    "tb_derivative_ladder": 100,  # criterion 10: 20 n x 5 theta
+    "tb_scaling": 300,  # criterion 10: 20 n x 5 theta x 3 h
+    "walsh_interval_bound": 10,
+    "walsh_mesh_bound": 10,
+}
 
 
 def report(num, desc, ok, detail=""):
     print(f"criterion {num:2d} [{'PASS' if ok else 'FAIL'}] {desc} {detail}")
     assert ok, f"criterion {num}: {desc} {detail}"
+
+
+def _rel_gap(lhs, rhs) -> float:
+    """Max coefficient difference relative to the larger coefficient."""
+    length = max(len(lhs), len(rhs))
+    a = np.zeros(length, dtype=complex)
+    b = np.zeros(length, dtype=complex)
+    a[: len(lhs)] = lhs
+    b[: len(rhs)] = rhs
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+@pytest.mark.parametrize("prop", ALL_PROPERTIES, ids=lambda p: p.name)
+def test_property(prop):
+    cfg = SuiteConfig(seed=42, trials=TRIALS.get(prop.name, DEFAULT_TRIALS))
+    rec = run_properties(cfg, [prop]).records[0]
+    print(f"property {prop.name} [{'PASS' if not rec.failures else 'FAIL'}] "
+          f"{rec.failures}/{rec.trials} instances failed")
+    assert rec.trials == cfg.trials
+    assert rec.failures == 0, (f"{rec.failures}/{rec.trials} failed, "
+                               f"first: {rec.example_failure}")
 
 
 def hyperbolic_batch(rng, count, deg_lo, deg_hi, root_range=(-5.0, 5.0)):
@@ -60,22 +104,24 @@ def hyperbolic_batch(rng, count, deg_lo, deg_hi, root_range=(-5.0, 5.0)):
 
 
 def test_criterion_1_closed_form_zeros():
+    # Root counts on the whole grid; the zeros themselves at the degenerate
+    # angles (tb_closed_form_roots checks them for 0.15 <= theta <= pi - 0.15).
     worst = 0.0
     for n in range(1, 21):
         for theta in THETAS:
+            want_count = n if abs(math.sin(theta)) > 1e-12 else n - 1
+            qz = qn_zeros(n, theta)
+            assert qz.count == want_count
             for h in HS:
-                qz = qn_zeros(n, theta)
                 g = gn(n, theta, h)
-                want_count = n if abs(math.sin(theta)) > 1e-12 else n - 1
-                assert qz.count == want_count
                 assert (g.degree or 0) == want_count
-                if want_count == 0:
+                if want_count == 0 or theta not in DEGENERATE_THETAS:
                     continue
                 got = np.sort(np.array(roots(g).roots).real)
                 want = np.sort(h * np.array(qz.zeros))
                 worst = max(worst, float(np.max(np.abs(got - want))))
-    report(1, "closed-form cotangent zeros (n <= 20)", worst <= 1e-8,
-           f"worst |root error| = {worst:.2e}")
+    report(1, "closed-form cotangent zero counts, and zeros at theta in {0, pi} "
+              "(n <= 20)", worst <= 1e-8, f"worst |root error| = {worst:.2e}")
 
 
 def test_criterion_2_preserver_soundness():
@@ -145,26 +191,6 @@ def test_criterion_3_violator_completeness():
                 missing.append((label, "no witness found"))
     report(3, "20 violators rejected; witnesses found for the "
               "shift/modulus classes", not missing, str(missing))
-
-
-def test_criterion_4_strip_soundness():
-    rng = np.random.default_rng([42, 104])
-    worst = -math.inf
-    for _ in range(5):
-        op = random_strip_operator(int(rng.integers(1, 4)), rng)
-        assert analyze(op).strip_preserver
-        images = []
-        for _ in range(40):
-            n = int(rng.integers(1, 9))
-            zs = rng.uniform(-5, 5, size=n) + 1j * rng.uniform(-1, 1, size=n)
-            images.append(apply_op(op, from_roots(zs)))
-        solvable = [im for im in images if not im.is_zero and im.degree >= 1]
-        for zs in roots_many(solvable):
-            scale = max(1.0, float(np.max(np.abs(zs))))
-            worst = max(worst,
-                        (float(np.max(np.abs(zs.imag))) - 1.0) / scale * 1e7)
-    report(4, "strip operators keep 200 polynomials inside |Im z| <= 1",
-           worst <= 1.0, f"worst excess = {worst:.2e} x 1e-7 scale")
 
 
 def test_criterion_5_line_lemma():
@@ -261,39 +287,9 @@ def test_criterion_7_walsh_identities():
            f"dual-path gap = {worst_dual:.2e}, violations: {fails[:5]}")
 
 
-def test_criterion_8_obreschkov_agreement():
-    rng = np.random.default_rng([42, 108])
-    agree = 0
-    total = 500
-    for k in range(total):
-        n = int(rng.integers(2, 7))
-        if k % 2 == 0:
-            pts = np.sort(rng.uniform(-5, 5, size=2 * n))
-            p, q = from_roots(pts[0::2]), from_roots(pts[1::2])
-        else:
-            p = from_roots(np.sort(rng.uniform(-5, 5, size=n)))
-            q = from_roots(np.sort(rng.uniform(-5, 5, size=n)))
-        a = interlace(p, q, 1e-7)
-        b = pencil_hyperbolic_sample(p, q, 200, seed=int(rng.integers(2**31)))
-        agree += int(a == b)
-    rate = agree / total
-    report(8, "interlacing test vs 200-sample pencil oracle on 500 pairs",
-           rate >= 0.99, f"agreement = {rate:.3f}")
-
-
 def test_criterion_9_asymptotic_rates():
-    # benchmark 1: closed-form oracle sqrt(h^2 - 1)
-    rep = residual_sweep(make_poly([1, 0, 1]), math.pi / 2, 10.0, 1000.0, 15, 1)
-    dev = max(abs(r.residual * 8 * r.h ** 3 - 1.0) for r in rep.records)
-    ok1 = dev <= 0.2
-
-    # benchmark 2: generic cubic decay rates at both orders
-    p = make_poly([5, -1, 2, 1])
-    d1 = residual_sweep(p, 0.7, 20.0, 500.0, 15, 1).fitted_decay
-    d2 = residual_sweep(p, 0.7, 20.0, 500.0, 15, 2).fitted_decay
-    ok2 = -2.2 <= d1 <= -1.8 and -3.3 <= d2 <= -2.7
-
-    # benchmark 3: omega-bound flag on 50 random monic polynomials
+    # omega-bound flag on 50 random monic polynomials; the 1/(8h^3) benchmark
+    # and the generic decay rates are test_asymptotics' sweep tests
     rng = np.random.default_rng([42, 9])
     flags = []
     for _ in range(50):
@@ -303,39 +299,29 @@ def test_criterion_9_asymptotic_rates():
         floor = 2.0 * (1.0 + max(abs(z) for z in roots(q).roots))
         r = residual_sweep(q, theta, floor * 1.05, floor * 10.5, 10, 1)
         flags.append(r.omega_bound_ok)
-    ok3 = all(flags)
-    report(9, "expansion rates: 1/(8h^3) benchmark, generic decays, "
-              "omega flags", ok1 and ok2 and ok3,
-           f"benchmark dev = {dev:.3f}, decays = ({d1:.2f}, {d2:.2f}), "
-           f"flags = {sum(flags)}/50")
+    report(9, "expansion omega flags", all(flags), f"flags = {sum(flags)}/50")
 
 
 def test_criterion_10_ladder_and_scaling():
+    # The grid points outside the registry's ranges: the ladder at n = 1
+    # (tb_derivative_ladder draws n >= 2), and the ladder and h-scaling at the
+    # degenerate angles.
     worst = 0.0
     for n in range(1, 21):
         for theta in THETAS:
+            if n > 1 and theta not in DEGENERATE_THETAS:
+                continue
             lhs = derivative(qn(n, theta)).as_array()
             rhs = n * qn(n - 1, theta).as_array()
-            length = max(len(lhs), len(rhs))
-            if length == 0:  # n = 1 at sin(theta) = 0: both sides vanish
+            if max(len(lhs), len(rhs)) == 0:  # n = 1 at sin(theta) = 0: both vanish
                 continue
-            a = np.zeros(length, dtype=complex)
-            b = np.zeros(length, dtype=complex)
-            a[: len(lhs)] = lhs
-            b[: len(rhs)] = rhs
-            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+            worst = max(worst, _rel_gap(lhs, rhs))
+            if theta not in DEGENERATE_THETAS:
+                continue
+            q = qn(n, theta).as_array()
             for h in HS:
-                g = gn(n, theta, h).as_array()
-                q = qn(n, theta).as_array()
-                want = np.array([h ** (n - k) * c for k, c in enumerate(q)])
-                length = max(len(g), len(want))
-                a = np.zeros(length, dtype=complex)
-                b = np.zeros(length, dtype=complex)
-                a[: len(g)] = g
-                b[: len(want)] = want
-                scale = max(float(np.max(np.abs(a))),
-                            float(np.max(np.abs(b))), 1e-300)
-                worst = max(worst, float(np.max(np.abs(a - b))) / scale)
-    report(10, "derivative ladder and h-scaling identities (n <= 20)",
+                want = [h ** (n - k) * c for k, c in enumerate(q)]
+                worst = max(worst, _rel_gap(gn(n, theta, h).as_array(), want))
+    report(10, "derivative ladder at n = 1 and theta in {0, pi}, h-scaling at "
+               "theta in {0, pi} (n <= 20)",
            worst <= 1e-10, f"worst relative gap = {worst:.2e}")

@@ -111,7 +111,7 @@ def test_actual_roots_examples():
 
 def test_sweep_x2_plus_1_closed_form():
     p = make_poly([1, 0, 1])
-    rep = residual_sweep(p, math.pi / 2, 10.0, 1000.0, 10, 1)
+    rep = residual_sweep(p, math.pi / 2, 10.0, 1000.0, 15, 1)
     # closed-form oracle: residual = |sqrt(h^2-1) - (h - 1/(2h))| ~ 1/(8h^3)
     for r in rep.records:
         assert r.residual == pytest.approx(1 / (8 * r.h ** 3), rel=0.2)
@@ -126,9 +126,9 @@ def test_sweep_pure_monomial_machine_zero():
 
 def test_sweep_generic_rates():
     p = make_poly([5, -1, 2, 1])
-    rep1 = residual_sweep(p, 0.7, 20.0, 500.0, 12, 1)
+    rep1 = residual_sweep(p, 0.7, 20.0, 500.0, 15, 1)
     assert -2.2 <= rep1.fitted_decay <= -1.8
-    rep2 = residual_sweep(p, 0.7, 20.0, 500.0, 12, 2)
+    rep2 = residual_sweep(p, 0.7, 20.0, 500.0, 15, 2)
     assert -3.3 <= rep2.fitted_decay <= -2.7
 
 

@@ -276,6 +276,13 @@ def test_verify(capsys):
     assert all(p["trials"] == 1 for p in d["properties"])
 
 
+def test_verify_config_block(capsys):
+    _, out = run(capsys, ["verify", "--seed", "3", "--trials", "1", "--degree-max", "5"])
+    assert json.loads(out)["config"] == {
+        "seed": 3, "trials": 1, "degree_max": 5, "root_range": [-5.0, 5.0],
+        "tol_real": 1e-7, "tol_identity": 1e-10}
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(X2_MINUS_1)))

@@ -81,11 +81,6 @@ def test_suite_deterministic():
     assert a == b
 
 
-def test_suite_default_passes():
-    report = run_suite(SuiteConfig(trials=4))
-    assert report.passed, [r.name for r in report.records if r.failures]
-
-
 def test_injected_failure_is_replayable():
     def gen(cfg, rng):
         return [{"x": float(rng.uniform(0, 1))} for _ in range(cfg.trials)]

@@ -10,11 +10,8 @@ from fdzeros import (
     Witness,
     analyze,
     apply_op,
-    classify_real,
     compose,
-    from_roots,
     generating_fn,
-    linear_combine,
     make_operator,
     make_poly,
     monomial,
@@ -328,43 +325,6 @@ def test_witness_modulus_violation():
     w = witness_search(op, max_degree=24)
     assert w is not None
     assert w.offense > 0
-
-
-def test_preserver_images_stay_real_rooted():
-    rng = np.random.default_rng(21)
-    op = random_preserver(2, rng)
-    for _ in range(20):
-        p = from_roots(rng.uniform(-5, 5, size=6))
-        image = apply_op(op, p)
-        assert classify_real(roots(image), 1e-7).is_real_rooted
-        a = image.as_array()
-        assert np.max(np.abs(a.imag)) <= 1e-10 * np.max(np.abs(a))
-
-
-def test_linearity():
-    rng = np.random.default_rng(22)
-    op = random_preserver(2, rng)
-    p = from_roots(rng.uniform(-5, 5, size=5))
-    q = from_roots(rng.uniform(-5, 5, size=7))
-    a, b = 1.3, -0.7
-    lhs = apply_op(op, linear_combine([(a, p), (b, q)]))
-    rhs = linear_combine([(a, apply_op(op, p)), (b, apply_op(op, q))])
-    la = lhs.as_array()
-    ra = rhs.as_array()
-    assert len(la) == len(ra)
-    assert np.max(np.abs(la - ra)) <= 1e-12 * np.max(np.abs(la))
-
-
-def test_compose_matches_sequential():
-    rng = np.random.default_rng(23)
-    op1 = random_preserver(1, rng, lam=0.8j)
-    op2 = random_preserver(2, rng, lam=0.8j)
-    p = from_roots(rng.uniform(-4, 4, size=5))
-    lhs = apply_op(op1, apply_op(op2, p))
-    rhs = apply_op(compose(op1, op2), p)
-    la, ra = lhs.as_array(), rhs.as_array()
-    assert len(la) == len(ra)
-    assert np.max(np.abs(la - ra)) <= 1e-10 * np.max(np.abs(la))
 
 
 def test_compose_requires_same_shift():

@@ -16,12 +16,8 @@ from fdzeros import (
     from_roots,
     gn,
     make_poly,
-    mesh,
     monomial,
-    reflect,
     roots,
-    shift_arg,
-    sorted_real_parts,
     tb_via_walsh,
     walsh_convolve,
     walsh_interval_bound,
@@ -90,17 +86,6 @@ def test_apolar_report_rejects_bad_tol(tol):
         apolar_report(p, q, 2, tol)
 
 
-def test_apolar_duality_with_convolution_roots():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        p = from_roots(rng.uniform(-4, 4, size=n))
-        q = from_roots(rng.uniform(-4, 4, size=n))
-        conv = walsh_convolve(p, q, n)
-        for x0 in roots(conv).roots:
-            assert apolar(reflect(p), shift_arg(q, -x0), n, 1e-8)
-
-
 def test_tb_via_walsh_monomial():
     for n, theta, h in ((3, 0.7, 1.2), (5, math.pi, 2.0)):
         got = tb_via_walsh(monomial(n), theta, h)
@@ -133,32 +118,3 @@ def test_interval_bound_examples():
         walsh_interval_bound(monomial(2), monomial(3), 3)
     with pytest.raises(NotRealRooted):
         walsh_interval_bound(make_poly([1, 0, 1]), monomial(2), 2)
-
-
-def test_interval_containment_random():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        p = from_roots(rng.uniform(-5, 5, size=n))
-        q = from_roots(rng.uniform(-5, 5, size=n))
-        conv = walsh_convolve(p, q, n)
-        b = walsh_interval_bound(p, q, n)
-        xs = sorted_real_parts(roots(conv))
-        eps = 1e-9 * max(1.0, abs(xs[0]), abs(xs[-1]))
-        assert xs[0] >= b["lo"] - eps
-        assert xs[-1] <= b["hi"] + eps
-
-
-def test_mesh_bound_random():
-    rng = np.random.default_rng(44)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        p = from_roots(rng.uniform(-5, 5, size=n))
-        q = from_roots(rng.uniform(-5, 5, size=n))
-        conv = walsh_convolve(p, q, n)
-        if conv.degree < 2:
-            continue
-        floor = max(mesh(roots(p), 1e-7), mesh(roots(q), 1e-7))
-        rs = roots(conv)
-        scale = max(1.0, max(abs(r) for r in rs.roots))
-        assert mesh(rs, 1e-7) >= floor - 1e-9 * scale
