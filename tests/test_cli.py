@@ -274,13 +274,9 @@ def test_verify(capsys):
     d = json.loads(out)
     assert d["passed"] is True
     assert all(p["trials"] == 1 for p in d["properties"])
-
-
-def test_verify_config_block(capsys):
-    _, out = run(capsys, ["verify", "--seed", "3", "--trials", "1", "--degree-max", "5"])
-    assert json.loads(out)["config"] == {
-        "seed": 3, "trials": 1, "degree_max": 5, "root_range": [-5.0, 5.0],
-        "tol_real": 1e-7, "tol_identity": 1e-10}
+    assert d["config"] == {"seed": 42, "trials": 1, "degree_max": 8,
+                           "root_range": [-5.0, 5.0], "tol_real": 1e-7,
+                           "tol_identity": 1e-10}
 
 
 def test_stdin_input(capsys, monkeypatch):
