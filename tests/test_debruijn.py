@@ -174,6 +174,18 @@ def test_line_image_examples():
     assert line_image(make_poly([3]), 1.0, 0.0).is_zero
 
 
+def test_line_image_random():
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        c = float(rng.uniform(-2, 2))
+        beta = float(rng.uniform(-3, 3))
+        theta = float(rng.uniform(0.1, 2 * math.pi - 0.1))
+        zs = [complex(rng.uniform(-5, 5), c) for _ in range(6)]
+        image = line_image(from_roots(zs), beta, theta)
+        for r in roots(image).roots:
+            assert abs(r.imag - (c + beta / 2)) < 1e-8 * max(1.0, abs(r))
+
+
 def test_near_degenerate_warning():
     with pytest.warns(RuntimeWarning):
         apply_tb(DeBruijnOp(1e-9, 1.0), monomial(3))

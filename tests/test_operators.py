@@ -10,7 +10,9 @@ from fdzeros import (
     Witness,
     analyze,
     apply_op,
+    classify_real,
     compose,
+    from_roots,
     generating_fn,
     make_operator,
     make_poly,
@@ -325,6 +327,17 @@ def test_witness_modulus_violation():
     w = witness_search(op, max_degree=24)
     assert w is not None
     assert w.offense > 0
+
+
+def test_preserver_images_stay_real_rooted():
+    rng = np.random.default_rng(21)
+    op = random_preserver(2, rng)
+    for _ in range(20):
+        p = from_roots(rng.uniform(-5, 5, size=6))
+        image = apply_op(op, p)
+        assert classify_real(roots(image), 1e-7).is_real_rooted
+        a = image.as_array()
+        assert np.max(np.abs(a.imag)) <= 1e-10 * np.max(np.abs(a))
 
 
 def test_compose_requires_same_shift():

@@ -17,7 +17,9 @@ from fdzeros import (
     gn,
     make_poly,
     monomial,
+    reflect,
     roots,
+    shift_arg,
     tb_via_walsh,
     walsh_convolve,
     walsh_interval_bound,
@@ -84,6 +86,17 @@ def test_apolar_report_rejects_bad_tol(tol):
     assert apolar(p, q, 2, 0.0)
     with pytest.raises(InvalidInput, match="tolerance must be finite and >= 0"):
         apolar_report(p, q, 2, tol)
+
+
+def test_apolar_duality_with_convolution_roots():
+    rng = np.random.default_rng(42)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        p = from_roots(rng.uniform(-4, 4, size=n))
+        q = from_roots(rng.uniform(-4, 4, size=n))
+        conv = walsh_convolve(p, q, n)
+        for x0 in roots(conv).roots:
+            assert apolar(reflect(p), shift_arg(q, -x0), n, 1e-8)
 
 
 def test_tb_via_walsh_monomial():
