@@ -8,15 +8,18 @@ exported with `git archive` into a scratch directory, so both sides run the
 same benchmark code from a clean checkout.  For every workload it runs
 PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
 seed-base+1, ..., alternating which side runs first, and keeps every result
-line.  It then records one traced `classify` run per side (`--trace 1`) and
-a layer table: the best of 5 in-process timings of `shift_arg`, `apply_op`,
-`apply_tb`, `roots`, `roots_many`, `witness_search` and `cli.main` at fixed
-inputs (LAYER_SCRIPT), run LAYER_ROUNDS times per side with the side that
-goes first alternating; each side's entry is its per-layer minimum over the
-rounds, and every round is kept.
+line.  It then records one traced run per workload and side (`--trace 1`,
+seed seed-base) and a layer table: the best of 5 in-process timings of
+`shift_arg`, `apply_op`, `apply_tb`, `roots`, `roots_many`, `witness_search`
+and `cli.main` at fixed inputs (LAYER_SCRIPT).  The layer table has a third
+side, `control`, a second export of the parent: each of LAYER_ROUNDS rounds
+runs the three sides in an order rotated by one from the last, and each
+side's entry is its per-layer minimum over the rounds.  The control's
+relative difference from the parent is the spread of the table on unchanged
+code; a layer claim needs the change's difference to exceed it.
 The output holds the git revisions, machine information, every result line,
-per-metric medians and quartiles, the traced root-finding layers and the
-layer tables.
+per-metric medians and quartiles, every traced run's per-layer metrics and
+the layer tables with every round.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ SECONDS = 20.0
 WORKLOADS = ("suite", "high_degree", "classify")
 # Rounds of the layer table per side.  With one run per side, host drift
 # between the two runs reads as a layer change (up to 20% on this benchmark's
-# layers for unchanged code).
+# layers for unchanged code); 6 rounds put each of the three sides in each
+# position twice.
 LAYER_ROUNDS = 6
+LAYER_SIDES = ("parent", "change", "control")
 
 # Run in a fresh interpreter inside an exported tree; prints one JSON object,
 # seconds per call by layer and input, each the best of 5 repetitions of a
@@ -137,13 +142,19 @@ def layer_table(tree: Path) -> dict:
 def layer_tables(trees: dict) -> dict:
     rounds = []
     for k in range(LAYER_ROUNDS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        rnd = {"first": order[0]}
+        order = LAYER_SIDES[k % 3:] + LAYER_SIDES[:k % 3]
+        rnd = {"order": list(order)}
         for side in order:
             rnd[side] = layer_table(trees[side])
         rounds.append(rnd)
     out = {side: {name: min(r[side][name] for r in rounds) for name in rounds[0][side]}
-           for side in trees}
+           for side in LAYER_SIDES}
+    # Each side's minimum relative to the parent's, per layer; the control
+    # reads the table's spread on unchanged code.
+    out["relative_to_parent"] = {
+        side: {name: out[side][name] / out["parent"][name] - 1.0 for name in out["parent"]}
+        for side in ("change", "control")}
+    out["control_spread"] = max(abs(v) for v in out["relative_to_parent"]["control"].values())
     out["rounds"] = rounds
     return out
 
@@ -203,6 +214,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-record-"))
     try:
         trees = {side: export(rev, scratch / side) for side, rev in revs.items()}
+        trees["control"] = export(revs["parent"], scratch / "control")
         workloads = {}
         for workload in WORKLOADS:
             pairs = []
@@ -218,16 +230,13 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 pairs.append(pair)
             workloads[workload] = {"runs": pairs, "summary": summarize(pairs)}
-        traced = {side: run_bench(tree, "classify", args.seed_base, SECONDS, 1)
-                  for side, tree in trees.items()}
+        traced = {workload: {side: run_bench(trees[side], workload, args.seed_base,
+                                             SECONDS, 1)["metrics"]
+                             for side in revs}
+                  for workload in WORKLOADS}
         layers = layer_tables(trees)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    def key_layers(side: str) -> dict:
-        metrics = traced[side]["metrics"]
-        return {name: metrics[name]["value"] for name in metrics
-                if name.startswith("rootfind.") or name.startswith("cli.main")}
 
     record = {
         "revisions": {side: {"commit": rev, "src_tree": git("rev-parse", f"{rev}:src")}
@@ -238,7 +247,9 @@ def main(argv=None) -> int:
                      "command": "python3 bench/run.py --workload W --seed S "
                                 f"--seconds {SECONDS:g} --trace 0"},
         "workloads": workloads,
-        "classify_traced": {side: key_layers(side) for side in traced},
+        "traced": {workload: {side: {name: m["value"] for name, m in metrics.items()}
+                              for side, metrics in sides.items()}
+                   for workload, sides in traced.items()},
         "layers": layers,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

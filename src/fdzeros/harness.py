@@ -57,10 +57,10 @@ from .poly import (
     shift_arg,
 )
 from .rootfind import (
+    _interlace_many,
+    _pencil_many,
     extremes,
-    interlace,
     mesh,
-    pencil_hyperbolic_sample,
     roots,
     sorted_real_parts,
 )
@@ -335,13 +335,10 @@ def _gen_interlace_obreschkov(cfg, rng):
 
 
 def _chk_interlace_obreschkov(inst):
-    disagree = 0
-    for k, (pj, qj) in enumerate(inst["pairs"]):
-        p = poly_from_json(pj)
-        q = poly_from_json(qj)
-        a = interlace(p, q, inst["tol_real"])
-        b = pencil_hyperbolic_sample(p, q, 200, inst["seed"] + k)
-        disagree += int(a != b)
+    pairs = [(poly_from_json(pj), poly_from_json(qj)) for pj, qj in inst["pairs"]]
+    a = _interlace_many(pairs, inst["tol_real"])
+    b = _pencil_many(pairs, 200, [inst["seed"] + k for k in range(len(pairs))], 1e-7)
+    disagree = sum(x != y for x, y in zip(a, b))
     return disagree / len(inst["pairs"]) - inst["max_rate"]
 
 

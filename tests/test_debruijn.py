@@ -53,6 +53,9 @@ def test_apply_tb_examples():
     # theta = 0 drops the degree: ((x+i)^2 - (x-i)^2)/i = 4x
     got = apply_tb(DeBruijnOp(0.0, 1.0), monomial(2))
     assert got == make_poly([0, 4])
+    # theta = pi has e^{i theta} = -1 and the opposite sign: -4x
+    got = apply_tb(DeBruijnOp(math.pi, 1.0), monomial(2))
+    assert got == make_poly([0, -4])
     # constants are annihilated when sin(theta) = 0
     assert apply_tb(DeBruijnOp(0.0, 1.0), make_poly([1])).is_zero
 

@@ -174,6 +174,7 @@ def _interlace_reference(p, q, tol):
 def test_interlace_batched_matches_two_roots_calls():
     rng = np.random.default_rng(11)
     verdicts = {True: 0, False: 0}
+    pairs, wants = [], []
     for k in range(120):
         n = int(rng.integers(2, 9))
         p = from_roots(rng.uniform(-5, 5, size=n))
@@ -190,7 +191,11 @@ def test_interlace_batched_matches_two_roots_calls():
             want = _interlace_reference(a, b, 1e-8)
             assert interlace(a, b, 1e-8) == want, (k, kind)
             verdicts[want] += 1
+            pairs.append((a, b))
+            wants.append(want)
     assert min(verdicts.values()) >= 40
+    # the same 240 pairs, of degrees 1-8, in one batched call
+    assert rootfind._interlace_many(pairs, 1e-8) == wants
 
 
 def test_interlace_degree_gap():
@@ -214,6 +219,132 @@ def test_pencil_sample_rejects_bad_n_samples(n_samples):
     assert not pencil_hyperbolic_sample(p, q, 200, seed=0)
     with pytest.raises(InvalidInput, match="n_samples"):
         pencil_hyperbolic_sample(p, q, n_samples=n_samples)
+
+
+def _pencil_reference(p, q, n_samples, seed, tol=1e-7):
+    # The pencil as it was before it root-found in two stages: every sampled
+    # direction of the pair in one aberth_batch call.
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_samples)
+    rows = np.cos(phi)[:, None] * p.as_array()[None, :] + np.sin(phi)[:, None] * q.as_array()[None, :]
+    full = rows[:, -1] != 0
+    if full.any():
+        z = aberth_batch(rows[full])
+        scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
+        if np.any(np.max(np.abs(z.imag), axis=1) > tol * scale):
+            return False
+    for row in rows[~full]:
+        pr = make_poly(row)
+        if pr.is_zero or pr.degree == 0:
+            continue
+        if not classify_real(roots(pr), tol).is_real_rooted:
+            return False
+    return True
+
+
+def _registry_pairs(trials):
+    # (p, q, pencil seed) of every pair the interlacing property checks at
+    # seed 42, in order: 10 per instance, half of them interlacing by design.
+    prop = next(q for q in ALL_PROPERTIES if q.name == "interlace_obreschkov_agreement")
+    cfg = SuiteConfig(seed=42, trials=trials)
+    return [(poly_from_json(pj), poly_from_json(qj), inst["seed"] + k)
+            for inst in prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+            for k, (pj, qj) in enumerate(inst["pairs"])]
+
+
+def test_pencil_matches_full_batch_reference():
+    triples = _registry_pairs(50)
+    want = [_pencil_reference(p, q, 200, seed) for p, q, seed in triples]
+    assert [pencil_hyperbolic_sample(p, q, 200, seed) for p, q, seed in triples] == want
+    pairs, seeds = [(p, q) for p, q, _ in triples], [seed for _, _, seed in triples]
+    assert rootfind._pencil_many(pairs, 200, seeds, 1e-7) == want
+    assert 200 <= sum(want) <= 300  # both verdicts are well represented
+
+
+@pytest.mark.parametrize("n_samples", [1, rootfind._PENCIL_FIRST,
+                                       rootfind._PENCIL_FIRST + 1, 200])
+def test_pencil_stage_boundary_matches_reference(n_samples):
+    triples = _registry_pairs(5)
+    want = [_pencil_reference(p, q, n_samples, seed) for p, q, seed in triples]
+    assert [pencil_hyperbolic_sample(p, q, n_samples, seed) for p, q, seed in triples] == want
+    pairs, seeds = [(p, q) for p, q, _ in triples], [seed for _, _, seed in triples]
+    assert rootfind._pencil_many(pairs, n_samples, seeds, 1e-7) == want
+
+
+def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch):
+    batches = []
+    original = rootfind.aberth_batch
+
+    def counting(c):
+        batches.append(len(c))
+        return original(c)
+
+    monkeypatch.setattr(rootfind, "aberth_batch", counting)
+    first = rootfind._PENCIL_FIRST
+    p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
+    assert not pencil_hyperbolic_sample(p, r, 200, seed=0)  # settled in stage 1
+    assert batches == [first]
+    batches.clear()
+    assert pencil_hyperbolic_sample(p, q, 200, seed=0)  # interlacing: every direction
+    assert batches == [first, 200 - first]
+    batches.clear()
+    # one call per degree and stage; the settled pair drops out of stage 2
+    pairs = [(p, r), (p, q), (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))]
+    assert rootfind._pencil_many(pairs, 200, [0, 0, 0], 1e-7) == [False, True, True]
+    assert sorted(batches[:2]) == [first, 2 * first]
+    assert sorted(batches[2:]) == [200 - first, 200 - first]
+
+
+def test_pencil_cancelled_direction_matches_reference():
+    # P and Q scaled so that the first sampled direction cancels the leading
+    # coefficient exactly, leaving P0 - Q0 = s*c*(x^2 + 1), which is not
+    # real-rooted; alone (n_samples = 1) it decides the verdict.
+    phi = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 1)[0]
+    s, c = math.sin(phi), math.cos(phi)
+    p0, q0 = [0.0, 2.0, -3.0, 1.0], [-1.0, 2.0, -4.0, 1.0]
+    p, q = make_poly([s * a for a in p0]), make_poly([-c * a for a in q0])
+    for n_samples in (1, 200):
+        want = _pencil_reference(p, q, n_samples, 0)
+        assert pencil_hyperbolic_sample(p, q, n_samples, seed=0) is want
+    assert _pencil_reference(p, q, 1, 0) is False
+
+
+def _p_plus_iq_imag(p, q):
+    # Im of each zero of P + iQ over max(1, max |zero|), the zeros from
+    # numpy's companion matrix: no fdzeros root code is involved.
+    a, b = p.as_array(), q.as_array()
+    assert not a.imag.any() and not b.imag.any()
+    n = max(len(a), len(b))
+    c = np.pad(a.real, (0, n - len(a))) + 1j * np.pad(b.real, (0, n - len(b)))
+    z = np.roots(c[::-1])
+    return z.imag / max(1.0, float(np.max(np.abs(z))))
+
+
+def _one_open_half_plane(im, tol=1e-7):
+    return bool(np.all(im > tol) or np.all(im < -tol))
+
+
+def test_interlace_matches_hermite_biehler():
+    # Hermite-Biehler: real P, Q with degrees equal or one apart have
+    # strictly interlacing real zeros iff every zero of P + iQ lies in one
+    # open half-plane.  The registry's pairs interlace strictly or not at all.
+    triples = _registry_pairs(50)
+    verdicts = [interlace(p, q, 1e-8) for p, q, _ in triples]
+    assert [_one_open_half_plane(_p_plus_iq_imag(p, q)) for p, q, _ in triples] == verdicts
+    assert 200 <= sum(verdicts) <= 300
+    # degrees one apart, both ways round
+    p3 = from_roots([-2.0, 0.5, 3.0])
+    for q2, want in ((from_roots([-1.0, 1.0]), True), (from_roots([1.0, 2.0]), False)):
+        for a, b in ((p3, q2), (q2, p3)):
+            assert interlace(a, b, 1e-8) is want
+            assert _one_open_half_plane(_p_plus_iq_imag(a, b)) is want
+    # a common zero: the interlacing is not strict, so P + iQ has that real
+    # zero, yet non-strict interlace holds; the other zeros keep to one side
+    p, q = from_roots([0.0, 2.0, 4.0]), from_roots([0.0, 1.0, 3.0])
+    assert interlace(p, q, 1e-8)
+    im = _p_plus_iq_imag(p, q)
+    real = np.argmin(np.abs(im))
+    assert abs(im[real]) <= 1e-7
+    assert _one_open_half_plane(np.delete(im, real))
 
 
 def test_rootset_json():
