@@ -468,8 +468,9 @@ def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bo
 
 def _interlace_many(pairs, tol: float) -> list[bool]:
     """`interlace` for each (p, q) of pairs, with every root set from one
-    `roots_many` call.  Raises as `interlace` does for the first pair that
-    fails its realness or degree check."""
+    `roots_many` call.  Raises NonConvergence if any root set is not
+    certified, else as `interlace` does for the first pair that fails its
+    realness or degree check."""
     zs = roots_many([r for pair in pairs for r in pair])
     out = []
     for (p, q), zp, zq in zip(pairs, zs[0::2], zs[1::2]):

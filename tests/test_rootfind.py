@@ -225,7 +225,8 @@ def _pencil_reference(p, q, n_samples, seed, tol=1e-7):
     # The pencil as it was before it root-found in two stages: every sampled
     # direction of the pair in one aberth_batch call.
     phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_samples)
-    rows = np.cos(phi)[:, None] * p.as_array()[None, :] + np.sin(phi)[:, None] * q.as_array()[None, :]
+    pa, qa = p.as_array(), q.as_array()
+    rows = np.cos(phi)[:, None] * pa[None, :] + np.sin(phi)[:, None] * qa[None, :]
     full = rows[:, -1] != 0
     if full.any():
         z = aberth_batch(rows[full])
