@@ -11,10 +11,11 @@ seed-base+1, ..., alternating which side runs first, and keeps every result
 line.  It then records one traced run per workload and side (`--trace 1`,
 seed seed-base) and a layer table: the best of 5 in-process timings of
 `shift_arg`, `apply_op`, `apply_tb`, `roots`, `roots_many`, `witness_search`
-and `cli.main` at fixed inputs (LAYER_SCRIPT).  The layer table has a third
-side, `control`, a second export of the parent: each of LAYER_ROUNDS rounds
-runs the three sides in an order rotated by one from the last, and each
-side's entry is its per-layer minimum over the rounds.  The control's
+and `cli.main` at fixed inputs, and of `run_properties(SuiteConfig(42, 20),
+[prop])` for each harness property (LAYER_SCRIPT).  The layer table has a
+third side, `control`, a second export of the parent: each of LAYER_ROUNDS
+rounds runs the three sides in an order rotated by one from the last, and
+each side's entry is its per-layer median over the rounds.  The control's
 relative difference from the parent is the spread of the table on unchanged
 code; a layer claim needs the change's difference to exceed it.
 The output holds the git revisions, machine information, every result line,
@@ -46,7 +47,8 @@ WORKLOADS = ("suite", "high_degree", "classify")
 # Rounds of the layer table per side.  With one run per side, host drift
 # between the two runs reads as a layer change (up to 20% on this benchmark's
 # layers for unchanged code); 6 rounds put each of the three sides in each
-# position twice.
+# position twice, and the median over them lets no single quiet or busy
+# round decide a row.
 LAYER_ROUNDS = 6
 LAYER_SIDES = ("parent", "change", "control")
 
@@ -56,14 +58,16 @@ LAYER_SIDES = ("parent", "change", "control")
 # real-rooted polynomials with roots drawn from [-5, 5], a preserver of
 # half-support 2, T_{0.7,1}, gn(50, 0.7, 1), and the classify workload's
 # m = 2 `rotated` operator, built as that workload builds it; `cli.main`
-# runs `analyze` on that operator's file with stdout captured.
+# runs `analyze` on that operator's file with stdout captured.  Each harness
+# property runs once per repetition, as one property of `fdzeros verify
+# --seed 42 --trials 20` (the `suite` workload's operation).
 LAYER_SCRIPT = """
 import contextlib, io, json, sys, timeit
 import numpy as np
 sys.path[:0] = ["src", "bench"]
-from fdzeros import (DeBruijnOp, apply_op, apply_tb, cli, from_roots, gn,
-                     operator_to_json, random_preserver, roots, roots_many,
-                     shift_arg, witness_search)
+from fdzeros import (ALL_PROPERTIES, DeBruijnOp, SuiteConfig, apply_op, apply_tb,
+                     cli, from_roots, gn, operator_to_json, random_preserver, roots,
+                     roots_many, run_properties, shift_arg, witness_search)
 from workloads import FIXED_SEED, KINDS
 
 def best(fn):
@@ -104,6 +108,10 @@ def analyze_cli():
         return cli.main(["analyze", "layer_rotated_m2.json"])
 
 out["cli_main_analyze_s"] = best(analyze_cli)
+suite = SuiteConfig(seed=42, trials=20)
+for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
+    out[f"property_{prop.name}_s"] = min(
+        timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
 print(json.dumps(out))
 """
 
@@ -147,9 +155,10 @@ def layer_tables(trees: dict) -> dict:
         for side in order:
             rnd[side] = layer_table(trees[side])
         rounds.append(rnd)
-    out = {side: {name: min(r[side][name] for r in rounds) for name in rounds[0][side]}
+    out = {side: {name: statistics.median(r[side][name] for r in rounds)
+                   for name in rounds[0][side]}
            for side in LAYER_SIDES}
-    # Each side's minimum relative to the parent's, per layer; the control
+    # Each side's median relative to the parent's, per layer; the control
     # reads the table's spread on unchanged code.
     out["relative_to_parent"] = {
         side: {name: out[side][name] / out["parent"][name] - 1.0 for name in out["parent"]}

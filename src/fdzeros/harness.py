@@ -4,10 +4,21 @@ Every mathematical invariant the library relies on becomes a named property: a
 generator that draws self-contained instance dicts from a per-property seed
 stream, and a checker that maps an instance to a violation score (pass iff
 <= 0).  Instances are JSON-serializable so any failure replays standalone.
+
+A checker that root-finds may be a generator: it yields a list of
+polynomials and is sent their `RootSet`s, or has thrown in at that yield the
+error `roots` raises for the first of them it cannot root-find.  Both
+`run_properties` and `replay` (which runs one instance) go through
+`_run_checks`, which advances every instance of a property one yield at a
+time and root-finds each round's polynomials with one engine call per
+degree.  A checker merges two root-finds into one yield only when nothing
+between them can raise, so each instance raises what it would raise with one
+`roots` call after another.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,11 +68,12 @@ from .poly import (
     shift_arg,
 )
 from .rootfind import (
+    _certified_many,
     _interlace_many,
     _pencil_many,
+    _rootset,
     extremes,
     mesh,
-    roots,
     sorted_real_parts,
 )
 from .walsh import apolar, tb_via_walsh, walsh_convolve, walsh_interval_bound
@@ -290,9 +302,9 @@ def _gen_roots_product(cfg, rng):
 def _chk_roots_product(inst):
     p = poly_from_json(inst["p"])
     q = poly_from_json(inst["q"])
-    got = sorted(roots(multiply(p, q)).roots, key=lambda z: (z.real, z.imag))
-    want = sorted(list(roots(p).roots) + list(roots(q).roots),
-                  key=lambda z: (z.real, z.imag))
+    rs_pq, rs_p, rs_q = yield [multiply(p, q), p, q]
+    got = sorted(rs_pq.roots, key=lambda z: (z.real, z.imag))
+    want = sorted(list(rs_p.roots) + list(rs_q.roots), key=lambda z: (z.real, z.imag))
     return max(abs(g - w) for g, w in zip(got, want)) - inst["tol"]
 
 
@@ -307,8 +319,10 @@ def _gen_mesh_translation(cfg, rng):
 
 def _chk_mesh_translation(inst):
     p = poly_from_json(inst["poly"])
-    m0 = mesh(roots(p), inst["tol_real"])
-    m1 = mesh(roots(shift_arg(p, inst["t"])), inst["tol_real"])
+    rs, = yield [p]
+    m0 = mesh(rs, inst["tol_real"])
+    rs, = yield [shift_arg(p, inst["t"])]
+    m1 = mesh(rs, inst["tol_real"])
     return abs(m0 - m1) - inst["tol"]
 
 
@@ -352,11 +366,13 @@ def _gen_derivative_mesh(cfg, rng):
 
 def _chk_derivative_mesh(inst):
     p = poly_from_json(inst["poly"])
-    m_p = mesh(roots(p), inst["tol_real"])
+    rs, = yield [p]
+    m_p = mesh(rs, inst["tol_real"])
     d = derivative(p)
     if d.degree < 2:
         return -1.0
-    return m_p - mesh(roots(d), inst["tol_real"])
+    rs, = yield [d]
+    return m_p - mesh(rs, inst["tol_real"])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,8 @@ def _chk_op_preserver_sound(inst):
     image = apply_op(op, poly_from_json(inst["poly"]))
     if image.is_zero or image.degree == 0:
         return -1.0
-    return _imag_excess(roots(image).roots, inst["tol_real"])
+    rs, = yield [image]
+    return _imag_excess(rs.roots, inst["tol_real"])
 
 
 def _chk_op_real_output(inst):
@@ -462,9 +479,9 @@ def _chk_op_strip_sound(inst):
     image = apply_op(op, poly_from_json(inst["poly"]))
     if image.is_zero or image.degree == 0:
         return -1.0
-    rs = roots(image).roots
-    scale = max(1.0, max(abs(r) for r in rs))
-    return max(abs(r.imag) for r in rs) - inst["b"] - inst["tol_real"] * scale
+    rs, = yield [image]
+    scale = max(1.0, max(abs(r) for r in rs.roots))
+    return max(abs(r.imag) for r in rs.roots) - inst["b"] - inst["tol_real"] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +527,8 @@ def _chk_tb_closed_form(inst):
     n, theta, h = inst["n"], inst["theta"], inst["h"]
     g = gn(n, theta, h)
     want = sorted(h * z for z in qn_zeros(n, theta).zeros)
-    got = sorted_real_parts(roots(g))
+    rs, = yield [g]
+    got = sorted_real_parts(rs)
     if len(got) != len(want):
         return 1.0
     if not want:
@@ -534,7 +552,8 @@ def _chk_tb_image_real_simple(inst):
     p = poly_from_json(inst["poly"])
     theta, h = inst["theta"], inst["h"]
     image = apply_tb(DeBruijnOp(theta, h), p)
-    excess = _imag_excess(roots(image).roots, inst["tol_real"])
+    rs, = yield [image]
+    excess = _imag_excess(rs.roots, inst["tol_real"])
     margin = simplicity_margin(p, theta, h, tol=inst["tol_real"])
     return max(excess, -margin)
 
@@ -543,7 +562,7 @@ def _chk_tb_mesh_floor(inst):
     p = poly_from_json(inst["poly"])
     theta, h = inst["theta"], inst["h"]
     image = apply_tb(DeBruijnOp(theta, h), p)
-    rs = roots(image)
+    rs, = yield [image]
     scale = max(1.0, max(abs(r) for r in rs.roots))
     floor = mesh_floor(p.degree, theta, h)
     return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
@@ -552,9 +571,10 @@ def _chk_tb_mesh_floor(inst):
 def _chk_tb_mesh_monotone(inst):
     p = poly_from_json(inst["poly"])
     theta, h = inst["theta"], inst["h"]
-    m_p = mesh(roots(p), inst["tol_real"])
+    rs, = yield [p]
+    m_p = mesh(rs, inst["tol_real"])
     image = apply_tb(DeBruijnOp(theta, h), p)
-    rs = roots(image)
+    rs, = yield [image]
     scale = max(1.0, max(abs(r) for r in rs.roots))
     return m_p - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
 
@@ -564,7 +584,8 @@ def _chk_tb_extremal(inst):
     theta, h = inst["theta"], inst["h"]
     bounds = extremal_bounds(p, theta, h, tol=inst["tol_real"])
     image = apply_tb(DeBruijnOp(theta, h), p)
-    top, bot = extremes(roots(image), inst["tol_real"])
+    rs, = yield [image]
+    top, bot = extremes(rs, inst["tol_real"])
     return max(top - bounds["lambda_bound"], bounds["mu_bound"] - bot) - inst["slack"]
 
 
@@ -586,10 +607,10 @@ def _chk_tb_line_lemma(inst):
     image = line_image(p, inst["beta"], inst["theta"])
     if image.is_zero or image.degree == 0:
         return -1.0
-    rs = roots(image).roots
+    rs, = yield [image]
     line = inst["c"] + inst["beta"] / 2.0
-    scale = max(1.0, max(abs(r) for r in rs))
-    return max(abs(r.imag - line) for r in rs) - inst["tol"] * scale
+    scale = max(1.0, max(abs(r) for r in rs.roots))
+    return max(abs(r.imag - line) for r in rs.roots) - inst["tol"] * scale
 
 
 def _gen_tb_periodicity(cfg, rng):
@@ -625,7 +646,8 @@ def _chk_walsh_closure(inst):
     conv = walsh_convolve(p, q, inst["n"])
     if conv.is_zero or conv.degree == 0:
         return -1.0
-    return _imag_excess(roots(conv).roots, inst["tol_real"])
+    rs, = yield [conv]
+    return _imag_excess(rs.roots, inst["tol_real"])
 
 
 def _chk_walsh_mesh(inst):
@@ -634,9 +656,11 @@ def _chk_walsh_mesh(inst):
     conv = walsh_convolve(p, q, inst["n"])
     if conv.is_zero or conv.degree < 2:
         return -1.0
-    rs = roots(conv)
+    rs, rs_p = yield [conv, p]
     scale = max(1.0, max(abs(r) for r in rs.roots))
-    floor = max(mesh(roots(p), inst["tol_real"]), mesh(roots(q), inst["tol_real"]))
+    m_p = mesh(rs_p, inst["tol_real"])
+    rs_q, = yield [q]
+    floor = max(m_p, mesh(rs_q, inst["tol_real"]))
     return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
 
 
@@ -647,7 +671,8 @@ def _chk_walsh_interval(inst):
     if conv.is_zero or conv.degree == 0:
         return -1.0
     bound = walsh_interval_bound(p, q, inst["n"], tol=inst["tol_real"])
-    xs = sorted_real_parts(roots(conv))
+    rs, = yield [conv]
+    xs = sorted_real_parts(rs)
     scale = max(1.0, float(np.max(np.abs(xs))))
     eps = inst["slack"] * scale
     return max(bound["lo"] - float(xs[0]), float(xs[-1]) - bound["hi"]) - eps
@@ -660,7 +685,8 @@ def _chk_walsh_apolarity(inst):
     conv = walsh_convolve(p, q, n)
     if conv.is_zero or conv.degree == 0:
         return -1.0
-    for x0 in roots(conv).roots:
+    rs, = yield [conv]
+    for x0 in rs.roots:
         if not apolar(reflect(p), shift_arg(q, -x0), n, 1e-8):
             return 1.0
     return -1.0
@@ -809,13 +835,70 @@ ALL_PROPERTIES: tuple[Property, ...] = (
 )
 
 
+def _answer(requests) -> list:
+    """Per request (a list of polynomials), the list of their RootSets, or
+    the error `roots` raises for the first of them it cannot root-find; all
+    requests' polynomials are root-found together, one engine call per
+    degree."""
+    flat = [p for req in requests for p in req]
+    rooted = iter(zip(flat, _certified_many(flat)))
+    out = []
+    for req in requests:
+        got = [next(rooted) for _ in req]
+        error = next((e for _, (_, e) in got if e is not None), None)
+        out.append(error if error is not None else [_rootset(p, z) for p, (z, _) in got])
+    return out
+
+
+def _run_checks(check, instances) -> list:
+    """Each instance's checker outcome, in order: the value it returned, or
+    the exception it raised.
+
+    A plain checker runs on its own.  A generator checker is advanced one
+    yield per round, all instances together, and each round is answered by
+    `_answer`.  Rows do not interact in the root engine, so every RootSet
+    equals what `roots` returns alone.  Exceptions of any kind are kept, not
+    raised, so the caller sees them in instance order, as it would running
+    the checks one after another.
+    """
+    outcomes: list = [None] * len(instances)
+    waiting: dict = {}  # instance index -> (generator, polynomials it yielded)
+
+    def resume(i, gen, step, arg):
+        try:
+            waiting[i] = (gen, list(step(arg)))
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:  # kept for the caller, see above
+            outcomes[i] = exc
+
+    for i, inst in enumerate(instances):
+        try:
+            got = check(inst)
+        except Exception as exc:
+            outcomes[i] = exc
+            continue
+        if inspect.isgenerator(got):
+            resume(i, got, got.send, None)
+        else:
+            outcomes[i] = got
+    while waiting:
+        this_round = list(waiting.items())
+        waiting.clear()
+        answers = _answer([req for _, (_, req) in this_round])
+        for (i, (gen, _)), ans in zip(this_round, answers):
+            resume(i, gen, gen.throw if isinstance(ans, FDZerosError) else gen.send, ans)
+    return outcomes
+
+
 def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
     """Run each property's checker on its seeded instances.
 
     An instance fails when its checker returns a positive violation or
     raises a typed fdzeros error (for example NonConvergence on roots the
     engine cannot certify); an error has no violation, so it leaves
-    worst_violation alone.
+    worst_violation alone.  Any other exception propagates.  The instances
+    of a property run together through `_run_checks`.
     """
     records = []
     for prop in sorted(properties, key=lambda p: p.name):
@@ -824,9 +907,11 @@ def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
         failures = 0
         worst = -math.inf
         example = None
-        for inst in instances:
+        for inst, out in zip(instances, _run_checks(prop.check, instances)):
             try:
-                v = float(prop.check(inst))
+                if isinstance(out, Exception):
+                    raise out
+                v = float(out)
             except FDZerosError:
                 v = math.inf
             else:
@@ -845,10 +930,14 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
 
 
 def replay(name: str, instance: dict) -> float:
-    """Re-run one property's checker on a serialized instance."""
+    """Re-run one property's checker on a serialized instance: the
+    one-instance call of `_run_checks`, raising what the checker raised."""
     for prop in ALL_PROPERTIES:
         if prop.name == name:
-            return float(prop.check(instance))
+            out, = _run_checks(prop.check, [instance])
+            if isinstance(out, Exception):
+                raise out
+            return float(out)
     raise KeyError(f"unknown property {name!r}")
 
 

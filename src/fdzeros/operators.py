@@ -28,6 +28,7 @@ from .rootfind import (
     _certified_many,
     _check_tol,
     _rootset,
+    _sorted,
     roots,
     rootset_to_json,
 )
@@ -292,9 +293,10 @@ def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
             if not (image.is_zero or image.degree == 0):
                 found.append((label, s, cand, image))
         rooted = _certified_many([image for *_, image in found])
-        for (label, s, cand, image), z in zip(found, rooted):
-            if z is None:
+        for (label, s, cand, image), (z, error) in zip(found, rooted):
+            if error is not None:
                 continue
+            z = _sorted(z)
             scale = max(1.0, max(abs(r) for r in z))
             worst = max(z, key=lambda r: abs(r.imag))
             excess = abs(worst.imag) - band

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConstantPolynomial,
     DegreeGapTooLarge,
+    FDZerosError,
     InvalidInput,
     NonConvergence,
     NotRealRooted,
@@ -160,6 +161,8 @@ def _forward_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarr
     bad = ~(bound <= FWD_TOL)
     if rows is not None:
         bad &= rows[:, None]
+    if not bad.any():
+        return bound
     r, i = np.nonzero(bad)
     bound[r, i] = np.fmin(bound[r, i], _cluster_bound(a, absa, z, r, i, p is not None))
     return bound
@@ -192,12 +195,14 @@ def _companion_eigvals(a: np.ndarray) -> np.ndarray:
     return z
 
 
-def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
+def _aberth(a: np.ndarray, absa: np.ndarray,
+            dcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
     # iterates on its own from its companion eigenvalues: a root stops once
     # its residual passes, a row stops once its own steps stagnate or a root
     # fails the rounding floor of the forward certificate.  No row's iterates
-    # depend on the other rows.
+    # depend on the other rows.  Returns the roots and p'(roots) when the
+    # polish computed it at the returned roots, else None.
     B = a.shape[0]
     z = _companion_eigvals(a)
     n = z.shape[1]
@@ -238,12 +243,13 @@ def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray) -> np.ndarray:
     a_long = a.astype(np.clongdouble)
     for _ in range(3):
         pz = _horner_rows(a_long, z.astype(np.clongdouble))
-        step = (pz / _horner_rows(dcoef, z)).astype(complex)
+        dp = _horner_rows(dcoef, z)
+        step = (pz / dp).astype(complex)
         moved = z - np.where(np.abs(step) <= limit, step, 0.0)
         if np.array_equal(moved.view(np.uint64), z.view(np.uint64)):
-            break
+            return z, dp
         z = moved
-    return z
+    return z, None
 
 
 class _BatchRoots(NamedTuple):
@@ -284,6 +290,7 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
         a = c / c[:, -1:]
         absa = np.abs(a)
         dcoef = a[:, 1:] * np.arange(1, n + 1)
+        dp = None  # p'(z), unless the polish leaves it at the roots it returns
         if n == 1:
             z = -c[:, :1] / c[:, 1:]
         elif n == 2:
@@ -297,11 +304,12 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z = _aberth(a, absa, dcoef)
+            z, dp = _aberth(a, absa, dcoef)
+        if dp is None:
+            dp = _horner_rows(dcoef, z)
         ok, p, err = _residual_ok(a, absa, z, TOL)
         residual_ok = ok.all(axis=1)
-        bound = _forward_bound(a, absa, z, err, _horner_rows(dcoef, z), p,
-                               rows=residual_ok)
+        bound = _forward_bound(a, absa, z, err, dp, p, rows=residual_ok)
         certified = residual_ok & np.all(bound <= FWD_TOL, axis=1)
     failed = tuple(None if good else "forward" if res else "residual"
                    for good, res in zip(certified.tolist(), residual_ok.tolist()))
@@ -319,12 +327,28 @@ def aberth_batch(c: np.ndarray) -> np.ndarray:
     """
     out = _aberth_core(c)
     if any(out.failed):
-        n = out.z.shape[1]
-        what = "residual" if "residual" in out.failed else "forward"
-        how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
-        raise NonConvergence(f"{how} roots of degree {n} failed the {what} certificate",
-                             best=out.z, residuals=out.residuals)
+        raise _nonconvergence(out)
     return out.z
+
+
+def _nonconvergence(out: _BatchRoots) -> NonConvergence:
+    # The error `aberth_batch` raises for a batch with a failed row, the
+    # batch's iterate and residuals attached; for a one-row batch, the error
+    # `roots` raises for that polynomial.
+    n = out.z.shape[1]
+    what = "residual" if "residual" in out.failed else "forward"
+    how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
+    return NonConvergence(f"{how} roots of degree {n} failed the {what} certificate",
+                          best=out.z, residuals=out.residuals)
+
+
+def _unrootable(p: Polynomial) -> FDZerosError | None:
+    # The error `roots` raises for a polynomial it cannot root-find at all.
+    if p.is_zero:
+        return ZeroPolynomial("cannot root-find the zero polynomial")
+    if p.degree == 0:
+        return ConstantPolynomial("cannot root-find a nonzero constant")
+    return None
 
 
 def _sorted(z: np.ndarray) -> np.ndarray:
@@ -346,10 +370,8 @@ def roots(p: Polynomial) -> RootSet:
     estimate exceeds FWD_TOL.  Raises ZeroPolynomial / ConstantPolynomial for
     degenerate input.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot root-find the zero polynomial")
-    if p.degree == 0:
-        raise ConstantPolynomial("cannot root-find a nonzero constant")
+    if (error := _unrootable(p)) is not None:
+        raise error
     return _rootset(p, aberth_batch(p.as_array()[None, :])[0])
 
 
@@ -360,14 +382,10 @@ def _rootset(p: Polynomial, z: np.ndarray) -> RootSet:
     return RootSet(tuple(z), tuple(float(r) for r in res), coeff_scale(p))
 
 
-def _by_degree(ps) -> dict[int, list[int]]:
+def _by_degree(ps) -> dict[int | None, list[int]]:
     # Indices of ps grouped by degree, in input order within each group.
-    groups: dict[int, list[int]] = {}
+    groups: dict[int | None, list[int]] = {}
     for i, p in enumerate(ps):
-        if p.is_zero:
-            raise ZeroPolynomial("cannot root-find the zero polynomial")
-        if p.degree == 0:
-            raise ConstantPolynomial("cannot root-find a nonzero constant")
         groups.setdefault(p.degree, []).append(i)
     return groups
 
@@ -378,8 +396,12 @@ def roots_many(ps) -> list[np.ndarray]:
     Much faster than looping roots() when many same-degree polynomials are
     processed (property suites, Monte-Carlo checks).  Each row's roots equal
     what roots() returns for it alone.  Root arrays come back sorted by
-    (real, imag), aligned with the input order.
+    (real, imag), aligned with the input order.  Raises as roots() does for
+    the first polynomial that is zero or constant.
     """
+    for p in ps:
+        if (error := _unrootable(p)) is not None:
+            raise error
     out: list[np.ndarray | None] = [None] * len(ps)
     for idxs in _by_degree(ps).values():
         z = aberth_batch(np.array([ps[i].as_array() for i in idxs]))
@@ -388,16 +410,31 @@ def roots_many(ps) -> list[np.ndarray]:
     return out  # type: ignore[return-value]
 
 
-def _certified_many(ps) -> list[np.ndarray | None]:
-    """`roots_many` without the raise: one `_aberth_core` call per degree, and
-    None in place of the roots of a polynomial that is not certified.  Each
-    array equals the roots `roots` returns for its polynomial alone."""
-    out: list[np.ndarray | None] = [None] * len(ps)
-    for idxs in _by_degree(ps).values():
+def _certified_many(ps) -> list[tuple[np.ndarray | None, FDZerosError | None]]:
+    """Each polynomial's engine row and outcome, with one `_aberth_core` call
+    per degree and no raise.
+
+    Per polynomial: (z, None) for certified roots z, in the engine's order;
+    (z, error) for the best iterate z of a row that failed, error being the
+    NonConvergence `roots` raises for that polynomial alone, with the same
+    message, best and residuals; and (None, error) for a zero or constant
+    polynomial, error being what `roots` raises for it.  Rows do not
+    interact, so every row equals the one `roots` computes alone.
+    """
+    out: list = [None] * len(ps)
+    for n, idxs in _by_degree(ps).items():
+        if not n:  # the zero polynomial (None) or a constant (0)
+            for i in idxs:
+                out[i] = (None, _unrootable(ps[i]))
+            continue
         batch = _aberth_core(np.array([ps[i].as_array() for i in idxs]))
         for row, i in enumerate(idxs):
-            if batch.failed[row] is None:
-                out[i] = _sorted(batch.z[row])
+            one = slice(row, row + 1)
+            error = None
+            if batch.failed[row] is not None:
+                error = _nonconvergence(_BatchRoots(batch.z[one], batch.residuals[one],
+                                                    batch.failed[one]))
+            out[i] = (batch.z[row], error)
     return out
 
 

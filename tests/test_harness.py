@@ -1,16 +1,22 @@
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fdzeros import (
     ALL_PROPERTIES,
+    ConstantPolynomial,
+    FDZerosError,
+    NonConvergence,
     Property,
     SuiteConfig,
     analyze,
     classify_real,
     gn,
     make_poly,
+    mesh,
     random_hyperbolic,
     random_line_poly,
     random_preserver,
@@ -21,6 +27,7 @@ from fdzeros import (
     run_properties,
     run_suite,
 )
+from fdzeros import harness, rootfind
 
 
 def test_config_validation():
@@ -136,3 +143,174 @@ def test_report_json_shape():
     for rec in d["properties"]:
         assert set(rec) == {"name", "trials", "failures", "worst_violation",
                             "example_failure"}
+
+
+# ---------------------------------------------------------------------------
+# generator checkers: the batched driver against one root-find at a time
+
+ROOT_FINDING = {
+    "roots_product_multiset", "mesh_translation_invariant", "derivative_mesh_grows",
+    "op_preserver_sound", "op_strip_sound", "tb_closed_form_roots",
+    "tb_image_real_simple", "tb_mesh_floor", "tb_mesh_monotone", "tb_extremal_bounds",
+    "tb_line_lemma", "walsh_hyperbolicity_closure", "walsh_mesh_bound",
+    "walsh_interval_bound", "walsh_apolarity_duality",
+}
+
+
+def _sequential(check, inst, requests=None):
+    """Reference driver: each yield is answered by roots() on one polynomial
+    after another, and the first error is thrown in.  Returns the checker's
+    value or the exception it raised; appends each request to requests."""
+    try:
+        got = check(inst)
+        if not inspect.isgenerator(got):
+            return got
+        request = got.send(None)
+        while True:
+            if requests is not None:
+                requests.append(request)
+            try:
+                answer = [roots(p) for p in request]
+            except FDZerosError as exc:
+                request = got.throw(exc)
+            else:
+                request = got.send(answer)
+    except StopIteration as stop:
+        return stop.value
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w)), k
+            if isinstance(w, NonConvergence):
+                assert np.array_equal(g.best.view(np.uint64), w.best.view(np.uint64))
+                assert np.array_equal(g.residuals.view(np.uint64),
+                                      w.residuals.view(np.uint64))
+        else:
+            assert not isinstance(g, Exception), (k, g)
+            assert float(g) == float(w) or (math.isnan(g) and math.isnan(w)), k
+
+
+def _instances(prop, cfg):
+    return prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+
+
+def test_generator_checkers_are_the_root_finding_properties():
+    assert {p.name for p in ALL_PROPERTIES
+            if inspect.isgeneratorfunction(p.check)} == ROOT_FINDING
+
+
+@pytest.mark.parametrize("seed", [42, 0, 1, 2, 3, 4, 5])
+def test_batched_checks_match_one_root_find_at_a_time(seed):
+    # every property at the reference seed; the root-finding ones at six
+    # more, since a plain checker runs the same call in both drivers
+    cfg = SuiteConfig(seed=seed, trials=20)
+    for prop in ALL_PROPERTIES:
+        if seed != 42 and prop.name not in ROOT_FINDING:
+            continue
+        instances = _instances(prop, cfg)
+        got = harness._run_checks(prop.check, instances)
+        _assert_same_outcomes(got, [_sequential(prop.check, inst) for inst in instances])
+
+
+def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypatch):
+    calls = []
+    rounds = []  # per round: (distinct degrees, engine calls)
+    core, many = rootfind._aberth_core, harness._certified_many
+
+    def counted_core(c):
+        calls.append(len(c))
+        return core(c)
+
+    def counted_many(ps):
+        before = len(calls)
+        out = many(ps)
+        rounds.append(({p.degree for p in ps if p.degree}, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
+    monkeypatch.setattr(harness, "_certified_many", counted_many)
+    cfg = SuiteConfig(seed=42, trials=20)
+    for prop in ALL_PROPERTIES:
+        if prop.name not in ROOT_FINDING:
+            continue
+        instances = _instances(prop, cfg)
+        yields = []
+        for inst in instances:
+            requests = []
+            _sequential(prop.check, inst, requests)
+            yields.append(len(requests))
+        rounds.clear()
+        harness._run_checks(prop.check, instances)
+        assert len(rounds) == max(yields), prop.name
+        for degrees, n_calls in rounds:
+            assert n_calls == len(degrees), prop.name
+
+
+def _gen_errors(cfg, rng):
+    # round 1 root-finds gn(n), round 2 the polynomial `second` and gn(third)
+    return [{"n": 8, "second": [1.0, 2.0, 1.0], "third": 9},
+            {"n": 1, "second": [1.0, 1.0], "third": 2},
+            {"n": 96, "second": [1.0, 1.0], "third": 4},
+            {"n": 6, "second": [0.0], "third": 96},
+            {"n": 5, "second": [3.0], "third": 6},
+            {"n": 7, "second": [2.0, 1.0], "third": 96},
+            {"plain": True}]
+
+
+def _chk_errors(inst):
+    if inst.get("plain"):
+        return -2.0
+    return _chk_errors_rounds(inst)
+
+
+def _chk_errors_rounds(inst):
+    rs, = yield [gn(inst["n"], 0.7, 1.0)]
+    m = mesh(rs)  # TooFewRoots for n = 1, between the two rounds
+    try:
+        rs2, rs3 = yield [make_poly(inst["second"]), gn(inst["third"], 0.7, 1.0)]
+    except ConstantPolynomial:
+        return 0.5
+    return -m / (1.0 + len(rs2.roots) + len(rs3.roots))
+
+
+def test_thrown_errors_match_one_root_find_at_a_time(monkeypatch):
+    # errors thrown in at either round, one caught by the checker, and a
+    # plain checker's value beside them
+    prop = Property("thrown_errors", 995, _gen_errors, _chk_errors)
+    instances = _gen_errors(None, None)
+    want = [_sequential(prop.check, inst) for inst in instances]
+    assert [type(w).__name__ for w in want] == [
+        "float", "TooFewRoots", "NonConvergence", "ZeroPolynomial", "float",
+        "NonConvergence", "float"]
+    assert want[4] == 0.5
+    _assert_same_outcomes(harness._run_checks(prop.check, instances), want)
+    rec = run_properties(SuiteConfig(seed=1), [prop]).records[0]
+    assert (rec.trials, rec.failures, rec.example_failure) == (7, 5, instances[1])
+    assert rec.worst_violation == 0.5
+    monkeypatch.setattr(harness, "ALL_PROPERTIES", ALL_PROPERTIES + (prop,))
+    for inst, w in zip(instances, want):
+        if isinstance(w, Exception):
+            with pytest.raises(type(w), match=f"^{str(w)}$"):
+                replay("thrown_errors", inst)
+        else:
+            assert replay("thrown_errors", inst) == w
+
+
+def test_other_exceptions_propagate_in_instance_order():
+    def gen(cfg, rng):
+        return [{"k": 0}, {"k": 1}, {"k": 2}]
+
+    def chk(inst):
+        rs, = yield [make_poly([1.0, 2.0, 1.0])]
+        if inst["k"] == 2:
+            raise KeyError("first round")
+        rs, = yield [make_poly([1.0, 1.0])]
+        raise ValueError(f"second round, instance {inst['k']}")
+
+    with pytest.raises(ValueError, match="instance 0"):
+        run_properties(SuiteConfig(seed=1), [Property("raises", 994, gen, chk)])

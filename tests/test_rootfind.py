@@ -14,6 +14,7 @@ from fdzeros import (
     NonConvergence,
     NotRealRooted,
     SuiteConfig,
+    ZERO,
     TooFewRoots,
     ZeroPolynomial,
     apply_tb,
@@ -421,6 +422,70 @@ def test_stalled_batch_takes_no_extra_residual_pass(monkeypatch):
     with pytest.raises(NonConvergence, match="forward certificate"):
         roots(gn(96, 0.7, 1.0))
     assert len(calls) == 2
+
+
+def test_certificate_reuses_the_polish_derivative(monkeypatch):
+    # The polish stops once a step leaves every root unchanged, so the
+    # derivative it just evaluated is the one at the returned roots: the
+    # forward certificate takes it instead of evaluating it a second time.
+    p = from_roots([-2.0, -0.5, 1.0, 3.0, 4.5])
+    points = []  # the points of every evaluation of the derivative
+    original = rootfind._horner_rows
+
+    def counted(c, z):
+        if c.shape[1] == z.shape[1] and c.dtype == complex:
+            points.append(z.copy())
+        return original(c, z)
+
+    monkeypatch.setattr(rootfind, "_horner_rows", counted)
+    rs = roots(p)
+    assert len(points) >= 2
+    for before, after in zip(points, points[1:]):
+        assert not np.array_equal(_bits(before), _bits(after))
+    monkeypatch.undo()
+    assert roots(p) == rs
+
+
+def test_simple_roots_take_no_cluster_estimate(monkeypatch):
+    # every root passes the forward certificate as a simple root, so the
+    # cluster estimate is never started
+    def forbidden(*args):
+        raise AssertionError("_cluster_bound called")
+
+    monkeypatch.setattr(rootfind, "_cluster_bound", forbidden)
+    for p in (from_roots([-2.0, -0.5, 1.0, 3.0, 4.5]), make_poly([1, 0, 1]),
+              make_poly([2, 1])):
+        roots(p)
+    roots_many([_degree_24(s) for s in (0, 1)])
+
+
+def _same_error(got, p):
+    # got is what roots(p) raises: the same type, message, best and residuals
+    with pytest.raises(type(got)) as alone:
+        roots(p)
+    assert str(got) == str(alone.value)
+    if isinstance(got, NonConvergence):
+        assert got.best.shape == alone.value.best.shape == (1, p.degree)
+        assert np.array_equal(_bits(got.best), _bits(alone.value.best))
+        assert np.array_equal(got.residuals.view(np.uint64),
+                              alone.value.residuals.view(np.uint64))
+
+
+def test_certified_many_gives_each_polynomial_what_roots_gives_alone():
+    cubic = from_roots([-1.0, 0.5, 2.0])
+    ps = [ZERO, make_poly([3.0]), gn(96, 0.7, 1.0), gn(200, 0.7, 1.0), cubic,
+          from_roots([0.25, 1.5, 3.0])]
+    out = rootfind._certified_many(ps)
+    assert [type(error) for _, error in out] == [ZeroPolynomial, ConstantPolynomial,
+                                                 NonConvergence, NonConvergence,
+                                                 type(None), type(None)]
+    assert out[0][0] is None and out[1][0] is None
+    for p, (z, error) in zip(ps[:4], out[:4]):
+        _same_error(error, p)
+    assert "forward" in str(out[2][1]) and "residual" in str(out[3][1])
+    for p, (z, _) in zip(ps[4:], out[4:]):
+        assert np.array_equal(_bits(z), _bits(aberth_batch(p.as_array()[None, :])[0]))
+        assert rootfind._rootset(p, z) == roots(p)
 
 
 def test_gn_72_matches_cotangent_closed_form():
