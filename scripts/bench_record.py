@@ -10,9 +10,12 @@ PAIRS pairs of `bench/run.py --seconds 20 --trace 0` at seeds seed-base,
 seed-base+1, ..., alternating which side runs first, and keeps every result
 line.  It then records one traced run per workload and side (`--trace 1`,
 seed seed-base) and a layer table: the best of 5 in-process timings of
-`shift_arg`, `apply_op`, `apply_tb`, `roots`, `roots_many`, `witness_search`
-and `cli.main` at fixed inputs, and of `run_properties(SuiteConfig(42, 20),
-[prop])` for each harness property (LAYER_SCRIPT).  The layer table has a
+`shift_arg`, `apply_op` and `apply_tb` on both sides of the degree cutover
+of their batched Taylor shift, `roots` (including the NonConvergence raise
+for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
+`witness_search` and `cli.main` at fixed inputs, and of
+`run_properties(SuiteConfig(42, 20), [prop])` for each harness property
+(LAYER_SCRIPT).  The layer table has a
 third side, `control`, a second export of the parent: each of LAYER_ROUNDS
 rounds runs the three sides in an order rotated by one from the last, and
 each side's entry is its per-layer median over the rounds.  The control's
@@ -56,7 +59,8 @@ LAYER_SIDES = ("parent", "change", "control")
 # seconds per call by layer and input, each the best of 5 repetitions of a
 # loop long enough (timeit's autorange) to be timed.  The inputs are fixed:
 # real-rooted polynomials with roots drawn from [-5, 5], a preserver of
-# half-support 2, T_{0.7,1}, gn(50, 0.7, 1), and the classify workload's
+# half-support 2, T_{0.7,1}, gn(50, 0.7, 1), gn(96, 0.7, 1) (timed up to
+# its NonConvergence), and the classify workload's
 # m = 2 `rotated` operator, built as that workload builds it; `cli.main`
 # runs `analyze` on that operator's file with stdout captured.  Each harness
 # property runs once per repetition, as one property of `fdzeros verify
@@ -65,9 +69,9 @@ LAYER_SCRIPT = """
 import contextlib, io, json, sys, timeit
 import numpy as np
 sys.path[:0] = ["src", "bench"]
-from fdzeros import (ALL_PROPERTIES, DeBruijnOp, SuiteConfig, apply_op, apply_tb,
-                     cli, from_roots, gn, operator_to_json, random_preserver, roots,
-                     roots_many, run_properties, shift_arg, witness_search)
+from fdzeros import (ALL_PROPERTIES, DeBruijnOp, NonConvergence, SuiteConfig, apply_op,
+                     apply_tb, cli, from_roots, gn, operator_to_json, random_preserver,
+                     roots, roots_many, run_properties, shift_arg, witness_search)
 from workloads import FIXED_SEED, KINDS
 
 def best(fn):
@@ -85,10 +89,10 @@ out = {}
 for n in (8, 50, 200):
     p = poly(n)
     out[f"shift_arg_n{n}_s"] = best(lambda: shift_arg(p, 1.5j))
-for n in (8, 50, 200):
+for n in (8, 50, 64, 96, 200):
     p = poly(n)
     out[f"apply_op_m2_n{n}_s"] = best(lambda: apply_op(op, p))
-for n in (8, 50, 200):
+for n in (8, 50, 96, 200):
     p = poly(n)
     out[f"apply_tb_n{n}_s"] = best(lambda: apply_tb(DeBruijnOp(0.7, 1.0), p))
 for n in (8, 20):
@@ -96,6 +100,16 @@ for n in (8, 20):
     out[f"roots_n{n}_s"] = best(lambda: roots(p))
 g = gn(50, 0.7, 1.0)
 out["roots_gn50_s"] = best(lambda: roots(g))
+g96 = gn(96, 0.7, 1.0)
+
+def roots_raises(p):
+    try:
+        roots(p)
+    except NonConvergence:
+        return
+    raise AssertionError("expected NonConvergence")
+
+out["roots_gn96_s"] = best(lambda: roots_raises(g96))
 many = [from_roots(np.random.default_rng([7, 8, k]).uniform(-5.0, 5.0, 8))
         for k in range(200)]
 out["roots_many_200x8_s"] = best(lambda: roots_many(many))

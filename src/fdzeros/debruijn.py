@@ -16,6 +16,7 @@ from .errors import InvalidInput, NotRealRooted, TooFewRoots
 from .operators import FDOperator, make_operator
 from .poly import (
     Polynomial,
+    _shift_many,
     coerce_real,
     evaluate_many,
     is_real_coeffs,
@@ -96,8 +97,7 @@ def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
     """
     if p.is_zero:
         return p
-    up = shift_arg(p, -1j * op.h)    # P(x + ih)
-    down = shift_arg(p, 1j * op.h)   # P(x - ih)
+    up, down = _shift_many(p, (-1j * op.h, 1j * op.h))  # P(x + ih), P(x - ih)
     if _sin_degenerate(op.theta):
         sign = 1.0 if math.cos(op.theta) > 0 else -1.0
         image = linear_combine([(-1j * sign, up), (1j * sign, down)],

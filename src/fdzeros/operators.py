@@ -18,6 +18,7 @@ from .errors import InvalidInput
 from .poly import (
     Polynomial,
     _finite_pair,
+    _shift_many,
     linear_combine,
     monomial,
     poly_to_json,
@@ -132,7 +133,8 @@ class Witness:
 
 def apply_op(op: FDOperator, p: Polynomial) -> Polynomial:
     """T(P) = sum a_j P(x - j*lambda)."""
-    pairs = [(a, shift_arg(p, j * op.lam)) for j, a in op.terms]
+    shifted = _shift_many(p, [j * op.lam for j, _ in op.terms])
+    pairs = [(a, q) for (_, a), q in zip(op.terms, shifted)]
     return linear_combine(pairs, trim_tol=APPLY_TRIM_TOL)
 
 

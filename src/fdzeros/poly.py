@@ -116,6 +116,59 @@ def shift_arg(p: Polynomial, lam: complex) -> Polynomial:
     return Polynomial(tuple(a))
 
 
+# `_shift_many` runs its S nonzero shifts as one wavefront once degree * S
+# reaches this, and loops `shift_arg` below it.  A wavefront step costs about
+# the same for any small S, while the loop's cost grows with S, so the
+# cutover degree falls as S grows: 40 for 4 shifts, 80 for 2, 160 for 1.
+_WAVEFRONT_WORK = 160
+
+
+def _shift_many(p: Polynomial, lams) -> list[Polynomial]:
+    """[shift_arg(p, lam) for lam in lams], bit for bit, with every nonzero
+    shift computed in one pass when the work is large enough.
+
+    Synthetic division step k updates a[j] for j = n-1 down to k from the
+    a[j+1] of the same step and the a[j] of step k-1, so every update with
+    j - k = const can run at once: n vectorized steps instead of n(n+1)/2
+    scalar ones (the wavefront form of the Taylor shift).  The real and
+    imaginary parts are kept in separate float64 values and each product
+    is written out as (ac - bd, ad + bc), the arithmetic of Python's complex
+    type, so no fused or reordered operation can change a bit.
+    """
+    moving = [complex(lam) for lam in lams if lam != 0]
+    n = len(p.coeffs) - 1
+    if n * len(moving) < _WAVEFRONT_WORK:
+        return [shift_arg(p, lam) for lam in lams]
+    s = -np.array(moving)
+    w = 2 * len(moving)
+    # row j holds (re, im) of a[j] for each shift, so the rows a step reads
+    # are one contiguous block
+    x = np.empty((n + 1, len(moving), 2))
+    a = p.as_array()
+    x[:, :, 0] = a.real[:, None]
+    x[:, :, 1] = a.imag[:, None]
+    flat = x.reshape(-1)
+    sr = np.tile(np.repeat(s.real, 2), n)
+    si = np.tile(np.repeat(s.imag, 2), n)
+    u, v = np.empty(n * w), np.empty(n * w)
+    with np.errstate(all="ignore"):
+        for lo in range(n - 1, -1, -1):
+            m = (n - lo) * w
+            src = flat[(lo + 1) * w:]
+            # s * b for s = c + id and b = a[j+1]: (cb_re - db_im, cb_im + db_re)
+            np.multiply(sr[:m], src, out=u[:m])
+            np.multiply(si[:m], src, out=v[:m])
+            np.subtract(u[0:m:2], v[1:m:2], out=u[0:m:2])
+            np.add(u[1:m:2], v[0:m:2], out=u[1:m:2])
+            flat[lo * w:n * w] += u[:m]
+    # assigned part by part: re + 1j * im would turn an infinite im into NaN
+    out = np.empty((len(moving), n + 1), dtype=complex)
+    out.real = x[:, :, 0].T
+    out.imag = x[:, :, 1].T
+    shifted = iter(Polynomial(tuple(row)) for row in out.tolist())
+    return [next(shifted) if lam != 0 else p for lam in lams]
+
+
 def derivative(p: Polynomial) -> Polynomial:
     if p.is_zero or p.degree == 0:
         return ZERO

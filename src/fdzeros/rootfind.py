@@ -11,6 +11,7 @@ the zero-location guarantees elsewhere in the package are stated in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,9 +78,15 @@ class RealnessVerdict(NamedTuple):
 
 def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     # c: (B, m) ascending coefficients, z: (B, n) points
-    acc = np.zeros_like(z)
-    for k in range(c.shape[1] - 1, -1, -1):
-        acc = acc * z + c[:, k, None]
+    return _horner(np.ascontiguousarray(c.T[::-1, :, None]), z)
+
+
+def _horner(cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # cols: the coefficients highest first, each broadcasting against z
+    acc = np.zeros(z.shape, dtype=np.result_type(cols, z))
+    for ck in cols:
+        acc *= z
+        acc += ck
     return acc
 
 
@@ -92,6 +99,17 @@ def _residual_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, tol: float):
     p = _horner_rows(a, z)
     err = _horner_rows(absa, np.abs(z))
     return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err), p, err
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int, top: int) -> np.ndarray:
+    # row j: C(k, m) for k = m..n, m = j + 2, zero-padded to n + 1 columns
+    out = np.zeros((top - 1, n + 1))
+    for j, m in enumerate(range(2, top + 1)):
+        out[j, : n + 1 - m] = np.array([math.comb(k, m) for k in range(m, n + 1)],
+                                       dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndarray,
@@ -115,21 +133,19 @@ def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndar
     zs = np.take_along_axis(zr, near, axis=1)  # (P, top), nearest first
     m = np.arange(2, top + 1)
     c = np.cumsum(zs, axis=1)[:, 1:] / m  # (P, top - 1) centres
-    # p^(m)(c) / m! = sum_i C(i + m, m) a_(i+m) c^i, by Horner in c alongside
-    # p(c) and sum_k |a_k| |c|^k
-    ar, absr = a[rows], absa[rows]
-    shifted = np.zeros(c.shape + (n + 1,), dtype=complex)
+    # One Horner pass in c over (n + 1, P, 2 (top - 1)) coefficients: the
+    # first top - 1 columns give p^(m)(c) / m! = sum_i C(i + m, m) a_(i+m) c^i,
+    # the others p(c); sum_k |a_k| |c|^k runs alongside in real arithmetic.
+    ar = a[rows]
+    binom = _binomials(n, top)
+    coef = np.zeros((n + 1, rows.size, 2 * (top - 1)), dtype=complex)
     for j, mm in enumerate(m):
-        binom = np.array([math.comb(k, mm) for k in range(mm, n + 1)], dtype=float)
-        shifted[:, j, : n + 1 - mm] = ar[:, mm:] * binom
+        coef[: n + 1 - mm, :, j] = (ar[:, mm:] * binom[j, : n + 1 - mm]).T
+    coef[:, :, top - 1:] = ar.T[:, :, None]
+    both = _horner(coef[::-1], np.concatenate([c, c], axis=1))
+    taylor, pc = both[:, : top - 1], both[:, top - 1:]
     absc = np.abs(c)
-    taylor = np.zeros_like(c)
-    pc = np.zeros_like(c)
-    err = np.zeros_like(absc)
-    for k in range(n, -1, -1):
-        taylor = taylor * c + shifted[:, :, k]
-        pc = pc * c + ar[:, k, None]
-        err = err * absc + absr[:, k, None]
+    err = _horner_rows(absa[rows], absc)
     eta = n * _EPS * err
     if settled:
         eta = np.maximum(eta, np.abs(pc))
@@ -142,30 +158,46 @@ def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndar
     return np.min(np.where(np.isnan(bound), np.inf, bound), axis=1)
 
 
-def _forward_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
-                   dp: np.ndarray, p: np.ndarray | None = None,
-                   rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-root first-order forward-error estimate, relative to max(1, |z|):
-    max(|p(z)|, n eps err) / |p'(z)| for a simple root, and where that
-    exceeds FWD_TOL the cluster estimate if it is smaller.
+def _forward_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
+                dp: np.ndarray, rows: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+    """Whether every root of each row selected by `rows` passes the forward
+    certificate (False for the other rows).
 
-    With p None only the rounding floor n eps err counts: a root whose floor
-    exceeds FWD_TOL cannot be certified however long it iterates.  Only the
-    rows selected by `rows` (all by default) get the cluster estimate.
+    A root passes when its first-order forward-error estimate, relative to
+    max(1, |z|), is at most FWD_TOL: max(|p(z)|, n eps err) / |p'(z)| as a
+    simple root, or else its cluster estimate.  With p None only the
+    rounding floor n eps err counts: a root whose floor exceeds FWD_TOL
+    cannot be certified however long it iterates.
+
+    One failing root decides its row, so the cluster estimate runs in two
+    stages: first on the root of each row with the largest simple estimate
+    (NaN counting as largest), then on the other roots that fail as simple
+    roots, in the rows whose first root passed.
     """
     n = z.shape[1]
     eta = n * _EPS * err
     if p is not None:
         eta = np.maximum(eta, np.abs(p))
     bound = eta / (np.abs(dp) * np.maximum(1.0, np.abs(z)))
-    bad = ~(bound <= FWD_TOL)
-    if rows is not None:
-        bad &= rows[:, None]
-    if not bad.any():
-        return bound
-    r, i = np.nonzero(bad)
-    bound[r, i] = np.fmin(bound[r, i], _cluster_bound(a, absa, z, r, i, p is not None))
-    return bound
+    bad = ~(bound <= FWD_TOL) & rows[:, None]
+    undecided = bad.any(axis=1)
+    ok = rows & ~undecided
+    todo = np.flatnonzero(undecided)
+    if not todo.size:
+        return ok
+    settled = p is not None
+    worst = np.argmax(np.where(bad[todo], np.nan_to_num(bound[todo], nan=np.inf), -1.0),
+                      axis=1)
+    first = _cluster_bound(a, absa, z, todo, worst, settled) <= FWD_TOL
+    todo, worst = todo[first], worst[first]
+    rest = bad[todo]
+    rest[np.arange(todo.size), worst] = False
+    r, i = np.nonzero(rest)
+    ok[todo] = True
+    if r.size:
+        passed = _cluster_bound(a, absa, z, todo[r], i, settled) <= FWD_TOL
+        ok[todo[r[~passed]]] = False
+    return ok
 
 
 def _companion_eigvals(a: np.ndarray) -> np.ndarray:
@@ -215,8 +247,7 @@ def _aberth(a: np.ndarray, absa: np.ndarray,
             break
         dp = _horner_rows(dcoef, z)
         live = ~done.all(axis=1)
-        floor = _forward_bound(a, absa, z, err, dp, rows=live)
-        stalled |= live & ~np.all(floor <= FWD_TOL, axis=1)
+        stalled |= live & ~_forward_ok(a, absa, z, err, dp, live)
         done |= stalled[:, None]
         if done.all():
             break  # the step below would be zero everywhere
@@ -309,8 +340,7 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
             dp = _horner_rows(dcoef, z)
         ok, p, err = _residual_ok(a, absa, z, TOL)
         residual_ok = ok.all(axis=1)
-        bound = _forward_bound(a, absa, z, err, dp, p, rows=residual_ok)
-        certified = residual_ok & np.all(bound <= FWD_TOL, axis=1)
+        certified = _forward_ok(a, absa, z, err, dp, residual_ok, p)
     failed = tuple(None if good else "forward" if res else "residual"
                    for good, res in zip(certified.tolist(), residual_ok.tolist()))
     return _BatchRoots(z, np.abs(p), failed)

@@ -22,6 +22,7 @@ from fdzeros import (
     reflect,
     shift_arg,
 )
+from fdzeros.poly import _shift_many
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -86,6 +87,47 @@ def test_shift_arg_binomial_oracle():
             for r in range(k + 1):
                 acc[r] += c[k] * math.comb(k, r) * (-lam) ** (k - r)
         assert coeffs_close(shift_arg(p, lam), make_poly(acc), 1e-13)
+
+
+def _shift_loop(p, lam):
+    # shift_arg's synthetic-division loop, the reference for _shift_many
+    a = [complex(c) for c in p.coeffs]
+    n = len(a) - 1
+    s = -complex(lam)
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            a[j] += s * a[j + 1]
+    return a
+
+
+def _bits(c):
+    return np.asarray(c, dtype=complex).view(np.uint64)
+
+
+# An operator's shifts: the zero one, small ones, and ones whose powers
+# overflow at these degrees
+_SHIFTS = (1.5j, 0, -1.5j, 0.7 - 2.1j, 3e100j, -2e100 + 1e100j)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "near_overflow"])
+@pytest.mark.parametrize("n", [63, 64, 65, 96, 200])
+def test_shift_many_matches_the_synthetic_division_loop(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    c = rng.uniform(-1, 1, n + 1)
+    if kind != "real":
+        c = c + 1j * rng.uniform(-1, 1, n + 1)
+    if kind == "near_overflow":
+        c = c * 1e300  # even the small shifts overflow some coefficients
+    p = make_poly(c)
+    got = _shift_many(p, _SHIFTS)
+    assert got[1] is p
+    finite = []
+    for q, lam in zip(got, _SHIFTS):
+        want = _shift_loop(p, lam)
+        assert np.array_equal(_bits(q.coeffs), _bits(want))
+        finite.append(np.isfinite(want).all())
+    small = kind != "near_overflow"
+    assert finite == [small, True, small, small, False, False]
 
 
 def test_shift_roundtrip():

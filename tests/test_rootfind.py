@@ -459,6 +459,117 @@ def test_simple_roots_take_no_cluster_estimate(monkeypatch):
     roots_many([_degree_24(s) for s in (0, 1)])
 
 
+def _cluster_bound_ref(a, absa, z, rows, cols, settled):
+    # the cluster estimate with separate Horner loops for p^(m)(c)/m!, p(c)
+    # and sum_k |a_k| |c|^k: the reference for rootfind._cluster_bound
+    n = z.shape[1]
+    top = min(rootfind._CLUSTER_MAX, n)
+    if top < 2 or rows.size == 0:
+        return np.full(rows.size, np.inf)
+    zr = z[rows]
+    near = np.argsort(np.abs(zr - z[rows, cols][:, None]), axis=1)[:, :top]
+    zs = np.take_along_axis(zr, near, axis=1)
+    m = np.arange(2, top + 1)
+    c = np.cumsum(zs, axis=1)[:, 1:] / m
+    ar, absr = a[rows], absa[rows]
+    shifted = np.zeros(c.shape + (n + 1,), dtype=complex)
+    for j, mm in enumerate(m):
+        binom = np.array([math.comb(k, mm) for k in range(mm, n + 1)], dtype=float)
+        shifted[:, j, : n + 1 - mm] = ar[:, mm:] * binom
+    absc = np.abs(c)
+    taylor = np.zeros_like(c)
+    pc = np.zeros_like(c)
+    err = np.zeros_like(absc)
+    for k in range(n, -1, -1):
+        taylor = taylor * c + shifted[:, :, k]
+        pc = pc * c + ar[:, k, None]
+        err = err * absc + absr[:, k, None]
+    eta = n * rootfind._EPS * err
+    if settled:
+        eta = np.maximum(eta, np.abs(pc))
+    bound = (eta / np.abs(taylor)) ** (1.0 / m)
+    if settled:
+        member = np.arange(top)[None, :] < m[:, None]
+        dist = np.abs(zs[:, None, :] - c[:, :, None])
+        bound = np.maximum(bound, np.max(np.where(member, dist, 0.0), axis=2))
+    bound = bound / np.maximum(1.0, absc)
+    return np.min(np.where(np.isnan(bound), np.inf, bound), axis=1)
+
+
+def _forward_ok_ref(a, absa, z, err, dp, rows, p):
+    # the forward certificate with the cluster estimate of every root that
+    # fails as a simple root: the reference for rootfind._forward_ok
+    eta = z.shape[1] * rootfind._EPS * err
+    if p is not None:
+        eta = np.maximum(eta, np.abs(p))
+    bound = eta / (np.abs(dp) * np.maximum(1.0, np.abs(z)))
+    bad = ~(bound <= rootfind.FWD_TOL) & rows[:, None]
+    r, i = np.nonzero(bad)
+    cluster = _cluster_bound_ref(a, absa, z, r, i, p is not None)
+    assert np.array_equal(rootfind._cluster_bound(a, absa, z, r, i, p is not None)
+                          .view(np.uint64), cluster.view(np.uint64))
+    bound[r, i] = np.fmin(bound[r, i], cluster)
+    return rows & np.all(bound <= rootfind.FWD_TOL, axis=1)
+
+
+def _certificate_batches():
+    # same-degree batches: clustered, failing high-degree, random
+    # real-rooted, and non-finite rows
+    squares = [multiply(p, p) for p in
+               (from_roots(np.random.default_rng([s, 6]).uniform(-3, 3, 6))
+                for s in range(4))]
+    yield [from_roots([1.0, 1.0, 1.0, 1.0, 3.0]), from_roots([2.0, -1.0, 0.5, 4.0, 1.5])]
+    yield squares
+    for n in (96, 120, 144, 168, 200):
+        yield [gn(n, 0.7, 1.0)]
+    for n in (24, 32, 40):
+        yield [from_roots(np.random.default_rng([k, n]).uniform(-5, 5, n))
+               for k in range(6)]
+    nan, inf = squares[0].as_array().copy(), squares[1].as_array().copy()
+    nan[4], inf[7] = np.nan, np.inf
+    yield [squares[2], make_poly(nan), make_poly(inf)]
+
+
+def test_staged_forward_certificate_matches_full_evaluation():
+    seen = set()
+    for ps in _certificate_batches():
+        c = np.array([p.as_array() for p in ps])
+        n = c.shape[1] - 1
+        with np.errstate(all="ignore"):
+            a = c / c[:, -1:]
+            absa = np.abs(a)
+            dcoef = a[:, 1:] * np.arange(1, n + 1)
+            z = _aberth_core(c).z
+            ok, p, err = rootfind._residual_ok(a, absa, z, rootfind.TOL)
+            dp = rootfind._horner_rows(dcoef, z)
+            every = np.ones(len(ps), dtype=bool)
+            # the rounding floor alone, as in the iteration, and the final
+            # certificate, on every row and on the rows whose residual passed
+            for rows, pz in ((every, None), (every, p), (ok.all(axis=1), p)):
+                got = rootfind._forward_ok(a, absa, z, err, dp, rows, pz)
+                want = _forward_ok_ref(a, absa, z, err, dp, rows, pz)
+                assert np.array_equal(got, want)
+                seen.update(zip(rows.tolist(), want.tolist()))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_failing_row_takes_one_cluster_estimate(monkeypatch):
+    # gn(96) has 37 roots that fail as simple roots; the first one whose
+    # cluster estimate fails decides the row, in the loop's rounding-floor
+    # check and in the final certificate alike
+    sizes = []
+    original = rootfind._cluster_bound
+
+    def counted(a, absa, z, rows, cols, settled):
+        sizes.append(rows.size)
+        return original(a, absa, z, rows, cols, settled)
+
+    monkeypatch.setattr(rootfind, "_cluster_bound", counted)
+    with pytest.raises(NonConvergence, match="forward certificate"):
+        roots(gn(96, 0.7, 1.0))
+    assert sizes == [1, 1]
+
+
 def _same_error(got, p):
     # got is what roots(p) raises: the same type, message, best and residuals
     with pytest.raises(type(got)) as alone:
