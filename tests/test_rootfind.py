@@ -498,7 +498,9 @@ def _cluster_bound_ref(a, absa, z, rows, cols, settled):
 
 def _forward_ok_ref(a, absa, z, err, dp, rows, p):
     # the forward certificate with the cluster estimate of every root that
-    # fails as a simple root: the reference for rootfind._forward_ok
+    # fails as a simple root: the reference for rootfind._forward_ok.  On
+    # those roots rootfind._cluster_bound must equal _cluster_bound_ref bit
+    # for bit.
     eta = z.shape[1] * rootfind._EPS * err
     if p is not None:
         eta = np.maximum(eta, np.abs(p))
