@@ -15,7 +15,9 @@ of their batched Taylor shift, `roots` (including the NonConvergence raise
 for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 `witness_search` and `cli.main` at fixed inputs, and of
 `run_properties(SuiteConfig(42, 20), [prop])` for each harness property
-(LAYER_SCRIPT).  The layer table has a
+(LAYER_SCRIPT), and, from one more untimed run of each property, its
+`rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
+`_engine_rows`), kept apart in a `counts` block per side.  The layer table has a
 third side, `control`, a second export of the parent: each of LAYER_ROUNDS
 rounds runs the three sides in an order rotated by one from the last, and
 each side's entry is its per-layer median over the rounds.  The control's
@@ -71,7 +73,8 @@ import numpy as np
 sys.path[:0] = ["src", "bench"]
 from fdzeros import (ALL_PROPERTIES, DeBruijnOp, NonConvergence, SuiteConfig, apply_op,
                      apply_tb, cli, from_roots, gn, operator_to_json, random_preserver,
-                     roots, roots_many, run_properties, shift_arg, witness_search)
+                     rootfind, roots, roots_many, run_properties, shift_arg,
+                     witness_search)
 from workloads import FIXED_SEED, KINDS
 
 def best(fn):
@@ -126,7 +129,26 @@ suite = SuiteConfig(seed=42, trials=20)
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     out[f"property_{prop.name}_s"] = min(
         timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
-print(json.dumps(out))
+# Engine calls and rows of one more run per property, counted at the engine
+# core that every root-find goes through; not timed.
+counts = {}
+core = rootfind._aberth_core
+for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
+    tally = [0, 0]
+
+    def counted(c):
+        tally[0] += 1
+        tally[1] += len(c)
+        return core(c)
+
+    rootfind._aberth_core = counted
+    try:
+        run_properties(suite, [prop])
+    finally:
+        rootfind._aberth_core = core
+    counts[f"property_{prop.name}_engine_calls"] = tally[0]
+    counts[f"property_{prop.name}_engine_rows"] = tally[1]
+print(json.dumps({"layers": out, "counts": counts}))
 """
 
 
@@ -163,11 +185,14 @@ def layer_table(tree: Path) -> dict:
 
 def layer_tables(trees: dict) -> dict:
     rounds = []
+    counts: dict = {side: [] for side in LAYER_SIDES}
     for k in range(LAYER_ROUNDS):
         order = LAYER_SIDES[k % 3:] + LAYER_SIDES[:k % 3]
         rnd = {"order": list(order)}
         for side in order:
-            rnd[side] = layer_table(trees[side])
+            table = layer_table(trees[side])
+            rnd[side] = table["layers"]
+            counts[side].append(table["counts"])
         rounds.append(rnd)
     out = {side: {name: statistics.median(r[side][name] for r in rounds)
                    for name in rounds[0][side]}
@@ -178,6 +203,12 @@ def layer_tables(trees: dict) -> dict:
         side: {name: out[side][name] / out["parent"][name] - 1.0 for name in out["parent"]}
         for side in ("change", "control")}
     out["control_spread"] = max(abs(v) for v in out["relative_to_parent"]["control"].values())
+    # Engine counts repeat exactly from round to round, and some are 0, so
+    # they stay out of the medians and ratios above: one block per side, and
+    # whether every round gave that side the same counts.
+    out["counts"] = {side: counts[side][0] for side in LAYER_SIDES}
+    out["counts_repeat"] = all(c == counts[side][0]
+                               for side in LAYER_SIDES for c in counts[side])
     out["rounds"] = rounds
     return out
 

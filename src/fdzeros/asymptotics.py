@@ -27,7 +27,7 @@ from .errors import (
     MatchAmbiguity,
 )
 from .poly import Polynomial, evaluate_many
-from .rootfind import roots, roots_many
+from .rootfind import RootSet, roots, roots_many
 
 __all__ = [
     "MonicHead",
@@ -158,8 +158,12 @@ def actual_roots(p: Polynomial, theta: float, h: float) -> np.ndarray:
 
 def sweep_h_floor(p: Polynomial) -> float:
     """Default smallest h at which sorted-order root matching is safe."""
-    r = max(abs(z) for z in roots(p).roots)
-    return 2.0 * (1.0 + r)
+    return _matching_floor(roots(p))
+
+
+def _matching_floor(rs: RootSet) -> float:
+    # sweep_h_floor from the roots of p
+    return 2.0 * (1.0 + max(abs(z) for z in rs.roots))
 
 
 def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
@@ -171,34 +175,77 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     order (leading terms x_j*h separate strictly); MatchAmbiguity is raised if
     two actual roots sit closer than 1e-6*h.
 
-    Errors come in this order: InvalidInput for the grid arguments or an h_min
-    below the matching floor, NonConvergence for an image at any h, then
-    InvalidInput for the order and DegenerateQ, then, h by h from h_min up,
-    InvalidInput for a root-count mismatch and MatchAmbiguity.
+    Errors come in this order: InvalidInput for the grid arguments (bounds
+    outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2),
+    checked before any root-find, or for an h_min below the matching floor,
+    NonConvergence for an image at any h, then InvalidInput for the order and
+    DegenerateQ, then, h by h from h_min up, InvalidInput for a root-count
+    mismatch and MatchAmbiguity.
     """
     return _residual_sweeps(p, theta, h_min, h_max, steps, (order,))[0]
 
 
 def _residual_sweeps(p: Polynomial, theta: float, h_min: float, h_max: float,
-                     steps: int, orders, floor: float | None = None
-                     ) -> list[AsymptoticReport]:
+                     steps: int, orders) -> list[AsymptoticReport]:
     """`residual_sweep` at each of `orders`, all served by one batch of image
     roots.  Each report equals the `residual_sweep` call at its order, and
-    the errors come as from those calls made one after the other.  A caller
-    that already has `sweep_h_floor(p)` passes it as `floor`, which spares a
-    second root-find of p."""
-    if not (0 < h_min < h_max) or steps < 2:
-        raise InvalidInput("need 0 < h_min < h_max and steps >= 2")
-    if floor is None:
-        floor = sweep_h_floor(p)
+    the errors come as from those calls made one after the other."""
+    _check_grid(h_min, h_max, steps)
+    grid = _sweep_grid(h_min, h_max, steps, sweep_h_floor(p))
+    head = monic_head(p)
+    return _sweep_reports(head, theta, grid, roots_many(_sweep_images(p, theta, grid)),
+                          orders)
+
+
+def _floor_sweeps(p: Polynomial, theta: float, lo: float, hi: float, steps: int, orders):
+    """`_residual_sweeps` from h_min = lo * floor to h_max = hi * floor, with
+    floor the matching floor of p, as a generator that returns the reports.
+
+    It yields [p] for the floor and then the grid's images, and is sent
+    their RootSets, or has thrown in the error `roots` raises for the first
+    of them that fails (the requests of a `harness` generator checker).  The
+    reports equal those of `_residual_sweeps` over that h range, and errors
+    come in the same order; a NonConvergence for the images carries the
+    iterate of the one image that failed, where `roots_many` attaches its
+    whole degree batch.
+    """
+    rs, = yield [p]
+    floor = _matching_floor(rs)
+    h_min, h_max = lo * floor, hi * floor
+    _check_grid(h_min, h_max, steps)
+    grid = _sweep_grid(h_min, h_max, steps, floor)
+    head = monic_head(p)
+    rss = yield _sweep_images(p, theta, grid)
+    return _sweep_reports(head, theta, grid, [np.array(r.roots) for r in rss], orders)
+
+
+def _check_grid(h_min: float, h_max: float, steps: int) -> None:
+    # The grid arguments np.geomspace can take and fill with finite h.
+    if (not 0 < h_min < h_max < math.inf or isinstance(steps, bool)
+            or not isinstance(steps, (int, np.integer)) or steps < 2):
+        raise InvalidInput("need 0 < h_min < h_max < inf and an integer steps >= 2, "
+                           f"got {h_min!r}, {h_max!r}, {steps!r}")
+
+
+def _sweep_grid(h_min: float, h_max: float, steps: int, floor: float) -> np.ndarray:
+    # The geometric h grid of valid grid arguments, h_min checked against the
+    # matching floor.
     if h_min < floor:
         raise InvalidInput(
             f"h_min {h_min} is below the matching floor {floor:.6g}"
         )
-    head = monic_head(p)
-    grid = np.geomspace(h_min, h_max, steps)
-    images = [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
-    acts = [z[np.argsort(z.real)] for z in roots_many(images)]  # as actual_roots sorts
+    return np.geomspace(h_min, h_max, steps)
+
+
+def _sweep_images(p: Polynomial, theta: float, grid: np.ndarray) -> list[Polynomial]:
+    return [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
+
+
+def _sweep_reports(head: MonicHead, theta: float, grid: np.ndarray, zs,
+                   orders) -> list[AsymptoticReport]:
+    # One report per order from the image roots zs, each sorted as `roots`
+    # sorts them, at each h of grid.
+    acts = [z[np.argsort(z.real)] for z in zs]  # as actual_roots sorts
     return [_sweep_report(head, theta, grid, acts, order) for order in orders]
 
 

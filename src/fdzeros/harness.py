@@ -5,15 +5,20 @@ generator that draws self-contained instance dicts from a per-property seed
 stream, and a checker that maps an instance to a violation score (pass iff
 <= 0).  Instances are JSON-serializable so any failure replays standalone.
 
-A checker that root-finds may be a generator: it yields a list of
+A checker that root-finds may be a generator.  It yields a list of
 polynomials and is sent their `RootSet`s, or has thrown in at that yield the
-error `roots` raises for the first of them it cannot root-find.  Both
-`run_properties` and `replay` (which runs one instance) go through
-`_run_checks`, which advances every instance of a property one yield at a
-time and root-finds each round's polynomials with one engine call per
-degree.  A checker merges two root-finds into one yield only when nothing
-between them can raise, so each instance raises what it would raise with one
-`roots` call after another.
+error `roots` raises for the first of them it cannot root-find.  Or it
+yields a list of coefficient arrays, each of same-width rows, and is sent
+what `aberth_batch` returns for each array, or has thrown in the error
+`aberth_batch` raises for the first array that fails; the interlacing
+property's pencil asks this way, since building a `RootSet` per direction
+would cost more than root-finding it.  Both `run_properties` and `replay`
+(which runs one instance) go through `_run_checks`, which advances every
+instance of a property one yield at a time and root-finds all the rows of a
+round with one engine call per width (degree + 1).  A checker merges two
+root-finds into one yield only when nothing between them can raise, so each
+instance raises what it would raise with one `roots` or `aberth_batch` call
+after another.
 """
 
 from __future__ import annotations
@@ -25,12 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import (
-    _residual_sweeps,
-    monic_head,
-    predict_roots,
-    sweep_h_floor,
-)
+from .asymptotics import _floor_sweeps, monic_head, predict_roots
 from .debruijn import (
     DeBruijnOp,
     apply_tb,
@@ -69,8 +69,8 @@ from .poly import (
 )
 from .rootfind import (
     _certified_many,
-    _interlace_many,
-    _pencil_many,
+    _interlace_verdict,
+    _pencil,
     _rootset,
     extremes,
     mesh,
@@ -350,8 +350,10 @@ def _gen_interlace_obreschkov(cfg, rng):
 
 def _chk_interlace_obreschkov(inst):
     pairs = [(poly_from_json(pj), poly_from_json(qj)) for pj, qj in inst["pairs"]]
-    a = _interlace_many(pairs, inst["tol_real"])
-    b = _pencil_many(pairs, 200, [inst["seed"] + k for k in range(len(pairs))], 1e-7)
+    rss = yield [r for pair in pairs for r in pair]
+    a = [_interlace_verdict(p, q, np.array(rp.roots), np.array(rq.roots), inst["tol_real"])
+         for (p, q), rp, rq in zip(pairs, rss[0::2], rss[1::2])]
+    b = yield from _pencil(pairs, 200, [inst["seed"] + k for k in range(len(pairs))], 1e-7)
     disagree = sum(x != y for x, y in zip(a, b))
     return disagree / len(inst["pairs"]) - inst["max_rate"]
 
@@ -727,9 +729,8 @@ def _gen_asym_omega(cfg, rng):
 
 def _chk_asym_omega(inst):
     p = poly_from_json(inst["poly"])
-    floor = sweep_h_floor(p)
-    rep, = _residual_sweeps(p, inst["theta"], floor * 1.05, floor * 10.5,
-                            inst["steps"], (inst["order"],), floor=floor)
+    rep, = yield from _floor_sweeps(p, inst["theta"], 1.05, 10.5, inst["steps"],
+                                    (inst["order"],))
     return -1.0 if rep.omega_bound_ok else 1.0
 
 
@@ -776,17 +777,15 @@ def _gen_asym_hierarchy(cfg, rng):
 
 def _chk_asym_hierarchy(inst):
     p = poly_from_json(inst["poly"])
-    floor = sweep_h_floor(p)
-    h_min, h_max = floor * 1.1, floor * 11.0
     # one batch of image roots serves all three orders
-    reps = _residual_sweeps(p, inst["theta"], h_min, h_max, inst["steps"], (0, 1, 2),
-                            floor=floor)
+    reps = yield from _floor_sweeps(p, inst["theta"], 1.1, 11.0, inst["steps"], (0, 1, 2))
     # compare the per-h worst residual: a single root can have an
     # accidentally tiny low-order residual when its correction coefficient
     # nearly vanishes, but the profile over all roots still orders strictly
-    mid = math.sqrt(h_min * h_max)
+    h_grid = reps[0].h_grid
+    mid = math.sqrt(h_grid[0] * h_grid[-1])
     worst = -1.0
-    for h in reps[0].h_grid:
+    for h in h_grid:
         if h < mid:
             continue
         r0, r1, r2 = (max(r.residual for r in rep.records if r.h == h)
@@ -836,17 +835,24 @@ ALL_PROPERTIES: tuple[Property, ...] = (
 
 
 def _answer(requests) -> list:
-    """Per request (a list of polynomials), the list of their RootSets, or
-    the error `roots` raises for the first of them it cannot root-find; all
-    requests' polynomials are root-found together, one engine call per
-    degree."""
-    flat = [p for req in requests for p in req]
+    """Per request, its answer or the error to throw in.  A list of
+    polynomials gets their RootSets, or the error `roots` raises for the
+    first of them it cannot root-find; a list of coefficient arrays gets the
+    roots `aberth_batch` returns for each, or the error it raises for the
+    first that fails.  All requests' rows are root-found together, one
+    engine call per width."""
+    flat = [x for req in requests for x in req]
     rooted = iter(zip(flat, _certified_many(flat)))
     out = []
     for req in requests:
         got = [next(rooted) for _ in req]
         error = next((e for _, (_, e) in got if e is not None), None)
-        out.append(error if error is not None else [_rootset(p, z) for p, (z, _) in got])
+        if error is not None:
+            out.append(error)
+        elif req and isinstance(req[0], np.ndarray):
+            out.append([z for _, (z, _) in got])
+        else:
+            out.append([_rootset(p, z) for p, (z, _) in got])
     return out
 
 
@@ -857,9 +863,10 @@ def _run_checks(check, instances) -> list:
     A plain checker runs on its own.  A generator checker is advanced one
     yield per round, all instances together, and each round is answered by
     `_answer`.  Rows do not interact in the root engine, so every RootSet
-    equals what `roots` returns alone.  Exceptions of any kind are kept, not
-    raised, so the caller sees them in instance order, as it would running
-    the checks one after another.
+    equals what `roots` returns alone, and every array's roots what
+    `aberth_batch` returns for that array.  Exceptions of any kind are kept,
+    not raised, so the caller sees them in instance order, as it would
+    running the checks one after another.
     """
     outcomes: list = [None] * len(instances)
     waiting: dict = {}  # instance index -> (generator, polynomials it yielded)

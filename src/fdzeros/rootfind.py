@@ -440,31 +440,45 @@ def roots_many(ps) -> list[np.ndarray]:
     return out  # type: ignore[return-value]
 
 
-def _certified_many(ps) -> list[tuple[np.ndarray | None, FDZerosError | None]]:
-    """Each polynomial's engine row and outcome, with one `_aberth_core` call
-    per degree and no raise.
+def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]]:
+    """Each item's engine rows and outcome, with one `_aberth_core` call per
+    width (degree + 1) for all items together and no raise.
 
-    Per polynomial: (z, None) for certified roots z, in the engine's order;
+    An item is a polynomial or a (B, n+1) array of coefficient rows.  Per
+    polynomial: (z, None) for certified roots z, in the engine's order;
     (z, error) for the best iterate z of a row that failed, error being the
     NonConvergence `roots` raises for that polynomial alone, with the same
     message, best and residuals; and (None, error) for a zero or constant
-    polynomial, error being what `roots` raises for it.  Rows do not
-    interact, so every row equals the one `roots` computes alone.
+    polynomial, error being what `roots` raises for it.  Per array: (z, None)
+    with z what `aberth_batch` returns for that array alone, or (z, error)
+    with error what it raises (None in place of z when the engine rejects
+    the width itself).  Rows do not interact, so every row equals the one
+    `roots` or `aberth_batch` computes alone.
     """
-    out: list = [None] * len(ps)
-    for n, idxs in _by_degree(ps).items():
-        if not n:  # the zero polynomial (None) or a constant (0)
+    out: list = [None] * len(items)
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(items):
+        if isinstance(x, np.ndarray):
+            groups.setdefault(x.shape[1], []).append(i)
+        elif (error := _unrootable(x)) is not None:
+            out[i] = (None, error)
+        else:
+            groups.setdefault(x.degree + 1, []).append(i)
+    for idxs in groups.values():
+        blocks = [items[i] if isinstance(items[i], np.ndarray)
+                  else items[i].as_array()[None, :] for i in idxs]
+        try:
+            batch = _aberth_core(np.concatenate(blocks))
+        except FDZerosError as exc:  # an array of width below 2
             for i in idxs:
-                out[i] = (None, _unrootable(ps[i]))
+                out[i] = (None, exc)
             continue
-        batch = _aberth_core(np.array([ps[i].as_array() for i in idxs]))
-        for row, i in enumerate(idxs):
-            one = slice(row, row + 1)
-            error = None
-            if batch.failed[row] is not None:
-                error = _nonconvergence(_BatchRoots(batch.z[one], batch.residuals[one],
-                                                    batch.failed[one]))
-            out[i] = (batch.z[row], error)
+        start = 0
+        for i, block in zip(idxs, blocks):
+            part = _BatchRoots(*(v[start:start + len(block)] for v in batch))
+            start += len(block)
+            error = _nonconvergence(part) if any(part.failed) else None
+            out[i] = (part.z if isinstance(items[i], np.ndarray) else part.z[0], error)
     return out
 
 
@@ -527,34 +541,32 @@ def _weakly_alternates(a: np.ndarray, b: np.ndarray, slack: float) -> bool:
 def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bool:
     """Non-strict interlacing of the sorted root lists, with ties within slack.
 
-    The one-pair call of `_interlace_many`: both root sets come from one
-    `roots_many` call, which equals two `roots` calls row for row.
+    Both root sets come from one `roots_many` call, which equals two `roots`
+    calls row for row, and `_interlace_verdict` judges them; the suite's
+    interlacing property root-finds its pairs through the harness and judges
+    them with the same verdict code.
     """
-    return _interlace_many([(p, q)], tol)[0]
+    zp, zq = roots_many([p, q])
+    return _interlace_verdict(p, q, zp, zq, tol)
 
 
-def _interlace_many(pairs, tol: float) -> list[bool]:
-    """`interlace` for each (p, q) of pairs, with every root set from one
-    `roots_many` call.  Raises NonConvergence if any root set is not
-    certified, else as `interlace` does for the first pair that fails its
-    realness or degree check."""
-    zs = roots_many([r for pair in pairs for r in pair])
-    out = []
-    for (p, q), zp, zq in zip(pairs, zs[0::2], zs[1::2]):
-        for z, name in ((zp, "first"), (zq, "second")):
-            if not _realness(z, tol).is_real_rooted:
-                raise NotRealRooted(f"{name} polynomial is not real-rooted at tol {tol}")
-        if abs(p.degree - q.degree) > 1:
-            raise DegreeGapTooLarge("degrees must be equal or differ by one")
-        a, b = np.sort(zp.real), np.sort(zq.real)
-        if len(a) < len(b):
-            a, b = b, a
-        slack = tol * max(_root_scale(zp), _root_scale(zq))
-        if len(a) == len(b):
-            out.append(_weakly_alternates(a, b, slack) or _weakly_alternates(b, a, slack))
-        else:
-            out.append(_weakly_alternates(a, b, slack))
-    return out
+def _interlace_verdict(p: Polynomial, q: Polynomial, zp: np.ndarray, zq: np.ndarray,
+                       tol: float) -> bool:
+    """`interlace` for p and q from their certified roots zp and zq (sorted as
+    `roots` sorts them).  Raises NotRealRooted for the first of the two that
+    is not real-rooted, then DegreeGapTooLarge."""
+    for z, name in ((zp, "first"), (zq, "second")):
+        if not _realness(z, tol).is_real_rooted:
+            raise NotRealRooted(f"{name} polynomial is not real-rooted at tol {tol}")
+    if abs(p.degree - q.degree) > 1:
+        raise DegreeGapTooLarge("degrees must be equal or differ by one")
+    a, b = np.sort(zp.real), np.sort(zq.real)
+    if len(a) < len(b):
+        a, b = b, a
+    slack = tol * max(_root_scale(zp), _root_scale(zq))
+    if len(a) == len(b):
+        return _weakly_alternates(a, b, slack) or _weakly_alternates(b, a, slack)
+    return _weakly_alternates(a, b, slack)
 
 
 # Directions of every pencil root-found before any pair is settled; the rest
@@ -573,10 +585,12 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
     Serves as an independent oracle for interlace; returns False if any
     sampled direction yields a non-real-rooted combination.  Realness is
     judged as in classify_real.  The one-pair call of `_pencil_many`, which
-    root-finds in two stages: the first `_PENCIL_FIRST` sampled directions,
-    then the rest only if none of those was certified non-real.  True
-    therefore needs every direction certified and real, and False comes
-    only from a certified non-real direction.  NonConvergence is raised when
+    drives the two-stage pencil `_pencil` (the suite's interlacing property
+    drives the same generator through the harness): the first
+    `_PENCIL_FIRST` sampled directions are root-found, then the rest only if
+    none of those was certified non-real.  True therefore needs every
+    direction certified and real, and False comes only from a certified
+    non-real direction.  NonConvergence is raised when
     a direction that is root-found fails its certificate; a direction after
     the first `_PENCIL_FIRST`, once a certified non-real one has settled the
     answer, is never root-found and cannot raise.  Raises InvalidInput
@@ -587,13 +601,33 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
 
 
 def _pencil_many(pairs, n_samples: int, seeds, tol: float) -> list[bool]:
-    """`pencil_hyperbolic_sample` for each (p, q) of pairs with its own seed.
+    """`pencil_hyperbolic_sample` for each (p, q) of pairs with its own seed:
+    `_pencil` driven with `aberth_batch`, one call per array it yields.
+
+    Raises InvalidInput unless there is one seed per pair: a pair left
+    without a seed would come back a vacuous True.
+    """
+    stages = _pencil(pairs, n_samples, seeds, tol)
+    try:
+        arrays = next(stages)
+        while True:
+            arrays = stages.send([aberth_batch(c) for c in arrays])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _pencil(pairs, n_samples: int, seeds, tol: float):
+    """The two-stage pencil of `_pencil_many` as a generator; returns the
+    verdicts.
 
     Each pair samples its directions as the one-pair call does.  Stage 1
-    root-finds the first `_PENCIL_FIRST` directions of every pair, stage 2
-    the remaining directions of the pairs that stage 1 left unsettled; each
-    stage makes one `aberth_batch` call per degree.  Rows do not interact in
-    a batch, so every root-found direction has the roots it would have alone.
+    takes the first `_PENCIL_FIRST` directions of every pair, stage 2 the
+    remaining directions of the pairs that stage 1 left unsettled.  A stage
+    yields its rows as one array per width, pairs in order, and is sent what
+    `aberth_batch` returns for each array, or has thrown in the error it
+    raises for the first array that fails; a stage with no rows is skipped.
+    Rows do not interact in the engine, so a direction's roots are the same
+    whichever rows share its array.
     """
     for p, q in pairs:
         if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
@@ -601,6 +635,9 @@ def _pencil_many(pairs, n_samples: int, seeds, tol: float) -> list[bool]:
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
             or n_samples < 1):
         raise InvalidInput(f"pencil sampling needs n_samples >= 1, got {n_samples!r}")
+    if len(seeds) != len(pairs):
+        raise InvalidInput(f"pencil sampling needs one seed per pair, got {len(seeds)} "
+                           f"seeds for {len(pairs)} pairs")
     _check_tol(tol, "realness tolerance")
     rows = []
     for (p, q), seed in zip(pairs, seeds):
@@ -617,8 +654,10 @@ def _pencil_many(pairs, n_samples: int, seeds, tol: float) -> list[bool]:
             if real[i] and len(block):
                 groups.setdefault(r.shape[1], []).append(block)
                 owners.setdefault(r.shape[1], []).extend([i] * len(block))
-        for width, blocks in groups.items():
-            z = aberth_batch(np.concatenate(blocks))
+        if not groups:
+            continue
+        zs = yield [np.concatenate(blocks) for blocks in groups.values()]
+        for width, z in zip(groups, zs):
             scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
             for i in np.asarray(owners[width])[np.max(np.abs(z.imag), axis=1) > tol * scale]:
                 real[i] = False

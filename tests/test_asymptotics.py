@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from fdzeros import (
     ALL_PROPERTIES,
     AsymptoticReport,
+    DeBruijnOp,
     DegreeTooSmall,
     InvalidInput,
     MatchAmbiguity,
     RootRecord,
     SuiteConfig,
     actual_roots,
+    apply_tb,
     evaluate_many,
     from_roots,
     make_poly,
@@ -25,9 +28,10 @@ from fdzeros import (
     report_summary,
     report_to_csv,
     residual_sweep,
+    roots,
     sweep_h_floor,
 )
-from fdzeros import asymptotics
+from fdzeros import asymptotics, harness
 
 
 def test_monic_head():
@@ -244,54 +248,97 @@ def test_shared_sweeps_equal_one_sweep_per_order():
         assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want, k
 
 
+def _drive(check, inst, requests):
+    # Run a generator checker, answering each yield with roots() on one
+    # polynomial after another; appends each request to requests.
+    gen = check(inst)
+    try:
+        request = next(gen)
+        while True:
+            requests.append(request)
+            request = gen.send([roots(q) for q in request])
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
-    # asym_order_hierarchy's instances at seed 42: one roots_many batch per
-    # instance serves the three orders, with the reports of three sweeps
+    # asym_order_hierarchy's instances at seed 42: the checker yields p, then
+    # the grid's images once, and those roots serve the three orders with
+    # the reports of three sweeps
     prop = next(q for q in ALL_PROPERTIES if q.name == "asym_order_hierarchy")
     cfg = SuiteConfig(seed=42, trials=20)
     instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
-    original = asymptotics.roots_many
-    batches = []
+    original = harness._floor_sweeps
+    reports = []
 
-    def counted(ps):
-        batches.append(len(ps))
-        return original(ps)
+    def recorded(*args):
+        reps = yield from original(*args)
+        reports.append(reps)
+        return reps
 
-    monkeypatch.setattr(asymptotics, "roots_many", counted)
+    monkeypatch.setattr(harness, "_floor_sweeps", recorded)
     for inst in instances:
-        batches.clear()
-        prop.check(inst)
-        assert batches == [inst["steps"]]
+        requests = []
+        _drive(prop.check, inst, requests)
         p = poly_from_json(inst["poly"])
         floor = sweep_h_floor(p)
         args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
+        assert reports[-1] == want
         assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want
+        assert requests == [[p], [apply_tb(DeBruijnOp(inst["theta"], h), p)
+                                  for h in want[0].h_grid]]
 
 
 @pytest.mark.parametrize("name", ["asym_order_hierarchy", "asym_omega_bound"])
 def test_asymptotic_checks_root_find_p_once(monkeypatch, name):
     # The floor that sets an instance's h range also serves the sweep's
-    # floor check, so p is root-found once per instance, and the check
-    # still judges the public residual_sweep's report.
+    # floor check, so p is root-found once per instance, through the
+    # checker's first yield and never directly, and the check still judges
+    # the public residual_sweep's report.
     prop = next(q for q in ALL_PROPERTIES if q.name == name)
     cfg = SuiteConfig(seed=42, trials=20)
     instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
-    original = asymptotics.roots
-    calls = []
 
-    def counted(p):
-        calls.append(p)
-        return original(p)
+    def forbidden(*args):
+        raise AssertionError("root-found outside the checker's requests")
 
-    monkeypatch.setattr(asymptotics, "roots", counted)
     for inst in instances:
-        calls.clear()
-        got = prop.check(inst)
+        requests = []
+        with monkeypatch.context() as m:
+            m.setattr(asymptotics, "roots", forbidden)
+            m.setattr(asymptotics, "roots_many", forbidden)
+            got = _drive(prop.check, inst, requests)
         p = poly_from_json(inst["poly"])
-        assert calls == [p]
+        assert [q for request in requests for q in request].count(p) == 1
+        assert requests[0] == [p]
         if name == "asym_omega_bound":
             floor = sweep_h_floor(p)
             rep = residual_sweep(p, inst["theta"], floor * 1.05, floor * 10.5,
                                  inst["steps"], inst["order"])
             assert got == (-1.0 if rep.omega_bound_ok else 1.0)
+
+
+@pytest.mark.parametrize("h_min, h_max, steps", [
+    (20.0, 50.0, 2.5), (20.0, 50.0, "8"), (20.0, 50.0, None), (20.0, 50.0, True),
+    (20.0, math.inf, 5), (math.inf, math.inf, 5), (math.nan, 50.0, 5), (20.0, math.nan, 5),
+    (-math.inf, 50.0, 5)])
+def test_sweep_rejects_bad_grid_before_any_root_find(monkeypatch, h_min, h_max, steps):
+    # a non-integer steps raised a bare TypeError from np.geomspace, and an
+    # infinite h_max leaked numpy warnings before a NonConvergence
+    def forbidden(*args):
+        raise AssertionError("root-found before the grid check")
+
+    monkeypatch.setattr(asymptotics, "roots", forbidden)
+    monkeypatch.setattr(asymptotics, "roots_many", forbidden)
+    p = from_roots([-3.0, 1.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="integer steps >= 2"):
+            residual_sweep(p, 0.7, h_min, h_max, steps, 1)
+
+
+def test_sweep_accepts_numpy_integer_steps():
+    p = make_poly([5, -1, 2, 1])
+    assert residual_sweep(p, 0.7, 20.0, 500.0, np.int64(7), 1) == \
+        residual_sweep(p, 0.7, 20.0, 500.0, 7, 1)

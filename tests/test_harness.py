@@ -153,14 +153,16 @@ ROOT_FINDING = {
     "op_preserver_sound", "op_strip_sound", "tb_closed_form_roots",
     "tb_image_real_simple", "tb_mesh_floor", "tb_mesh_monotone", "tb_extremal_bounds",
     "tb_line_lemma", "walsh_hyperbolicity_closure", "walsh_mesh_bound",
-    "walsh_interval_bound", "walsh_apolarity_duality",
+    "walsh_interval_bound", "walsh_apolarity_duality", "interlace_obreschkov_agreement",
+    "asym_omega_bound", "asym_order_hierarchy",
 }
 
 
 def _sequential(check, inst, requests=None):
     """Reference driver: each yield is answered by roots() on one polynomial
-    after another, and the first error is thrown in.  Returns the checker's
-    value or the exception it raised; appends each request to requests."""
+    after another, or by aberth_batch on one coefficient array after
+    another, and the first error is thrown in.  Returns the checker's value
+    or the exception it raised; appends each request to requests."""
     try:
         got = check(inst)
         if not inspect.isgenerator(got):
@@ -170,7 +172,8 @@ def _sequential(check, inst, requests=None):
             if requests is not None:
                 requests.append(request)
             try:
-                answer = [roots(p) for p in request]
+                answer = [rootfind.aberth_batch(x) if isinstance(x, np.ndarray) else roots(x)
+                          for x in request]
             except FDZerosError as exc:
                 request = got.throw(exc)
             else:
@@ -217,23 +220,32 @@ def test_batched_checks_match_one_root_find_at_a_time(seed):
         _assert_same_outcomes(got, [_sequential(prop.check, inst) for inst in instances])
 
 
-def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypatch):
-    calls = []
-    rounds = []  # per round: (distinct degrees, engine calls)
+def _count_rounds(monkeypatch) -> list:
+    # Per round of harness._run_checks, appended as it is answered: the
+    # distinct row widths (degree + 1) of its rootable items and the number
+    # of engine calls made to answer it.
+    calls, rounds = [], []
     core, many = rootfind._aberth_core, harness._certified_many
 
     def counted_core(c):
         calls.append(len(c))
         return core(c)
 
-    def counted_many(ps):
+    def counted_many(items):
         before = len(calls)
-        out = many(ps)
-        rounds.append(({p.degree for p in ps if p.degree}, len(calls) - before))
+        out = many(items)
+        widths = {x.shape[1] if isinstance(x, np.ndarray) else x.degree + 1
+                  for x in items if isinstance(x, np.ndarray) or x.degree}
+        rounds.append((widths, len(calls) - before))
         return out
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     monkeypatch.setattr(harness, "_certified_many", counted_many)
+    return rounds
+
+
+def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypatch):
+    rounds = _count_rounds(monkeypatch)
     cfg = SuiteConfig(seed=42, trials=20)
     for prop in ALL_PROPERTIES:
         if prop.name not in ROOT_FINDING:
@@ -299,6 +311,71 @@ def test_thrown_errors_match_one_root_find_at_a_time(monkeypatch):
                 replay("thrown_errors", inst)
         else:
             assert replay("thrown_errors", inst) == w
+
+
+def _pencil_rows(n, k, seed):
+    # k directions of the pencil of gn(n, 0.7, 1) and gn(n, 0.7, 1.5), one
+    # coefficient row each; n = 0 gives constant rows, which no engine takes
+    if n == 0:
+        return np.ones((k, 1))
+    p, q = gn(n, 0.7, 1.0).as_array().real, gn(n, 0.7, 1.5).as_array().real
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, k)
+    return np.cos(phi)[:, None] * p[None, :] + np.sin(phi)[:, None] * q[None, :]
+
+
+def _gen_array_errors(cfg, rng):
+    # round 1 yields one array per degree of `first` (or, with "poly", the
+    # polynomial gn(first[0])), round 2 one per degree of `second`; the
+    # rows of degree 96 and 97 fail the forward certificate
+    return [{"first": [4, 8], "second": [6]},
+            {"first": [8, 96], "second": [5]},
+            {"first": [96, 4], "second": [4]},
+            {"first": [4], "second": [8, 96], "catch": True},
+            {"first": [5], "second": [96, 97]},
+            {"first": [4], "second": [0]},
+            {"first": [8], "second": [], "poly": True}]
+
+
+def _chk_array_errors(inst):
+    if inst.get("poly"):
+        first = [np.array(rs.roots) for rs in (yield [gn(inst["first"][0], 0.7, 1.0)])]
+    else:
+        first = yield [_pencil_rows(n, 7, n) for n in inst["first"]]
+    try:
+        second = yield [_pencil_rows(n, 5, n + 1) for n in inst["second"]]
+    except NonConvergence as exc:
+        if inst.get("catch"):  # only an error thrown in at the second yield
+            return 0.5 + float(np.sum(exc.residuals))
+        raise
+    return -sum(float(np.sum(np.abs(z.imag))) for z in first + second)
+
+
+def test_array_request_errors_match_aberth_batch_one_array_at_a_time(monkeypatch):
+    # Failing arrays in either round, beside certified arrays and a
+    # polynomial of the same width; one engine call per width and round.
+    prop = Property("array_errors", 993, _gen_array_errors, _chk_array_errors)
+    instances = _gen_array_errors(None, None)
+    want = [_sequential(prop.check, inst) for inst in instances]
+    assert [type(w).__name__ for w in want] == [
+        "float", "NonConvergence", "NonConvergence", "float", "NonConvergence",
+        "ConstantPolynomial", "float"]
+    assert want[3] > 0.5
+    rounds = _count_rounds(monkeypatch)
+    _assert_same_outcomes(harness._run_checks(prop.check, instances), want)
+    # widths 5, 6, 9 (an array and a polynomial), 97; then 1, 7, 9, 97, 98
+    assert [n_calls for _, n_calls in rounds] == [4, 5]
+    assert all(n_calls == len(widths) for widths, n_calls in rounds)
+    rec = run_properties(SuiteConfig(seed=1), [prop]).records[0]
+    assert (rec.trials, rec.failures, rec.example_failure) == (7, 5, instances[1])
+    assert rec.worst_violation == want[3]
+    monkeypatch.setattr(harness, "ALL_PROPERTIES", ALL_PROPERTIES + (prop,))
+    for inst, w in zip(instances, want):
+        if isinstance(w, Exception):
+            with pytest.raises(type(w), match=f"^{str(w)}$") as got:
+                replay("array_errors", inst)
+            _assert_same_outcomes([got.value], [w])
+        else:
+            assert replay("array_errors", inst) == w
 
 
 def test_other_exceptions_propagate_in_instance_order():

@@ -175,7 +175,6 @@ def _interlace_reference(p, q, tol):
 def test_interlace_batched_matches_two_roots_calls():
     rng = np.random.default_rng(11)
     verdicts = {True: 0, False: 0}
-    pairs, wants = [], []
     for k in range(120):
         n = int(rng.integers(2, 9))
         p = from_roots(rng.uniform(-5, 5, size=n))
@@ -192,11 +191,7 @@ def test_interlace_batched_matches_two_roots_calls():
             want = _interlace_reference(a, b, 1e-8)
             assert interlace(a, b, 1e-8) == want, (k, kind)
             verdicts[want] += 1
-            pairs.append((a, b))
-            wants.append(want)
     assert min(verdicts.values()) >= 40
-    # the same 240 pairs, of degrees 1-8, in one batched call
-    assert rootfind._interlace_many(pairs, 1e-8) == wants
 
 
 def test_interlace_degree_gap():
@@ -294,6 +289,34 @@ def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch
     assert rootfind._pencil_many(pairs, 200, [0, 0, 0], 1e-7) == [False, True, True]
     assert sorted(batches[:2]) == [first, 2 * first]
     assert sorted(batches[2:]) == [200 - first, 200 - first]
+
+
+def test_pencil_needs_one_seed_per_pair():
+    # a pair without a seed used to go unsampled and come back a vacuous True
+    p, r = from_roots([-1.0, 1.0]), from_roots([3.0, 4.0])
+    assert rootfind._pencil_many([(p, r), (p, r)], 200, [0, 1], 1e-7) == [False, False]
+    for seeds in ([0], [0, 1, 2], []):
+        with pytest.raises(InvalidInput, match="one seed per pair"):
+            rootfind._pencil_many([(p, r), (p, r)], 200, seeds, 1e-7)
+
+
+def test_pencil_generator_yields_one_array_per_width_and_stage():
+    # The stages _pencil_many drives with aberth_batch: stage 1 holds the
+    # first directions of every pair, stage 2 only the pairs stage 1 left
+    # unsettled; in each, widths come in the order of their first pair.
+    first = rootfind._PENCIL_FIRST
+    p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
+    cubic = (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))
+    pairs = [(p, r), cubic, (p, q)]
+    stages = rootfind._pencil(pairs, 200, [0, 1, 2], 1e-7)
+    arrays = next(stages)
+    assert [c.shape for c in arrays] == [(2 * first, 3), (first, 4)]
+    arrays = stages.send([aberth_batch(c) for c in arrays])
+    assert [c.shape for c in arrays] == [(200 - first, 4), (200 - first, 3)]
+    with pytest.raises(StopIteration) as stop:
+        stages.send([aberth_batch(c) for c in arrays])
+    assert stop.value.value == [False, True, True]
+    assert rootfind._pencil_many(pairs, 200, [0, 1, 2], 1e-7) == [False, True, True]
 
 
 def test_pencil_cancelled_direction_matches_reference():
