@@ -221,8 +221,8 @@ def _floor_sweeps(p: Polynomial, theta: float, lo: float, hi: float, steps: int,
 
 def _check_grid(h_min: float, h_max: float, steps: int) -> None:
     # The grid arguments np.geomspace can take and fill with finite h.
-    if (not 0 < h_min < h_max < math.inf or isinstance(steps, bool)
-            or not isinstance(steps, (int, np.integer)) or steps < 2):
+    if (not 0 < h_min < h_max < math.inf or not isinstance(steps, (int, np.integer))
+            or steps < 2):
         raise InvalidInput("need 0 < h_min < h_max < inf and an integer steps >= 2, "
                            f"got {h_min!r}, {h_max!r}, {steps!r}")
 
