@@ -27,7 +27,7 @@ from .errors import (
     MatchAmbiguity,
 )
 from .poly import Polynomial, evaluate_many
-from .rootfind import RootSet, roots, roots_many
+from .rootfind import RootSet, _drive, roots
 
 __all__ = [
     "MonicHead",
@@ -173,50 +173,37 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     The images at every h are root-found in one batch, and the prediction
     terms that do not depend on h are computed once.  Matching is by sorted
     order (leading terms x_j*h separate strictly); MatchAmbiguity is raised if
-    two actual roots sit closer than 1e-6*h.
+    two actual roots sit closer than 1e-6*h.  The sweep is the request
+    generator `_sweeps` (see `rootfind`'s module docstring), which the
+    suite's sweep properties run too, driven here on its own.
 
     Errors come in this order: InvalidInput for the grid arguments (bounds
     outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2),
     checked before any root-find, or for an h_min below the matching floor,
     NonConvergence for an image at any h, then InvalidInput for the order and
     DegenerateQ, then, h by h from h_min up, InvalidInput for a root-count
-    mismatch and MatchAmbiguity.
+    mismatch and MatchAmbiguity.  A NonConvergence for the images is the one
+    `roots` raises for the first image that fails, alone: its best iterate
+    is that image's, of shape (1, n), and its message names the certificate
+    that image failed.  No image is known to fail at a grid the floor
+    admits.
     """
-    return _residual_sweeps(p, theta, h_min, h_max, steps, (order,))[0]
-
-
-def _residual_sweeps(p: Polynomial, theta: float, h_min: float, h_max: float,
-                     steps: int, orders) -> list[AsymptoticReport]:
-    """`residual_sweep` at each of `orders`, all served by one batch of image
-    roots.  Each report equals the `residual_sweep` call at its order, and
-    the errors come as from those calls made one after the other."""
     _check_grid(h_min, h_max, steps)
-    grid = _sweep_grid(h_min, h_max, steps, sweep_h_floor(p))
-    head = monic_head(p)
-    return _sweep_reports(head, theta, grid, roots_many(_sweep_images(p, theta, grid)),
-                          orders)
+    rep, = _drive(_sweeps(p, theta, h_min, h_max, steps, (order,), sweep_h_floor(p)))
+    return rep
 
 
 def _floor_sweeps(p: Polynomial, theta: float, lo: float, hi: float, steps: int, orders):
-    """`_residual_sweeps` from h_min = lo * floor to h_max = hi * floor, with
-    floor the matching floor of p, as a generator that returns the reports.
-
-    It yields [p] for the floor and then the grid's images, and is sent
-    their RootSets, or has thrown in the error `roots` raises for the first
-    of them that fails (the requests of a `harness` generator checker).  The
-    reports equal those of `_residual_sweeps` over that h range, and errors
-    come in the same order; a NonConvergence for the images carries the
-    iterate of the one image that failed, where `roots_many` attaches its
-    whole degree batch.
-    """
+    """`_sweeps` from h_min = lo * floor to h_max = hi * floor, with floor
+    the matching floor of p, as a request generator (see `rootfind`'s module
+    docstring) that yields [p] for the floor first.  Each report equals the
+    `residual_sweep` call over that h range at its order, and the errors
+    come as from those calls made one after the other."""
     rs, = yield [p]
     floor = _matching_floor(rs)
     h_min, h_max = lo * floor, hi * floor
     _check_grid(h_min, h_max, steps)
-    grid = _sweep_grid(h_min, h_max, steps, floor)
-    head = monic_head(p)
-    rss = yield _sweep_images(p, theta, grid)
-    return _sweep_reports(head, theta, grid, [np.array(r.roots) for r in rss], orders)
+    return (yield from _sweeps(p, theta, h_min, h_max, steps, orders, floor))
 
 
 def _check_grid(h_min: float, h_max: float, steps: int) -> None:
@@ -227,31 +214,26 @@ def _check_grid(h_min: float, h_max: float, steps: int) -> None:
                            f"got {h_min!r}, {h_max!r}, {steps!r}")
 
 
-def _sweep_grid(h_min: float, h_max: float, steps: int, floor: float) -> np.ndarray:
-    # The geometric h grid of valid grid arguments, h_min checked against the
-    # matching floor.
+def _sweeps(p: Polynomial, theta: float, h_min: float, h_max: float, steps: int,
+            orders, floor: float):
+    """The sweep of valid grid arguments at each of `orders`, as a request
+    generator that yields the grid's images once and returns one report per
+    order; h_min is checked against the matching floor first."""
     if h_min < floor:
         raise InvalidInput(
             f"h_min {h_min} is below the matching floor {floor:.6g}"
         )
-    return np.geomspace(h_min, h_max, steps)
-
-
-def _sweep_images(p: Polynomial, theta: float, grid: np.ndarray) -> list[Polynomial]:
-    return [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
-
-
-def _sweep_reports(head: MonicHead, theta: float, grid: np.ndarray, zs,
-                   orders) -> list[AsymptoticReport]:
-    # One report per order from the image roots zs, each sorted as `roots`
-    # sorts them, at each h of grid.
-    acts = [z[np.argsort(z.real)] for z in zs]  # as actual_roots sorts
+    grid = np.geomspace(h_min, h_max, steps)
+    head = monic_head(p)
+    rss = yield [apply_tb(DeBruijnOp(theta, float(h)), p) for h in grid]
+    acts = [z[np.argsort(z.real)] for z in (np.array(r.roots) for r in rss)]
     return [_sweep_report(head, theta, grid, acts, order) for order in orders]
 
 
 def _sweep_report(head: MonicHead, theta: float, grid: np.ndarray, acts,
                   order: int) -> AsymptoticReport:
-    # One order's report from the sorted image roots `acts` at each h of grid.
+    # One order's report from the image roots `acts` at each h of grid, each
+    # sorted as `actual_roots` sorts them.
     terms = _prediction_terms(head, theta, order)
     records: list[RootRecord] = []
     scaled = []

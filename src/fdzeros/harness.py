@@ -5,25 +5,14 @@ generator that draws self-contained instance dicts from a per-property seed
 stream, and a checker that maps an instance to a violation score (pass iff
 <= 0).  Instances are JSON-serializable so any failure replays standalone.
 
-A checker that root-finds may be a generator.  It yields a list of
-polynomials and is sent their `RootSet`s, or has thrown in at that yield the
-error `roots` raises for the first of them it cannot root-find.  Or it
-yields a list of coefficient arrays, each of same-width rows, and is sent
-what `aberth_batch` returns for each array, or has thrown in the error
-`aberth_batch` raises for the first array that fails; the interlacing
-property's pencil asks this way, since building a `RootSet` per direction
-would cost more than root-finding it.  Both `run_properties` and `replay`
-(which runs one instance) go through `_run_checks`, which advances every
-instance of a property one yield at a time and root-finds all the rows of a
-round with one engine call per width (degree + 1).  A checker merges two
-root-finds into one yield only when nothing between them can raise, so each
-instance raises what it would raise with one `roots` or `aberth_batch` call
-after another.
+A checker that root-finds may be a request generator, which `rootfind`'s
+module docstring describes: `run_properties` and `replay` start the checkers
+and leave their requests to the driver there, `rootfind._run_requests`, so
+the instances of a property are root-found together.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -68,10 +57,10 @@ from .poly import (
     shift_arg,
 )
 from .rootfind import (
-    _certified_many,
+    _drive,
     _interlace_verdict,
     _pencil,
-    _rootset,
+    _run_requests,
     extremes,
     mesh,
     sorted_real_parts,
@@ -110,10 +99,14 @@ class SuiteConfig:
     degree_max: int = 8
 
     def __post_init__(self):
+        # seed feeds np.random.default_rng, which takes no negative entropy;
+        # derivative_mesh_grows draws its degrees from [3, degree_max].
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.degree_max < 2:
-            raise ValueError("degree_max must be >= 2")
+        if self.degree_max < 3:
+            raise ValueError("degree_max must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -834,68 +827,17 @@ ALL_PROPERTIES: tuple[Property, ...] = (
 )
 
 
-def _answer(requests) -> list:
-    """Per request, its answer or the error to throw in.  A list of
-    polynomials gets their RootSets, or the error `roots` raises for the
-    first of them it cannot root-find; a list of coefficient arrays gets the
-    roots `aberth_batch` returns for each, or the error it raises for the
-    first that fails.  All requests' rows are root-found together, one
-    engine call per width."""
-    flat = [x for req in requests for x in req]
-    rooted = iter(zip(flat, _certified_many(flat)))
-    out = []
-    for req in requests:
-        got = [next(rooted) for _ in req]
-        error = next((e for _, (_, e) in got if e is not None), None)
-        if error is not None:
-            out.append(error)
-        elif req and isinstance(req[0], np.ndarray):
-            out.append([z for _, (z, _) in got])
-        else:
-            out.append([_rootset(p, z) for p, (z, _) in got])
-    return out
-
-
 def _run_checks(check, instances) -> list:
     """Each instance's checker outcome, in order: the value it returned, or
-    the exception it raised.
-
-    A plain checker runs on its own.  A generator checker is advanced one
-    yield per round, all instances together, and each round is answered by
-    `_answer`.  Rows do not interact in the root engine, so every RootSet
-    equals what `roots` returns alone, and every array's roots what
-    `aberth_batch` returns for that array.  Exceptions of any kind are kept,
-    not raised, so the caller sees them in instance order, as it would
-    running the checks one after another.
-    """
-    outcomes: list = [None] * len(instances)
-    waiting: dict = {}  # instance index -> (generator, polynomials it yielded)
-
-    def resume(i, gen, step, arg):
+    the exception it raised.  Each checker is started here; the generators
+    among them are run together by `_run_requests`."""
+    started = []
+    for inst in instances:
         try:
-            waiting[i] = (gen, list(step(arg)))
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-        except Exception as exc:  # kept for the caller, see above
-            outcomes[i] = exc
-
-    for i, inst in enumerate(instances):
-        try:
-            got = check(inst)
-        except Exception as exc:
-            outcomes[i] = exc
-            continue
-        if inspect.isgenerator(got):
-            resume(i, got, got.send, None)
-        else:
-            outcomes[i] = got
-    while waiting:
-        this_round = list(waiting.items())
-        waiting.clear()
-        answers = _answer([req for _, (_, req) in this_round])
-        for (i, (gen, _)), ans in zip(this_round, answers):
-            resume(i, gen, gen.throw if isinstance(ans, FDZerosError) else gen.send, ans)
-    return outcomes
+            started.append(check(inst))
+        except Exception as exc:  # kept for the caller, as `_run_requests` keeps it
+            started.append(exc)
+    return _run_requests(started)
 
 
 def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
@@ -937,14 +879,11 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
 
 
 def replay(name: str, instance: dict) -> float:
-    """Re-run one property's checker on a serialized instance: the
-    one-instance call of `_run_checks`, raising what the checker raised."""
+    """Re-run one property's checker on a serialized instance, raising what
+    the checker raised."""
     for prop in ALL_PROPERTIES:
         if prop.name == name:
-            out, = _run_checks(prop.check, [instance])
-            if isinstance(out, Exception):
-                raise out
-            return float(out)
+            return float(_drive(prop.check(instance)))
     raise KeyError(f"unknown property {name!r}")
 
 

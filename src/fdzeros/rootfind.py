@@ -7,11 +7,27 @@ certificate for every degree, judged row by row.  `aberth_batch` is the same
 engine raising NonConvergence when any row of its batch fails.  The
 predicates below (realness, mesh, extremes, interlacing) are the language
 the zero-location guarantees elsewhere in the package are stated in.
+
+Code that root-finds many polynomials in stages may be written as a request
+generator, and `_run_requests` is the one driver that answers it.  A yield
+holds either a list of polynomials, answered with their `RootSet`s, or a
+list of coefficient arrays (each of same-width rows), answered with what
+`aberth_batch` returns for each array.  If an item cannot be root-found, the
+first such error is thrown in at that yield instead: what `roots` raises for
+that polynomial alone, or what `aberth_batch` raises for that array alone.
+The driver advances all its generators one yield per round and root-finds
+every row of a round with one engine call per width (degree + 1).  Rows do
+not interact in the engine, so each answer equals the one-at-a-time call's.
+A generator merges two root-finds into one yield only when nothing between
+them can raise, so it raises what it would raise with one call after
+another.  `_drive` runs a single generator; the pencil oracle, the residual
+sweep and the property suite's checkers are all driven this way.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -482,6 +498,58 @@ def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]
     return out
 
 
+def _run_requests(items) -> list:
+    """Each item's outcome, in order: for a request generator (see the
+    module docstring), the value it returned or the exception it raised;
+    any other item is its own outcome.
+
+    Exceptions of any kind are kept, not raised, so the caller sees them in
+    item order, as it would running the generators one after another.
+    """
+    gens = list(items)
+    outcomes = list(gens)
+    waiting: dict = {}  # item index -> the request it yielded
+
+    def resume(i, answer):
+        # answer: what to send in, or the error to throw in
+        gen = gens[i]
+        try:
+            request = (gen.throw(answer) if isinstance(answer, Exception)
+                       else gen.send(answer))
+            waiting[i] = list(request)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:  # kept for the caller, see above
+            outcomes[i] = exc
+
+    for i, gen in enumerate(gens):
+        if inspect.isgenerator(gen):
+            resume(i, None)
+    while waiting:
+        this_round = list(waiting.items())
+        waiting.clear()
+        rooted = iter(_certified_many([x for _, req in this_round for x in req]))
+        for i, req in this_round:
+            got = [next(rooted) for _ in req]
+            error = next((e for _, e in got if e is not None), None)
+            if error is not None:
+                resume(i, error)
+            elif req and isinstance(req[0], np.ndarray):
+                resume(i, [z for z, _ in got])
+            else:
+                resume(i, [_rootset(p, z) for p, (z, _) in zip(req, got)])
+    return outcomes
+
+
+def _drive(gen):
+    """The value a request generator returns under `_run_requests`, or what
+    it raised, raised here."""
+    out, = _run_requests([gen])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _root_scale(zs) -> float:
     return max(1.0, max((abs(r) for r in zs), default=0.0))
 
@@ -543,8 +611,8 @@ def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bo
 
     Both root sets come from one `roots_many` call, which equals two `roots`
     calls row for row, and `_interlace_verdict` judges them; the suite's
-    interlacing property root-finds its pairs through the harness and judges
-    them with the same verdict code.
+    interlacing property requests its pairs' roots from `_run_requests` and
+    judges them with the same verdict code.
     """
     zp, zq = roots_many([p, q])
     return _interlace_verdict(p, q, zp, zq, tol)
@@ -584,9 +652,8 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
 
     Serves as an independent oracle for interlace; returns False if any
     sampled direction yields a non-real-rooted combination.  Realness is
-    judged as in classify_real.  The one-pair call of `_pencil_many`, which
-    drives the two-stage pencil `_pencil` (the suite's interlacing property
-    drives the same generator through the harness): the first
+    judged as in classify_real.  The one-pair run of the two-stage pencil
+    `_pencil` (which the suite's interlacing property runs too): the first
     `_PENCIL_FIRST` sampled directions are root-found, then the rest only if
     none of those was certified non-real.  True therefore needs every
     direction certified and real, and False comes only from a certified
@@ -597,37 +664,22 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
     unless n_samples is an integer >= 1: with no sample the answer would be
     a vacuous True.
     """
-    return _pencil_many([(p, q)], n_samples, [seed], tol)[0]
-
-
-def _pencil_many(pairs, n_samples: int, seeds, tol: float) -> list[bool]:
-    """`pencil_hyperbolic_sample` for each (p, q) of pairs with its own seed:
-    `_pencil` driven with `aberth_batch`, one call per array it yields.
-
-    Raises InvalidInput unless there is one seed per pair: a pair left
-    without a seed would come back a vacuous True.
-    """
-    stages = _pencil(pairs, n_samples, seeds, tol)
-    try:
-        arrays = next(stages)
-        while True:
-            arrays = stages.send([aberth_batch(c) for c in arrays])
-    except StopIteration as stop:
-        return stop.value
+    return _drive(_pencil([(p, q)], n_samples, [seed], tol))[0]
 
 
 def _pencil(pairs, n_samples: int, seeds, tol: float):
-    """The two-stage pencil of `_pencil_many` as a generator; returns the
+    """`pencil_hyperbolic_sample` for each (p, q) of pairs with its own seed,
+    as a request generator (see the module docstring) that returns the
     verdicts.
 
     Each pair samples its directions as the one-pair call does.  Stage 1
     takes the first `_PENCIL_FIRST` directions of every pair, stage 2 the
     remaining directions of the pairs that stage 1 left unsettled.  A stage
-    yields its rows as one array per width, pairs in order, and is sent what
-    `aberth_batch` returns for each array, or has thrown in the error it
-    raises for the first array that fails; a stage with no rows is skipped.
-    Rows do not interact in the engine, so a direction's roots are the same
-    whichever rows share its array.
+    yields its rows as one coefficient array per width, pairs in order; a
+    stage with no rows is skipped.  Rows do not interact in the engine, so a
+    direction's roots are the same whichever rows share its array.  Raises
+    InvalidInput unless there is one seed per pair: a pair left without a
+    seed would come back a vacuous True.
     """
     for p, q in pairs:
         if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:

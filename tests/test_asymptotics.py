@@ -12,6 +12,7 @@ from fdzeros import (
     DegreeTooSmall,
     InvalidInput,
     MatchAmbiguity,
+    NonConvergence,
     RootRecord,
     SuiteConfig,
     actual_roots,
@@ -31,7 +32,7 @@ from fdzeros import (
     roots,
     sweep_h_floor,
 )
-from fdzeros import asymptotics, harness
+from fdzeros import asymptotics, harness, rootfind
 
 
 def test_monic_head():
@@ -230,10 +231,37 @@ def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
         raise AssertionError("image built or root-found before the floor check")
 
     monkeypatch.setattr(asymptotics, "apply_tb", forbidden)
-    monkeypatch.setattr(asymptotics, "roots_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
     p = from_roots([-3.0, 1.0, 4.0])
     with pytest.raises(InvalidInput, match="matching floor"):
         residual_sweep(p, 0.7, sweep_h_floor(p) / 2, 100.0, 5, 1)
+
+
+@pytest.mark.parametrize("certificate", ["residual", "forward"])
+def test_sweep_image_failure_is_what_roots_raises_for_that_image(monkeypatch, certificate):
+    # The engine is made to fail one image's row: the sweep raises what
+    # roots raises for that image alone, with that image's iterate only.
+    p = make_poly([5, -1, 2, 1])
+    target = apply_tb(DeBruijnOp(0.7, float(np.geomspace(20.0, 500.0, 7)[3])), p)
+    core = rootfind._aberth_core
+
+    def failing(c):
+        out = core(c)
+        return out._replace(failed=tuple(
+            certificate if np.array_equal(row, target.as_array()) else f
+            for row, f in zip(np.asarray(c, dtype=complex), out.failed)))
+
+    monkeypatch.setattr(rootfind, "_aberth_core", failing)
+    with pytest.raises(NonConvergence) as alone:
+        roots(target)
+    with pytest.raises(NonConvergence) as swept:
+        residual_sweep(p, 0.7, 20.0, 500.0, 7, 1)
+    got, want = swept.value, alone.value
+    assert str(got) == str(want) == \
+        f"160-iteration Aberth roots of degree 3 failed the {certificate} certificate"
+    assert got.best.shape == want.best.shape == (1, 3)
+    assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
+    assert np.array_equal(got.residuals.view(np.uint64), want.residuals.view(np.uint64))
 
 
 def test_shared_sweeps_equal_one_sweep_per_order():
@@ -245,7 +273,7 @@ def test_shared_sweeps_equal_one_sweep_per_order():
         floor = sweep_h_floor(p)
         args = (p, theta, floor * 1.1, floor * 11.0, 8)
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
-        assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want, k
+        assert rootfind._drive(asymptotics._sweeps(*args, (0, 1, 2), floor)) == want, k
 
 
 def _drive(check, inst, requests):
@@ -285,7 +313,7 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
         args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
         assert reports[-1] == want
-        assert asymptotics._residual_sweeps(*args, (0, 1, 2)) == want
+        assert rootfind._drive(asymptotics._sweeps(*args, (0, 1, 2), floor)) == want
         assert requests == [[p], [apply_tb(DeBruijnOp(inst["theta"], h), p)
                                   for h in want[0].h_grid]]
 
@@ -307,7 +335,7 @@ def test_asymptotic_checks_root_find_p_once(monkeypatch, name):
         requests = []
         with monkeypatch.context() as m:
             m.setattr(asymptotics, "roots", forbidden)
-            m.setattr(asymptotics, "roots_many", forbidden)
+            m.setattr(asymptotics, "_drive", forbidden)
             got = _drive(prop.check, inst, requests)
         p = poly_from_json(inst["poly"])
         assert [q for request in requests for q in request].count(p) == 1
@@ -330,7 +358,7 @@ def test_sweep_rejects_bad_grid_before_any_root_find(monkeypatch, h_min, h_max, 
         raise AssertionError("root-found before the grid check")
 
     monkeypatch.setattr(asymptotics, "roots", forbidden)
-    monkeypatch.setattr(asymptotics, "roots_many", forbidden)
+    monkeypatch.setattr(asymptotics, "_drive", forbidden)
     p = from_roots([-3.0, 1.0, 4.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

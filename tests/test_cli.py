@@ -279,6 +279,16 @@ def test_verify(capsys):
                            "tol_identity": 1e-10}
 
 
+def test_verify_rejects_bad_config_naming_the_field(capsys):
+    # SuiteConfig rejects these before numpy sees them, so the message names
+    # the field and not numpy's "low >= high" or "expected non-negative integer"
+    for option, value, message in [("--degree-max", "2", "degree_max must be >= 3"),
+                                   ("--seed", "-1", "seed must be >= 0")]:
+        assert main(["verify", "--trials", "1", option, value]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(X2_MINUS_1)))

@@ -31,10 +31,13 @@ from fdzeros import harness, rootfind
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SuiteConfig(trials=0)
-    with pytest.raises(ValueError):
-        SuiteConfig(degree_max=1)
+    # Every config accepted here must run: run_suite seeds numpy with seed,
+    # which takes no negative value, and draws degrees from [3, degree_max].
+    for field, value in [("trials", 0), ("degree_max", 1), ("degree_max", 2), ("seed", -1)]:
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            SuiteConfig(**{field: value})
+    report = run_suite(SuiteConfig(seed=0, trials=1, degree_max=3))
+    assert len(report.records) == len(ALL_PROPERTIES)
 
 
 def test_random_hyperbolic():
@@ -221,11 +224,11 @@ def test_batched_checks_match_one_root_find_at_a_time(seed):
 
 
 def _count_rounds(monkeypatch) -> list:
-    # Per round of harness._run_checks, appended as it is answered: the
+    # Per round of rootfind._run_requests, appended as it is answered: the
     # distinct row widths (degree + 1) of its rootable items and the number
     # of engine calls made to answer it.
     calls, rounds = [], []
-    core, many = rootfind._aberth_core, harness._certified_many
+    core, many = rootfind._aberth_core, rootfind._certified_many
 
     def counted_core(c):
         calls.append(len(c))
@@ -240,7 +243,7 @@ def _count_rounds(monkeypatch) -> list:
         return out
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
-    monkeypatch.setattr(harness, "_certified_many", counted_many)
+    monkeypatch.setattr(rootfind, "_certified_many", counted_many)
     return rounds
 
 

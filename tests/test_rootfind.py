@@ -253,7 +253,7 @@ def test_pencil_matches_full_batch_reference():
     want = [_pencil_reference(p, q, 200, seed) for p, q, seed in triples]
     assert [pencil_hyperbolic_sample(p, q, 200, seed) for p, q, seed in triples] == want
     pairs, seeds = [(p, q) for p, q, _ in triples], [seed for _, _, seed in triples]
-    assert rootfind._pencil_many(pairs, 200, seeds, 1e-7) == want
+    assert rootfind._drive(rootfind._pencil(pairs, 200, seeds, 1e-7)) == want
     assert 200 <= sum(want) <= 300  # both verdicts are well represented
 
 
@@ -264,18 +264,18 @@ def test_pencil_stage_boundary_matches_reference(n_samples):
     want = [_pencil_reference(p, q, n_samples, seed) for p, q, seed in triples]
     assert [pencil_hyperbolic_sample(p, q, n_samples, seed) for p, q, seed in triples] == want
     pairs, seeds = [(p, q) for p, q, _ in triples], [seed for _, _, seed in triples]
-    assert rootfind._pencil_many(pairs, n_samples, seeds, 1e-7) == want
+    assert rootfind._drive(rootfind._pencil(pairs, n_samples, seeds, 1e-7)) == want
 
 
 def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch):
     batches = []
-    original = rootfind.aberth_batch
+    original = rootfind._aberth_core
 
     def counting(c):
         batches.append(len(c))
         return original(c)
 
-    monkeypatch.setattr(rootfind, "aberth_batch", counting)
+    monkeypatch.setattr(rootfind, "_aberth_core", counting)
     first = rootfind._PENCIL_FIRST
     p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
     assert not pencil_hyperbolic_sample(p, r, 200, seed=0)  # settled in stage 1
@@ -286,7 +286,8 @@ def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch
     batches.clear()
     # one call per degree and stage; the settled pair drops out of stage 2
     pairs = [(p, r), (p, q), (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))]
-    assert rootfind._pencil_many(pairs, 200, [0, 0, 0], 1e-7) == [False, True, True]
+    assert rootfind._drive(rootfind._pencil(pairs, 200, [0, 0, 0], 1e-7)) == \
+        [False, True, True]
     assert sorted(batches[:2]) == [first, 2 * first]
     assert sorted(batches[2:]) == [200 - first, 200 - first]
 
@@ -294,14 +295,15 @@ def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch
 def test_pencil_needs_one_seed_per_pair():
     # a pair without a seed used to go unsampled and come back a vacuous True
     p, r = from_roots([-1.0, 1.0]), from_roots([3.0, 4.0])
-    assert rootfind._pencil_many([(p, r), (p, r)], 200, [0, 1], 1e-7) == [False, False]
+    assert rootfind._drive(rootfind._pencil([(p, r), (p, r)], 200, [0, 1], 1e-7)) == \
+        [False, False]
     for seeds in ([0], [0, 1, 2], []):
         with pytest.raises(InvalidInput, match="one seed per pair"):
-            rootfind._pencil_many([(p, r), (p, r)], 200, seeds, 1e-7)
+            rootfind._drive(rootfind._pencil([(p, r), (p, r)], 200, seeds, 1e-7))
 
 
 def test_pencil_generator_yields_one_array_per_width_and_stage():
-    # The stages _pencil_many drives with aberth_batch: stage 1 holds the
+    # The stages of the pencil, answered with aberth_batch: stage 1 holds the
     # first directions of every pair, stage 2 only the pairs stage 1 left
     # unsettled; in each, widths come in the order of their first pair.
     first = rootfind._PENCIL_FIRST
@@ -316,7 +318,8 @@ def test_pencil_generator_yields_one_array_per_width_and_stage():
     with pytest.raises(StopIteration) as stop:
         stages.send([aberth_batch(c) for c in arrays])
     assert stop.value.value == [False, True, True]
-    assert rootfind._pencil_many(pairs, 200, [0, 1, 2], 1e-7) == [False, True, True]
+    assert rootfind._drive(rootfind._pencil(pairs, 200, [0, 1, 2], 1e-7)) == \
+        [False, True, True]
 
 
 def test_pencil_cancelled_direction_matches_reference():
