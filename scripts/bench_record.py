@@ -17,7 +17,10 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 `run_properties(SuiteConfig(42, 20), [prop])` for each harness property
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
 `rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
-`_engine_rows`), kept apart in a `counts` block per side.  The layer table has a
+`_engine_rows`) and its one-row `roots` calls (`_roots_calls`, counted in
+every fdzeros module that holds `roots`, as bench/spans.py wraps it; the
+traced run cannot count them, since its spans do not see into request
+generators), kept apart in a `counts` block per side.  The layer table has a
 third side, `control`, a second export of the parent: each of LAYER_ROUNDS
 rounds runs the three sides in an order rotated by one from the last, and
 each side's entry is its per-layer median over the rounds.  The control's
@@ -130,24 +133,37 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     out[f"property_{prop.name}_s"] = min(
         timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
 # Engine calls and rows of one more run per property, counted at the engine
-# core that every root-find goes through; not timed.
+# core that every root-find goes through, and its one-row `roots` calls,
+# counted in every fdzeros module that holds `roots`; not timed.
 counts = {}
 core = rootfind._aberth_core
+holders = [(m, attr) for name, m in list(sys.modules.items())
+           if name == "fdzeros" or name.startswith("fdzeros.")
+           for attr, value in list(vars(m).items()) if value is roots]
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
-    tally = [0, 0]
+    tally = [0, 0, 0]
 
     def counted(c):
         tally[0] += 1
         tally[1] += len(c)
         return core(c)
 
+    def counted_roots(p):
+        tally[2] += 1
+        return roots(p)
+
     rootfind._aberth_core = counted
+    for m, attr in holders:
+        setattr(m, attr, counted_roots)
     try:
         run_properties(suite, [prop])
     finally:
         rootfind._aberth_core = core
+        for m, attr in holders:
+            setattr(m, attr, roots)
     counts[f"property_{prop.name}_engine_calls"] = tally[0]
     counts[f"property_{prop.name}_engine_rows"] = tally[1]
+    counts[f"property_{prop.name}_roots_calls"] = tally[2]
 print(json.dumps({"layers": out, "counts": counts}))
 """
 

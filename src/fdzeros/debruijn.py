@@ -26,8 +26,8 @@ from .poly import (
 )
 from .rootfind import (
     DEFAULT_REAL_TOL,
+    _drive,
     classify_real,
-    roots,
     sorted_real_parts,
 )
 
@@ -164,7 +164,11 @@ def gn(n: int, theta: float, h: float) -> Polynomial:
 def extremal_bounds(p: Polynomial, theta: float, h: float,
                     tol: float = DEFAULT_REAL_TOL) -> dict:
     """Upper/lower bounds on the extreme image roots: ext(P) + h * ext(Q_n)."""
-    rs = roots(p)
+    return _drive(_extremal_bounds(p, theta, h, tol))
+
+
+def _extremal_bounds(p: Polynomial, theta: float, h: float, tol: float):
+    rs, = yield [p]
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("extremal bounds require a real-rooted polynomial")
     qz = qn_zeros(p.degree, theta)
@@ -189,7 +193,11 @@ def mesh_floor(n: int, theta: float, h: float) -> float:
 def simplicity_margin(p: Polynomial, theta: float, h: float,
                       tol: float = DEFAULT_REAL_TOL) -> float:
     """Minimal gap between sorted image roots; +inf for a single-root image."""
-    rs = roots(p)
+    return _drive(_simplicity_margin(p, theta, h, tol))
+
+
+def _simplicity_margin(p: Polynomial, theta: float, h: float, tol: float):
+    rs, = yield [p]
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("simplicity margin requires a real-rooted input")
     image = apply_tb(DeBruijnOp(theta, h), p)
@@ -197,7 +205,7 @@ def simplicity_margin(p: Polynomial, theta: float, h: float,
         raise TooFewRoots("image is constant; no roots to separate")
     if image.degree == 1:
         return math.inf
-    irs = roots(image)
+    irs, = yield [image]
     xs = sorted_real_parts(irs)
     return float(np.min(np.diff(xs)))
 

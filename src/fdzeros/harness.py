@@ -22,19 +22,19 @@ import numpy as np
 from .asymptotics import _floor_sweeps, monic_head, predict_roots
 from .debruijn import (
     DeBruijnOp,
+    _extremal_bounds,
+    _simplicity_margin,
     apply_tb,
-    extremal_bounds,
     gn,
     line_image,
     mesh_floor,
     qn,
     qn_zeros,
-    simplicity_margin,
 )
 from .errors import FDZerosError
 from .operators import (
     FDOperator,
-    analyze,
+    _analyze,
     apply_op,
     compose,
     make_operator,
@@ -65,7 +65,7 @@ from .rootfind import (
     mesh,
     sorted_real_parts,
 )
-from .walsh import apolar, tb_via_walsh, walsh_convolve, walsh_interval_bound
+from .walsh import _walsh_interval_bound, apolar, tb_via_walsh, walsh_convolve
 
 __all__ = [
     "SuiteConfig",
@@ -429,7 +429,7 @@ def _gen_op_preserver_sound(cfg, rng):
 
 def _chk_op_preserver_sound(inst):
     op = operator_from_json(inst["op"])
-    if not analyze(op).hyperbolicity_preserver:
+    if not (yield from _analyze(op)).hyperbolicity_preserver:
         return 1.0
     image = apply_op(op, poly_from_json(inst["poly"]))
     if image.is_zero or image.degree == 0:
@@ -469,7 +469,7 @@ def _gen_op_strip_sound(cfg, rng):
 
 def _chk_op_strip_sound(inst):
     op = operator_from_json(inst["op"])
-    if not analyze(op).strip_preserver:
+    if not (yield from _analyze(op)).strip_preserver:
         return 1.0
     image = apply_op(op, poly_from_json(inst["poly"]))
     if image.is_zero or image.degree == 0:
@@ -549,7 +549,7 @@ def _chk_tb_image_real_simple(inst):
     image = apply_tb(DeBruijnOp(theta, h), p)
     rs, = yield [image]
     excess = _imag_excess(rs.roots, inst["tol_real"])
-    margin = simplicity_margin(p, theta, h, tol=inst["tol_real"])
+    margin = yield from _simplicity_margin(p, theta, h, inst["tol_real"])
     return max(excess, -margin)
 
 
@@ -577,7 +577,7 @@ def _chk_tb_mesh_monotone(inst):
 def _chk_tb_extremal(inst):
     p = poly_from_json(inst["poly"])
     theta, h = inst["theta"], inst["h"]
-    bounds = extremal_bounds(p, theta, h, tol=inst["tol_real"])
+    bounds = yield from _extremal_bounds(p, theta, h, inst["tol_real"])
     image = apply_tb(DeBruijnOp(theta, h), p)
     rs, = yield [image]
     top, bot = extremes(rs, inst["tol_real"])
@@ -665,7 +665,7 @@ def _chk_walsh_interval(inst):
     conv = walsh_convolve(p, q, inst["n"])
     if conv.is_zero or conv.degree == 0:
         return -1.0
-    bound = walsh_interval_bound(p, q, inst["n"], tol=inst["tol_real"])
+    bound = yield from _walsh_interval_bound(p, q, inst["n"], inst["tol_real"])
     rs, = yield [conv]
     xs = sorted_real_parts(rs)
     scale = max(1.0, float(np.max(np.abs(xs))))

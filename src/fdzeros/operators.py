@@ -28,9 +28,9 @@ from .rootfind import (
     RootSet,
     _certified_many,
     _check_tol,
+    _drive,
     _rootset,
     _sorted,
-    roots,
     rootset_to_json,
 )
 
@@ -150,13 +150,17 @@ def analyze(op: FDOperator, tol: float = 1e-8) -> OperatorVerdict:
     """Per-condition breakdown deciding preserver / strip-preserver status.
 
     Raises InvalidInput for a tol that is negative or not finite."""
+    return _drive(_analyze(op, tol))
+
+
+def _analyze(op: FDOperator, tol: float = 1e-8):
     _check_tol(tol, "tolerance")
     l, m = op.support_low, op.support_high
     re_abs = abs(op.lam.real)
     cond1 = re_abs <= tol * abs(op.lam)
     cond2 = l == -m
     g = generating_fn(op)
-    g_roots = roots(g.poly)
+    g_roots, = yield [g.poly]
     defect = float(max(abs(abs(r) - 1.0) for r in g_roots.roots))
     cond3 = bool(defect <= tol)
     prod = dict(op.terms)[l] * dict(op.terms)[m]

@@ -3,10 +3,10 @@
 Every root-find goes through one engine, `_aberth_core`: closed forms for
 degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
 companion-matrix eigenvalues above that, and a residual and a forward-error
-certificate for every degree, judged row by row.  `aberth_batch` is the same
-engine raising NonConvergence when any row of its batch fails.  The
-predicates below (realness, mesh, extremes, interlacing) are the language
-the zero-location guarantees elsewhere in the package are stated in.
+certificate for every degree, judged row by row.  `_certified_many`, its one
+caller, answers `roots`, `roots_many`, `aberth_batch` and the driver below.
+The predicates below (realness, mesh, extremes, interlacing) are the
+language the zero-location guarantees elsewhere in the package are stated in.
 
 Code that root-finds many polynomials in stages may be written as a request
 generator, and `_run_requests` is the one driver that answers it.  A yield
@@ -20,8 +20,9 @@ every row of a round with one engine call per width (degree + 1).  Rows do
 not interact in the engine, so each answer equals the one-at-a-time call's.
 A generator merges two root-finds into one yield only when nothing between
 them can raise, so it raises what it would raise with one call after
-another.  `_drive` runs a single generator; the pencil oracle, the residual
-sweep and the property suite's checkers are all driven this way.
+another.  `_drive` runs one generator: the pencil oracle, the residual sweep,
+`analyze`, `simplicity_margin`, `extremal_bounds` and `walsh_interval_bound`
+run this way, and the property suite's checkers run together.
 """
 
 from __future__ import annotations
@@ -363,29 +364,14 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
 
 
 def aberth_batch(c: np.ndarray) -> np.ndarray:
-    """All roots for a batch of same-degree polynomials: the (B, n) roots of
-    `_aberth_core`, which certifies each row on its own, or NonConvergence
-    (with the best iterate of the whole batch attached) if any row is not
-    certified.
-
-    The message names the residual certificate if any row failed it, else
-    the forward one.
-    """
-    out = _aberth_core(c)
-    if any(out.failed):
-        raise _nonconvergence(out)
-    return out.z
-
-
-def _nonconvergence(out: _BatchRoots) -> NonConvergence:
-    # The error `aberth_batch` raises for a batch with a failed row, the
-    # batch's iterate and residuals attached; for a one-row batch, the error
-    # `roots` raises for that polynomial.
-    n = out.z.shape[1]
-    what = "residual" if "residual" in out.failed else "forward"
-    how = "closed-form" if n <= 2 else f"{MAX_ITER}-iteration Aberth"
-    return NonConvergence(f"{how} roots of degree {n} failed the {what} certificate",
-                          best=out.z, residuals=out.residuals)
+    """All roots for a batch of same-degree polynomials, each row certified
+    on its own: the (B, n) roots that `_certified_many` reports for the one
+    array c, or the NonConvergence it reports (the whole batch's iterate
+    attached) if any row is not certified."""
+    (z, error), = _certified_many([np.asarray(c)])
+    if error is not None:
+        raise error
+    return z
 
 
 def _unrootable(p: Polynomial) -> FDZerosError | None:
@@ -404,12 +390,12 @@ def _sorted(z: np.ndarray) -> np.ndarray:
 def roots(p: Polynomial) -> RootSet:
     """All degree-many roots of p, certified, sorted by (real, imag).
 
-    The B = 1 call of `aberth_batch`: closed forms for degrees 1 and 2,
+    The one-row call of `aberth_batch`: closed forms for degrees 1 and 2,
     Aberth iteration from the companion eigenvalues above, then a residual
     certificate and a forward one (each root's first-order error estimate,
     as a simple root or as part of a cluster, at most FWD_TOL * max(1, |z|)).
     The monomial-coefficient representation caps the reachable degree:
-    `roots(gn(n, 0.7, 1))` converges at n = 80 and raises at n = 88, and
+    `roots(gn(n, 0.7, 1))` converges at n = 80 and raises at n = 84 and 88, and
     random real-rooted inputs with roots in [-5, 5] begin to raise above
     degree 20.  Past the cap the answer is NonConvergence (with the best
     iterate attached), never NaN roots nor roots whose forward-error
@@ -428,48 +414,37 @@ def _rootset(p: Polynomial, z: np.ndarray) -> RootSet:
     return RootSet(tuple(z), tuple(float(r) for r in res), coeff_scale(p))
 
 
-def _by_degree(ps) -> dict[int | None, list[int]]:
-    # Indices of ps grouped by degree, in input order within each group.
-    groups: dict[int | None, list[int]] = {}
-    for i, p in enumerate(ps):
-        groups.setdefault(p.degree, []).append(i)
-    return groups
-
-
 def roots_many(ps) -> list[np.ndarray]:
     """Roots for a sequence of polynomials, batching equal degrees together.
 
     Much faster than looping roots() when many same-degree polynomials are
     processed (property suites, Monte-Carlo checks).  Each row's roots equal
     what roots() returns for it alone.  Root arrays come back sorted by
-    (real, imag), aligned with the input order.  Raises as roots() does for
-    the first polynomial that is zero or constant.
+    (real, imag), aligned with the input order.  Raises what roots() raises
+    for the first polynomial, in input order, that cannot be root-found, so
+    a NonConvergence carries that polynomial's iterate alone, shape (1, n).
     """
-    for p in ps:
-        if (error := _unrootable(p)) is not None:
-            raise error
-    out: list[np.ndarray | None] = [None] * len(ps)
-    for idxs in _by_degree(ps).values():
-        z = aberth_batch(np.array([ps[i].as_array() for i in idxs]))
-        for row, i in enumerate(idxs):
-            out[i] = _sorted(z[row])
-    return out  # type: ignore[return-value]
+    rooted = _certified_many(ps)
+    error = next((e for _, e in rooted if e is not None), None)
+    if error is not None:
+        raise error
+    return [_sorted(z) for z, _ in rooted]
 
 
 def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]]:
     """Each item's engine rows and outcome, with one `_aberth_core` call per
-    width (degree + 1) for all items together and no raise.
+    width (degree + 1) for all items together and no raise; the only caller
+    of `_aberth_core`.
 
-    An item is a polynomial or a (B, n+1) array of coefficient rows.  Per
-    polynomial: (z, None) for certified roots z, in the engine's order;
-    (z, error) for the best iterate z of a row that failed, error being the
-    NonConvergence `roots` raises for that polynomial alone, with the same
-    message, best and residuals; and (None, error) for a zero or constant
-    polynomial, error being what `roots` raises for it.  Per array: (z, None)
-    with z what `aberth_batch` returns for that array alone, or (z, error)
-    with error what it raises (None in place of z when the engine rejects
-    the width itself).  Rows do not interact, so every row equals the one
-    `roots` or `aberth_batch` computes alone.
+    An item is a polynomial or a (B, n+1) array of coefficient rows.  Its
+    outcome is (z, None) for certified rows z in the engine's order (one row
+    for a polynomial), or (z, error) for its best iterate z and the
+    NonConvergence it raises alone, which carries z and its residuals and
+    names the residual certificate if a row failed it, else the forward one.
+    z is None for an item that cannot be root-found at all (a zero or
+    constant polynomial, an array of width below 2); error is then what
+    `roots` or `aberth_batch` raises for it.  Rows do not interact, so each
+    item's outcome is the same in any call, alone included.
     """
     out: list = [None] * len(items)
     groups: dict[int, list[int]] = {}
@@ -480,7 +455,7 @@ def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]
             out[i] = (None, error)
         else:
             groups.setdefault(x.degree + 1, []).append(i)
-    for idxs in groups.values():
+    for width, idxs in groups.items():
         blocks = [items[i] if isinstance(items[i], np.ndarray)
                   else items[i].as_array()[None, :] for i in idxs]
         try:
@@ -489,12 +464,18 @@ def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]
             for i in idxs:
                 out[i] = (None, exc)
             continue
-        start = 0
+        stop = 0
         for i, block in zip(idxs, blocks):
-            part = _BatchRoots(*(v[start:start + len(block)] for v in batch))
-            start += len(block)
-            error = _nonconvergence(part) if any(part.failed) else None
-            out[i] = (part.z if isinstance(items[i], np.ndarray) else part.z[0], error)
+            start, stop = stop, stop + len(block)
+            z, failed = batch.z[start:stop], batch.failed[start:stop]
+            error = None
+            if any(failed):
+                what = "residual" if "residual" in failed else "forward"
+                how = "closed-form" if width <= 3 else f"{MAX_ITER}-iteration Aberth"
+                error = NonConvergence(
+                    f"{how} roots of degree {width - 1} failed the {what} certificate",
+                    best=z, residuals=batch.residuals[start:stop])
+            out[i] = (z if isinstance(items[i], np.ndarray) else z[0], error)
     return out
 
 

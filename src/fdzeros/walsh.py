@@ -17,8 +17,8 @@ from .poly import Polynomial, derivative, linear_combine, make_poly
 from .rootfind import (
     DEFAULT_REAL_TOL,
     _check_tol,
+    _drive,
     classify_real,
-    roots,
     sorted_real_parts,
 )
 
@@ -37,6 +37,9 @@ def _check_frame(p: Polynomial, q: Polynomial, n: int) -> None:
     for poly, name in ((p, "P"), (q, "Q")):
         if not poly.is_zero and poly.degree > n:
             raise DegreeExceedsFrame(f"deg {name} = {poly.degree} exceeds frame {n}")
+        if not poly.is_zero and poly.degree > 170:
+            raise InvalidInput(f"deg {name} = {poly.degree} exceeds 170, the largest "
+                               "k whose k! is a finite double")
 
 
 def _derivs_at_zero(p: Polynomial, n: int) -> np.ndarray:
@@ -90,17 +93,22 @@ def tb_via_walsh(p: Polynomial, theta: float, h: float) -> Polynomial:
     n = p.degree
     g = gn(n, theta, h)
     conv = walsh_convolve(p, g, n)
-    return make_poly(conv.as_array() / math.factorial(n))
+    with np.errstate(all="ignore"):
+        return make_poly(conv.as_array() / math.factorial(n))
 
 
 def walsh_interval_bound(p: Polynomial, q: Polynomial, n: int,
                          tol: float = DEFAULT_REAL_TOL) -> dict:
     """Root interval [mu(P)+mu(Q), lambda(P)+lambda(Q)] containing P [+] Q zeros."""
+    return _drive(_walsh_interval_bound(p, q, n, tol))
+
+
+def _walsh_interval_bound(p: Polynomial, q: Polynomial, n: int, tol: float):
     if p.degree != n or q.degree != n:
         raise InvalidInput("interval bound is stated for degree == frame")
     lo = hi = 0.0
     for poly in (p, q):
-        rs = roots(poly)
+        rs, = yield [poly]
         if not classify_real(rs, tol).is_real_rooted:
             raise NotRealRooted("interval bound requires real-rooted operands")
         xs = sorted_real_parts(rs)

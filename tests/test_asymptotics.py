@@ -230,9 +230,17 @@ def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("image built or root-found before the floor check")
 
-    monkeypatch.setattr(asymptotics, "apply_tb", forbidden)
-    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
     p = from_roots([-3.0, 1.0, 4.0])
+    certified_many = rootfind._certified_many
+
+    def p_only(items):
+        # the floor root-finds p itself, as roots(p) does; nothing else may
+        if len(items) != 1 or not np.array_equal(items[0], p.as_array()[None, :]):
+            forbidden()
+        return certified_many(items)
+
+    monkeypatch.setattr(asymptotics, "apply_tb", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", p_only)
     with pytest.raises(InvalidInput, match="matching floor"):
         residual_sweep(p, 0.7, sweep_h_floor(p) / 2, 100.0, 5, 1)
 

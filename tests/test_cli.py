@@ -11,8 +11,10 @@ import pytest
 from fdzeros import (
     InvalidInput,
     cli,
+    from_roots,
     operator_to_json,
     operators,
+    poly_to_json,
     random_strip_operator,
     rootfind,
     witness_search,
@@ -136,9 +138,18 @@ def test_witness_settled_by_conditions_1_to_3(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a witness candidate was built or root-found")
 
+    certified_many = rootfind._certified_many
+    allowed = operators.generating_fn(cli.operator_from_json(op)).poly
+
+    def generating_polynomial_only(items):
+        # analyze root-finds the generating polynomial; nothing else may be
+        if [getattr(x, "coeffs", None) for x in items] != [allowed.coeffs]:
+            forbidden()
+        return certified_many(items)
+
     monkeypatch.setattr(operators, "apply_op", forbidden)
     monkeypatch.setattr(operators, "_certified_many", forbidden)
-    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", generating_polynomial_only)
     assert run(capsys, ["witness", path]) == (
         0, '{"status": "inconclusive", "witness": null}\n')
     assert run(capsys, ["witness", path, "--strip", "1.0"]) == (
@@ -373,3 +384,15 @@ def test_overflowing_tb_exit_3_without_warnings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["walsh", "apolar"])
+def test_walsh_above_degree_170_exits_2(tmp_path, capsys, command):
+    # 171! overflows a double: this used to end in a bare OverflowError
+    # traceback and exit 1, the code of a failed suite
+    p = write(tmp_path, "p.json", poly_to_json(from_roots(np.linspace(-1, 1, 180))))
+    code = main([command, p, p, "--frame", "180"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: deg P = 180 exceeds 170, the largest k whose k! is " \
+                           "a finite double\n"

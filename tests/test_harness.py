@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -264,6 +265,36 @@ def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypa
         assert len(rounds) == max(yields), prop.name
         for degrees, n_calls in rounds:
             assert n_calls == len(degrees), prop.name
+
+
+def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
+    # Every root-find of a suite pass is a request to the driver: no roots()
+    # call (140 when analyze, simplicity_margin, extremal_bounds and
+    # walsh_interval_bound called it), and every engine call comes from
+    # _certified_many.  roots is wrapped in every module that holds it.
+    calls = {"roots": 0, "engine": 0, "rows": 0}
+    callers = set()  # code objects that called the engine
+    original, core = rootfind.roots, rootfind._aberth_core
+
+    def counted_roots(p):
+        calls["roots"] += 1
+        return original(p)
+
+    def counted_core(c):
+        callers.add(sys._getframe(1).f_code)
+        calls["engine"] += 1
+        calls["rows"] += len(c)
+        return core(c)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fdzeros" or name.startswith("fdzeros."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted_roots)
+    monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
+    run_suite(SuiteConfig(seed=42, trials=20))
+    assert calls == {"roots": 0, "engine": 217, "rows": 24964}
+    assert callers == {rootfind._certified_many.__code__}
 
 
 def _gen_errors(cfg, rng):

@@ -159,10 +159,20 @@ def test_witness_search_skips_conditions_1_to_3(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a witness candidate was built or root-found")
 
+    certified_many = rootfind._certified_many
+    allowed = []  # the generating polynomial of the operator searched
+
+    def generating_polynomial_only(items):
+        # analyze root-finds the generating polynomial; nothing else may be
+        if [getattr(x, "coeffs", None) for x in items] != [allowed[0].coeffs]:
+            forbidden()
+        return certified_many(items)
+
     monkeypatch.setattr(operators, "apply_op", forbidden)
     monkeypatch.setattr(operators, "_certified_many", forbidden)
-    monkeypatch.setattr(rootfind, "_certified_many", forbidden)
+    monkeypatch.setattr(rootfind, "_certified_many", generating_polynomial_only)
     for op in ops:
+        allowed[:] = [generating_fn(op).poly]
         for strip_b in (None, 0.0, 1.0):
             assert witness_search(op, strip_b=strip_b) is None
 

@@ -86,6 +86,24 @@ def test_roots_many_matches_roots():
         assert np.array_equal(zs, np.array(roots(p).roots))
 
 
+def test_roots_many_raises_what_roots_raises_for_the_first_failure_in_input_order():
+    # gn(96) fails the forward certificate.  The error is the one roots()
+    # raises for it alone, its own (1, 96) iterate attached, and it is raised
+    # before the zero polynomial after it is looked at.
+    g = gn(96, 0.7, 1.0)
+    with pytest.raises(NonConvergence) as alone:
+        roots(g)
+    with pytest.raises(NonConvergence) as many:
+        roots_many([g, ZERO])
+    got, want = many.value, alone.value
+    assert (type(got), str(got)) == (type(want), str(want))
+    assert got.best.shape == (1, 96)
+    assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
+    assert np.array_equal(got.residuals.view(np.uint64), want.residuals.view(np.uint64))
+    with pytest.raises(ZeroPolynomial):
+        roots_many([ZERO, g])
+
+
 def test_classify_real():
     assert classify_real(roots(make_poly([-1, 0, 1])), 1e-8).is_real_rooted
     assert not classify_real(roots(make_poly([1, 0, 1])), 1e-8).is_real_rooted

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_frame_validation():
         walsh_convolve(monomial(3), monomial(1), 2)
     with pytest.raises(InvalidInput):
         walsh_convolve(monomial(0), monomial(0), -1)
+    # the derivatives k! a_k at 0 are doubles only up to k = 170
+    p = from_roots(np.linspace(-1, 1, 171))
+    x = monomial(1)
+    for call in (lambda: walsh_convolve(p, p, 171), lambda: walsh_convolve(x, p, 171),
+                 lambda: apolar_report(p, x, 171, 1e-8), lambda: tb_via_walsh(p, 0.7, 1.0)):
+        with pytest.raises(InvalidInput, match=r"deg [PQ] = 171 exceeds 170"):
+            call()
+
+
+def test_degree_170_is_accepted_without_warnings():
+    p = from_roots(np.linspace(-1, 1, 170))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv = walsh_convolve(p, p, 170)
+        apolar_report(p, p, 170, 1e-8)
+        image = tb_via_walsh(p, 0.7, 1.0)
+    assert conv.degree == 170 and image.degree == 170
 
 
 def test_apolar_examples():
