@@ -26,6 +26,7 @@ from .poly import (
 )
 from .rootfind import (
     DEFAULT_REAL_TOL,
+    RootSet,
     _drive,
     classify_real,
     sorted_real_parts,
@@ -88,16 +89,23 @@ def _sin_degenerate(theta: float) -> bool:
 
 
 def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
-    """Image under T_{theta,h}, computed by two synthetic shifts.
+    """Image under T_{theta,h}, computed by synthetic shifts.
 
-    Real-coefficient input is coerced back to real coefficients after
-    verifying the imaginary residue is roundoff-sized (<= 1e-10 relative);
-    degenerate theta (sin theta = 0 numerically) is evaluated with the
-    exactly-cancelling form so the degree drop is exact.
+    Real-coefficient input takes one shift, P(x + ih), and P(x - ih) as its
+    conjugate; its image is coerced back to real coefficients after
+    verifying the imaginary residue is roundoff-sized (<= 1e-10 relative).
+    Complex input takes both shifts.  Degenerate theta (sin theta = 0
+    numerically) is evaluated with the exactly-cancelling form so the
+    degree drop is exact.
     """
     if p.is_zero:
         return p
-    up, down = _shift_many(p, (-1j * op.h, 1j * op.h))  # P(x + ih), P(x - ih)
+    real = is_real_coeffs(p, 0.0).is_real
+    if real:
+        up, = _shift_many(p, (-1j * op.h,))  # P(x + ih)
+        down = Polynomial(tuple(c.conjugate() for c in up.coeffs))  # P(x - ih)
+    else:
+        up, down = _shift_many(p, (-1j * op.h, 1j * op.h))
     if _sin_degenerate(op.theta):
         sign = 1.0 if math.cos(op.theta) > 0 else -1.0
         image = linear_combine([(-1j * sign, up), (1j * sign, down)],
@@ -106,7 +114,7 @@ def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
         e_plus = complex(math.cos(op.theta), math.sin(op.theta))
         image = linear_combine([(-1j * e_plus, up), (1j * e_plus.conjugate(), down)],
                                trim_tol=1e-13)
-    if is_real_coeffs(p, 0.0).is_real:
+    if real:
         image = coerce_real(image, 1e-10)
     return image
 
@@ -196,18 +204,21 @@ def simplicity_margin(p: Polynomial, theta: float, h: float,
     return _drive(_simplicity_margin(p, theta, h, tol))
 
 
-def _simplicity_margin(p: Polynomial, theta: float, h: float, tol: float):
+def _simplicity_margin(p: Polynomial, theta: float, h: float, tol: float,
+                       irs: RootSet | None = None):
+    # irs: the image's roots, when the caller has root-found the image already
     rs, = yield [p]
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("simplicity margin requires a real-rooted input")
-    image = apply_tb(DeBruijnOp(theta, h), p)
-    if image.is_zero or image.degree == 0:
-        raise TooFewRoots("image is constant; no roots to separate")
-    if image.degree == 1:
-        return math.inf
-    irs, = yield [image]
+    if irs is None:
+        image = apply_tb(DeBruijnOp(theta, h), p)
+        if image.is_zero or image.degree == 0:
+            raise TooFewRoots("image is constant; no roots to separate")
+        if image.degree == 1:
+            return math.inf
+        irs, = yield [image]
     xs = sorted_real_parts(irs)
-    return float(np.min(np.diff(xs)))
+    return float(np.min(np.diff(xs))) if len(xs) > 1 else math.inf
 
 
 def line_image(p: Polynomial, beta: float, theta: float) -> Polynomial:

@@ -346,7 +346,8 @@ def _chk_interlace_obreschkov(inst):
     rss = yield [r for pair in pairs for r in pair]
     a = [_interlace_verdict(p, q, np.array(rp.roots), np.array(rq.roots), inst["tol_real"])
          for (p, q), rp, rq in zip(pairs, rss[0::2], rss[1::2])]
-    b = yield from _pencil(pairs, 200, [inst["seed"] + k for k in range(len(pairs))], 1e-7)
+    seeds = [inst["seed"] + k for k in range(len(pairs))]
+    b = yield from _pencil(pairs, 200, seeds, 1e-7, rss)
     disagree = sum(x != y for x, y in zip(a, b))
     return disagree / len(inst["pairs"]) - inst["max_rate"]
 
@@ -549,7 +550,7 @@ def _chk_tb_image_real_simple(inst):
     image = apply_tb(DeBruijnOp(theta, h), p)
     rs, = yield [image]
     excess = _imag_excess(rs.roots, inst["tol_real"])
-    margin = yield from _simplicity_margin(p, theta, h, inst["tol_real"])
+    margin = yield from _simplicity_margin(p, theta, h, inst["tol_real"], rs)
     return max(excess, -margin)
 
 

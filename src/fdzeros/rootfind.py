@@ -23,6 +23,14 @@ them can raise, so it raises what it would raise with one call after
 another.  `_drive` runs one generator: the pencil oracle, the residual sweep,
 `analyze`, `simplicity_margin`, `extremal_bounds` and `walsh_interval_bound`
 run this way, and the property suite's checkers run together.
+
+The pencil oracle decides most of its directions without the engine.
+`_real_by_signs` certifies a real coefficient row of degree n real-rooted
+when its signs change n times at points where |f(x)| exceeds a rigorous
+Horner error bound; the points are P's and Q's roots, only hints.  A True
+needs every direction certified real, by its signs or by the engine, and a
+False a direction the engine certifies non-real.  Only the directions sent to
+the engine can raise NonConvergence.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ _ITER_TOL = TOL * 1e-4
 FWD_TOL = 1e-3
 _CLUSTER_MAX = 8
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -618,12 +627,53 @@ def _interlace_verdict(p: Polynomial, q: Polynomial, zp: np.ndarray, zq: np.ndar
     return _weakly_alternates(a, b, slack)
 
 
-# Directions of every pencil root-found before any pair is settled; the rest
-# are root-found only for pairs with no certified non-real direction among
+def _real_by_signs(c: np.ndarray, hints: np.ndarray) -> np.ndarray:
+    """Which rows of c provably have only real, simple roots, by trusted
+    sign changes; no root-finding.
+
+    c is (B, n+1), real and ascending; hints is (B, k), any real points for
+    each row.  Each row is evaluated at its hints and at +-2 times its
+    Cauchy bound 1 + max_k |a_k / a_n|.  A sign is trusted where |f(x)|
+    exceeds the a priori Horner error bound gamma_2n sum_k |a_k| |x|^k
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 5.1), inflated by 1% for the rounding of the sum itself, plus a
+    term for underflow; a non-finite value or bound is never trusted.
+    Between two trusted points of opposite sign lies a real root, so a row
+    whose trusted signs change n times has n simple real roots; a row with a
+    zero leading coefficient has fewer roots and is never certified.  The
+    points only decide which rows are certified: wrong hints leave a row
+    uncertified, never certify a non-real one.
+    """
+    n = c.shape[1] - 1
+    with np.errstate(all="ignore"):
+        cauchy = 2.0 * (1.0 + np.max(np.abs(c[:, :-1]), axis=1) / np.abs(c[:, -1]))
+        x = np.sort(np.concatenate([hints, -cauchy[:, None], cauchy[:, None]], axis=1),
+                    axis=1)
+        ax = np.abs(x)
+        f = _horner_rows(c, x)
+        gamma = n * _EPS / (1.0 - n * _EPS)  # gamma_2n, unit roundoff eps / 2
+        # underflow in either Horner sum adds at most n eps _TINY max(1, |x|)^n;
+        # the (n + 1) _TINY max(1, |x|)^n below covers it with no subnormal
+        # arithmetic, which is slow
+        bound = (1.01 * gamma * _horner_rows(np.abs(c), ax)
+                 + (n + 1) * _TINY * np.maximum(1.0, ax) ** n)
+        trusted = np.isfinite(f) & np.isfinite(bound) & (np.abs(f) > bound)
+    sign = np.where(trusted, np.sign(f), 0.0)
+    # each point's sign, or that of the last trusted point before it
+    last = np.maximum.accumulate(np.where(trusted, np.arange(x.shape[1]), 0), axis=1)
+    held = np.take_along_axis(sign, last, axis=1)
+    return np.sum(held[:, 1:] * held[:, :-1] < 0, axis=1) == n
+
+
+# Directions of every pencil decided before any pair is settled; the rest
+# are decided only for pairs with no certified non-real direction among
 # these.  In the suite's pencil check at seed 42 with trials=20, 89 of the 91
 # non-interlacing pairs have a non-real direction among their first 16, and
-# none has its first past the 23rd; of 8, 16 and 32 directions, 16 root-finds
-# the fewest rows (23,624 of 40,000).
+# none has its first past the 23rd.  With the sign certificate deciding most
+# real directions, first stages of 8, 16, 32 and 200 directions root-find
+# 1,334, 1,476, 2,407 and 13,009 rows in a pass of that check (400 of them
+# P and Q): the split still pays ninefold over one stage, and 8 saves too few
+# rows over 16 to show in the check's time.
 _PENCIL_FIRST = 16
 
 
@@ -634,33 +684,45 @@ def pencil_hyperbolic_sample(p: Polynomial, q: Polynomial, n_samples: int = 200,
     Serves as an independent oracle for interlace; returns False if any
     sampled direction yields a non-real-rooted combination.  Realness is
     judged as in classify_real.  The one-pair run of the two-stage pencil
-    `_pencil` (which the suite's interlacing property runs too): the first
-    `_PENCIL_FIRST` sampled directions are root-found, then the rest only if
-    none of those was certified non-real.  True therefore needs every
-    direction certified and real, and False comes only from a certified
-    non-real direction.  NonConvergence is raised when
-    a direction that is root-found fails its certificate; a direction after
-    the first `_PENCIL_FIRST`, once a certified non-real one has settled the
-    answer, is never root-found and cannot raise.  Raises InvalidInput
-    unless n_samples is an integer >= 1: with no sample the answer would be
-    a vacuous True.
+    `_pencil` (which the suite's interlacing property runs too), with P's
+    and Q's roots from one request as sign hints: the first
+    `_PENCIL_FIRST` sampled directions are decided, then the rest only if
+    none of those was certified non-real.  A real direction is decided by
+    trusted sign changes (`_real_by_signs`) or else root-found.  True
+    therefore needs every direction certified real, by its signs or by the
+    engine, and False comes only from a direction the engine certifies
+    non-real.  Only directions sent to the engine can raise NonConvergence,
+    when one fails its certificate; a direction its signs decide, and a
+    direction after the first `_PENCIL_FIRST` once a certified non-real one
+    has settled the answer, are never root-found and cannot raise.  A P or
+    Q that cannot be root-found only leaves the pair without hints.  Raises
+    InvalidInput unless n_samples is an integer >= 1: with no sample the
+    answer would be a vacuous True.
     """
     return _drive(_pencil([(p, q)], n_samples, [seed], tol))[0]
 
 
-def _pencil(pairs, n_samples: int, seeds, tol: float):
+def _pencil(pairs, n_samples: int, seeds, tol: float, rss=None):
     """`pencil_hyperbolic_sample` for each (p, q) of pairs with its own seed,
     as a request generator (see the module docstring) that returns the
     verdicts.
 
-    Each pair samples its directions as the one-pair call does.  Stage 1
-    takes the first `_PENCIL_FIRST` directions of every pair, stage 2 the
-    remaining directions of the pairs that stage 1 left unsettled.  A stage
-    yields its rows as one coefficient array per width, pairs in order; a
-    stage with no rows is skipped.  Rows do not interact in the engine, so a
-    direction's roots are the same whichever rows share its array.  Raises
-    InvalidInput unless there is one seed per pair: a pair left without a
-    seed would come back a vacuous True.
+    rss holds the `RootSet`s of p and q of every pair, in the order of
+    pairs (what a request for them returns); their real parts are the hints
+    of the sign certificate.  With rss None they are requested in one yield;
+    if that request raises, no pair gets hints, and every direction goes to
+    the engine.  Each pair samples its directions as the one-pair call does.
+    Every direction of a pair with real coefficient rows and hints goes
+    through `_real_by_signs` first, one call per width, and the directions
+    it certifies real are never root-found; complex rows always go to the
+    engine.  Stage 1 takes the other directions among the first
+    `_PENCIL_FIRST` of every pair, stage 2 the other remaining directions of
+    the pairs that stage 1 left unsettled.  A stage yields its rows as one
+    coefficient array per width, pairs in order; a stage with no rows is
+    skipped.  Rows do not interact in the engine, so a direction's roots
+    are the same whichever rows share its array.  Raises InvalidInput
+    unless there is one seed per pair: a pair left without a seed would
+    come back a vacuous True.
     """
     for p, q in pairs:
         if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
@@ -672,18 +734,33 @@ def _pencil(pairs, n_samples: int, seeds, tol: float):
         raise InvalidInput(f"pencil sampling needs one seed per pair, got {len(seeds)} "
                            f"seeds for {len(pairs)} pairs")
     _check_tol(tol, "realness tolerance")
+    if rss is None:
+        try:
+            rss = yield [x for pair in pairs for x in pair]
+        except NonConvergence:
+            pass
     rows = []
-    for (p, q), seed in zip(pairs, seeds):
+    hinted: dict[int, list[int]] = {}  # width -> pairs with real rows and hints
+    for i, ((p, q), seed) in enumerate(zip(pairs, seeds)):
         phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_samples)
         rows.append(np.cos(phi)[:, None] * p.as_array()[None, :]
                     + np.sin(phi)[:, None] * q.as_array()[None, :])
+        if rss is not None and not np.any(rows[i].imag):
+            hinted.setdefault(rows[i].shape[1], []).append(i)
+    # the directions to root-find: full degree, and not certified by signs
+    todo = [r[:, -1] != 0 for r in rows]
+    for idx in hinted.values():
+        hints = [np.real(rss[2 * i].roots + rss[2 * i + 1].roots) for i in idx]
+        signed = _real_by_signs(np.concatenate([rows[i].real for i in idx]),
+                                np.repeat(hints, n_samples, axis=0))
+        for i, ok in zip(idx, np.split(signed, len(idx))):
+            todo[i] &= ~ok
     real = [True] * len(pairs)
     for lo, hi in ((0, _PENCIL_FIRST), (_PENCIL_FIRST, n_samples)):
         groups: dict[int, list[np.ndarray]] = {}
         owners: dict[int, list[int]] = {}
         for i, r in enumerate(rows):
-            block = r[lo:hi]
-            block = block[block[:, -1] != 0]
+            block = r[lo:hi][todo[i][lo:hi]]
             if real[i] and len(block):
                 groups.setdefault(r.shape[1], []).append(block)
                 owners.setdefault(r.shape[1], []).extend([i] * len(block))

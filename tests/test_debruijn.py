@@ -11,11 +11,13 @@ from fdzeros import (
     analyze,
     apply_tb,
     as_fd_operator,
+    coerce_real,
     derivative,
     extremal_bounds,
     from_roots,
     gn,
     line_image,
+    linear_combine,
     make_poly,
     mesh_floor,
     monomial,
@@ -24,6 +26,7 @@ from fdzeros import (
     qn_zeros,
     qn_zeros_report,
     roots,
+    shift_arg,
     simplicity_margin,
     sorted_real_parts,
 )
@@ -66,6 +69,37 @@ def test_apply_tb_real_output():
         p = from_roots(rng.uniform(-4, 4, size=6))
         image = apply_tb(DeBruijnOp(rng.uniform(0.3, 2.8), 1.3), p)
         assert all(c.imag == 0 for c in image.coeffs)
+
+
+def _two_shift_image(op, p):
+    # T_{theta,h}(P) from both shifts P(x + ih) and P(x - ih), combined and
+    # coerced as apply_tb does
+    up, down = shift_arg(p, -1j * op.h), shift_arg(p, 1j * op.h)
+    if abs(math.sin(op.theta)) <= 1e-12:
+        sign = 1.0 if math.cos(op.theta) > 0 else -1.0
+        terms = [(-1j * sign, up), (1j * sign, down)]
+    else:
+        e = complex(math.cos(op.theta), math.sin(op.theta))
+        terms = [(-1j * e, up), (1j * e.conjugate(), down)]
+    image = linear_combine(terms, trim_tol=1e-13)
+    return coerce_real(image, 1e-10) if all(c.imag == 0 for c in p.coeffs) else image
+
+
+@pytest.mark.parametrize("n", [8, 159, 160, 200])
+def test_apply_tb_real_input_conjugates_one_shift_bit_for_bit(n):
+    # For real P, apply_tb takes P(x - ih) as the conjugate of P(x + ih);
+    # the image keeps every bit of the two-shift form on both sides of the
+    # wavefront cutover (one shift at n >= 160, two at n >= 80), for
+    # real-rooted and random-coefficient P, and complex P keeps two shifts.
+    rng = np.random.default_rng(n)
+    polys = [from_roots(rng.uniform(-5, 5, n)), make_poly(rng.normal(size=n + 1)),
+             make_poly(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))]
+    for p in polys:
+        for theta in (0.0, math.pi, 0.7):
+            op = DeBruijnOp(theta, 0.5)
+            got, want = apply_tb(op, p).as_array(), _two_shift_image(op, p).as_array()
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), theta
 
 
 def test_qn_examples():

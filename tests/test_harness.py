@@ -271,7 +271,10 @@ def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
     # Every root-find of a suite pass is a request to the driver: no roots()
     # call (140 when analyze, simplicity_margin, extremal_bounds and
     # walsh_interval_bound called it), and every engine call comes from
-    # _certified_many.  roots is wrapped in every module that holds it.
+    # _certified_many.  roots is wrapped in every module that holds it.  The
+    # pencil's sign certificate keeps most of its real directions from the
+    # engine (217 calls on 24,964 rows before it, and before each
+    # tb_image_real_simple image was root-found once instead of twice).
     calls = {"roots": 0, "engine": 0, "rows": 0}
     callers = set()  # code objects that called the engine
     original, core = rootfind.roots, rootfind._aberth_core
@@ -293,8 +296,26 @@ def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
                     monkeypatch.setattr(module, attr, counted_roots)
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     run_suite(SuiteConfig(seed=42, trials=20))
-    assert calls == {"roots": 0, "engine": 217, "rows": 24964}
+    assert calls == {"roots": 0, "engine": 205, "rows": 2396}
     assert callers == {rootfind._certified_many.__code__}
+
+
+def test_tb_image_real_simple_root_finds_each_image_once(monkeypatch):
+    # The checker hands its image's roots to the simplicity margin, so a
+    # pass root-finds each instance's P and image once: 2 rows an instance
+    # (3 when the margin root-found the image again).
+    rows = []
+    core = rootfind._aberth_core
+
+    def counted_core(c):
+        rows.append(len(c))
+        return core(c)
+
+    monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
+    prop = next(p for p in ALL_PROPERTIES if p.name == "tb_image_real_simple")
+    report = run_properties(SuiteConfig(seed=42, trials=20), [prop])
+    assert report.passed
+    assert sum(rows) == 2 * 20
 
 
 def _gen_errors(cfg, rng):

@@ -296,18 +296,31 @@ def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch
     monkeypatch.setattr(rootfind, "_aberth_core", counting)
     first = rootfind._PENCIL_FIRST
     p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
-    assert not pencil_hyperbolic_sample(p, r, 200, seed=0)  # settled in stage 1
-    assert batches == [first]
+    # P and Q for the hints, then the 10 of 16 first directions that the
+    # signs leave undecided; settled in stage 1
+    assert not pencil_hyperbolic_sample(p, r, 200, seed=0)
+    assert batches == [2, 10]
     batches.clear()
-    assert pencil_hyperbolic_sample(p, q, 200, seed=0)  # interlacing: every direction
-    assert batches == [first, 200 - first]
+    assert pencil_hyperbolic_sample(p, q, 200, seed=0)  # interlacing: signs decide all
+    assert batches == [2]
+    batches.clear()
+    # complex coefficients: every direction is root-found, in two stages
+    assert pencil_hyperbolic_sample(_times_i(p), _times_i(q), 200, seed=0)
+    assert batches == [2, first, 200 - first]
     batches.clear()
     # one call per degree and stage; the settled pair drops out of stage 2
-    pairs = [(p, r), (p, q), (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))]
+    cubic = (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))
+    pairs = [(p, r), (_times_i(p), _times_i(q)), tuple(map(_times_i, cubic))]
     assert rootfind._drive(rootfind._pencil(pairs, 200, [0, 0, 0], 1e-7)) == \
         [False, True, True]
-    assert sorted(batches[:2]) == [first, 2 * first]
-    assert sorted(batches[2:]) == [200 - first, 200 - first]
+    assert sorted(batches[:2]) == [2, 4]
+    assert sorted(batches[2:4]) == [first, 10 + first]
+    assert sorted(batches[4:]) == [200 - first, 200 - first]
+
+
+def _times_i(p):
+    # i * p: real-rooted when p is, with complex coefficients
+    return make_poly(1j * p.as_array())
 
 
 def test_pencil_needs_one_seed_per_pair():
@@ -321,16 +334,20 @@ def test_pencil_needs_one_seed_per_pair():
 
 
 def test_pencil_generator_yields_one_array_per_width_and_stage():
-    # The stages of the pencil, answered with aberth_batch: stage 1 holds the
-    # first directions of every pair, stage 2 only the pairs stage 1 left
-    # unsettled; in each, widths come in the order of their first pair.
+    # The requests of the pencil, answered with roots and aberth_batch: P and
+    # Q of every pair, then stage 1 with the first directions of every pair
+    # that the signs leave undecided, then stage 2 only with the pairs stage
+    # 1 left unsettled; in each stage, widths come in the order of their
+    # first pair.  The complex pairs bypass the signs.
     first = rootfind._PENCIL_FIRST
     p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
-    cubic = (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))
-    pairs = [(p, r), cubic, (p, q)]
+    cubic = (_times_i(from_roots([-1.0, 0.0, 1.0])), _times_i(from_roots([-0.5, 0.5, 1.5])))
+    pairs = [(p, r), cubic, (_times_i(p), _times_i(q))]
     stages = rootfind._pencil(pairs, 200, [0, 1, 2], 1e-7)
-    arrays = next(stages)
-    assert [c.shape for c in arrays] == [(2 * first, 3), (first, 4)]
+    polys = next(stages)
+    assert polys == [x for pair in pairs for x in pair]
+    arrays = stages.send([roots(x) for x in polys])
+    assert [c.shape for c in arrays] == [(10 + first, 3), (first, 4)]
     arrays = stages.send([aberth_batch(c) for c in arrays])
     assert [c.shape for c in arrays] == [(200 - first, 4), (200 - first, 3)]
     with pytest.raises(StopIteration) as stop:
@@ -352,6 +369,116 @@ def test_pencil_cancelled_direction_matches_reference():
         want = _pencil_reference(p, q, n_samples, 0)
         assert pencil_hyperbolic_sample(p, q, n_samples, seed=0) is want
     assert _pencil_reference(p, q, 1, 0) is False
+
+
+def _registry_sign_rows(trials):
+    # Every direction of every registry pair (the pencil's 200 per pair) with
+    # the pair's roots as hints, grouped by width: {width: (rows, hints)}.
+    triples = _registry_pairs(trials)
+    found = roots_many([x for p, q, _ in triples for x in (p, q)])
+    groups = {}
+    for (p, q, seed), zp, zq in zip(triples, found[0::2], found[1::2]):
+        phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 200)
+        rows = (np.cos(phi)[:, None] * p.as_array().real
+                + np.sin(phi)[:, None] * q.as_array().real)
+        hints = np.broadcast_to(np.concatenate([zp, zq]).real, (200, 2 * p.degree))
+        groups.setdefault(p.degree + 1, []).append((rows, hints))
+    return {w: tuple(map(np.concatenate, zip(*g))) for w, g in groups.items()}
+
+
+def test_sign_certified_rows_are_real_for_the_engine_and_mpmath():
+    # Oracles for _real_by_signs on the interlacing property's 500 pairs at
+    # seed 42: the engine certifies every sign-certified row real (so none
+    # is one it certifies non-real), and mpmath at 50 digits finds only real
+    # roots in a sample of 50 of them.
+    certified = []
+    for rows, hints in _registry_sign_rows(50).values():
+        rows = rows[rootfind._real_by_signs(rows, hints)]
+        got = _aberth_core(rows)
+        scale = np.maximum(1.0, np.max(np.abs(got.z), axis=1))
+        assert not any(got.failed)
+        assert np.all(np.max(np.abs(got.z.imag), axis=1) <= 1e-7 * scale)
+        certified.extend(rows)
+    assert len(certified) > 60_000  # of 100,000 directions
+    with mpmath.workdps(50):
+        for row in certified[:: len(certified) // 50][:50]:
+            zs = mpmath.polyroots([mpmath.mpf(a) for a in row[::-1]], maxsteps=100,
+                                  extraprec=100)
+            assert len(zs) == len(row) - 1
+            assert all(abs(mpmath.im(z)) <= mpmath.mpf(10) ** -30 * max(1, abs(z))
+                       for z in zs)
+
+
+def test_sign_certificate_distrusts_rounding_noise():
+    # (x - 1)(x - 2)((x - 3)^2 + d^2) with d = 3e-8 keeps its non-real pair
+    # in double precision (mpmath: |Im| = 4.2e-8), but Horner's rule gives
+    # noise for its sign just left of 3.  At a hint where that noise is
+    # negative, signs taken at face value change 4 times and would call the
+    # row real; the bound must leave that sign untrusted.
+    c = from_roots([1.0, 2.0, 3 + 3e-8j, 3 - 3e-8j]).as_array().real[None, :]
+    with mpmath.workdps(50):
+        zs = mpmath.polyroots([mpmath.mpf(a) for a in c[0, ::-1]], maxsteps=100,
+                              extraprec=100)
+    assert max(abs(mpmath.im(z)) for z in zs) > 1e-8
+    xs = 3.0 + np.arange(-300, 301) * 1e-9
+    f = rootfind._horner_rows(np.repeat(c, len(xs), axis=0), xs[:, None])[:, 0]
+    noise = xs[f < 0][0]
+    assert not rootfind._real_by_signs(c, np.array([[0.0, 1.5, 2.5, noise]]))[0]
+    # the same row with hints that do separate its real roots is still not
+    # certified: two sign changes for degree 4
+    assert not rootfind._real_by_signs(c, np.array([[0.0, 1.5, 2.5, 3.0]]))[0]
+    # and a real-rooted row is, from separating hints
+    real = from_roots([1.0, 2.0, 3.0, 3.5]).as_array().real[None, :]
+    assert rootfind._real_by_signs(real, np.array([[0.0, 1.5, 2.5, 3.2]]))[0]
+
+
+def test_sign_certificate_never_trusts_overflow():
+    # 1e-200 x^3 + x^2 - 1 has roots near -1, 1 and -1e200: the third is
+    # separated only by the point -2 * Cauchy bound, where Horner's rule
+    # overflows, so the row stays undecided although it is real-rooted.
+    c = np.array([[-1.0, 0.0, 1.0, 1e-200]])
+    hints = np.array([[-2.0, 0.0, 2.0]])
+    cauchy = 2.0 * (1.0 + 1e200)
+    with np.errstate(all="ignore"):
+        f = rootfind._horner_rows(c, np.array([[-cauchy, cauchy]]))
+    assert not np.isfinite(f).any()
+    assert not rootfind._real_by_signs(c, hints)[0]
+    # without the tiny leading term the same hints decide the quadratic
+    assert rootfind._real_by_signs(c[:, :3], hints)[0]
+
+
+def test_pencil_complex_pairs_bypass_the_signs(monkeypatch):
+    seen = []
+    original = rootfind._real_by_signs
+
+    def recording(c, hints):
+        seen.append(len(c))
+        return original(c, hints)
+
+    monkeypatch.setattr(rootfind, "_real_by_signs", recording)
+    p, q = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0])
+    assert pencil_hyperbolic_sample(_times_i(p), _times_i(q), 200, seed=0)
+    assert pencil_hyperbolic_sample(make_poly(p.as_array() + 1e-3j), q, 50, seed=0) is \
+        _pencil_reference(make_poly(p.as_array() + 1e-3j), q, 50, 0)
+    assert seen == []
+    assert pencil_hyperbolic_sample(p, q, 200, seed=0)
+    assert seen == [200]
+
+
+def test_pencil_without_hints_root_finds_every_real_direction():
+    # If P or Q cannot be root-found, the pair goes without hints and every
+    # direction to the engine, as the pencil did before it had signs.
+    first = rootfind._PENCIL_FIRST
+    p, q = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0])
+    stages = rootfind._pencil([(p, q)], 200, [0], 1e-7)
+    next(stages)
+    arrays = stages.throw(NonConvergence("no roots for P"))
+    assert [c.shape for c in arrays] == [(first, 3)]
+    arrays = stages.send([aberth_batch(c) for c in arrays])
+    assert [c.shape for c in arrays] == [(200 - first, 3)]
+    with pytest.raises(StopIteration) as stop:
+        stages.send([aberth_batch(c) for c in arrays])
+    assert stop.value.value == [True]
 
 
 def _p_plus_iq_imag(p, q):
