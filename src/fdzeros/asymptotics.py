@@ -179,31 +179,18 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
 
     Errors come in this order: InvalidInput for the grid arguments (bounds
     outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2),
-    checked before any root-find, or for an h_min below the matching floor,
-    NonConvergence for an image at any h, then InvalidInput for the order and
-    DegenerateQ, then, h by h from h_min up, InvalidInput for a root-count
-    mismatch and MatchAmbiguity.  A NonConvergence for the images is the one
-    `roots` raises for the first image that fails, alone: its best iterate
-    is that image's, of shape (1, n), and its message names the certificate
-    that image failed.  No image is known to fail at a grid the floor
-    admits.
+    checked before any root-find, then what `sweep_h_floor` raises for p,
+    InvalidInput for an h_min below the matching floor, NonConvergence for
+    an image at any h, then InvalidInput for the order and DegenerateQ,
+    then, h by h from h_min up, InvalidInput for a root-count mismatch and
+    MatchAmbiguity.  A NonConvergence for the images is the one `roots`
+    raises for the first image that fails, alone: its best iterate is that
+    image's, of shape (1, n), and its message names the certificate that
+    image failed.  No image is known to fail at a grid the floor admits.
     """
     _check_grid(h_min, h_max, steps)
-    rep, = _drive(_sweeps(p, theta, h_min, h_max, steps, (order,), sweep_h_floor(p)))
+    rep, = _drive(_sweeps(p, theta, lambda floor: (h_min, h_max), steps, (order,)))
     return rep
-
-
-def _floor_sweeps(p: Polynomial, theta: float, lo: float, hi: float, steps: int, orders):
-    """`_sweeps` from h_min = lo * floor to h_max = hi * floor, with floor
-    the matching floor of p, as a request generator (see `rootfind`'s module
-    docstring) that yields [p] for the floor first.  Each report equals the
-    `residual_sweep` call over that h range at its order, and the errors
-    come as from those calls made one after the other."""
-    rs, = yield [p]
-    floor = _matching_floor(rs)
-    h_min, h_max = lo * floor, hi * floor
-    _check_grid(h_min, h_max, steps)
-    return (yield from _sweeps(p, theta, h_min, h_max, steps, orders, floor))
 
 
 def _check_grid(h_min: float, h_max: float, steps: int) -> None:
@@ -214,11 +201,15 @@ def _check_grid(h_min: float, h_max: float, steps: int) -> None:
                            f"got {h_min!r}, {h_max!r}, {steps!r}")
 
 
-def _sweeps(p: Polynomial, theta: float, h_min: float, h_max: float, steps: int,
-            orders, floor: float):
-    """The sweep of valid grid arguments at each of `orders`, as a request
-    generator that yields the grid's images once and returns one report per
-    order; h_min is checked against the matching floor first."""
+def _sweeps(p: Polynomial, theta: float, h_range, steps: int, orders):
+    """The sweep at each of `orders` over the h range h_range(floor), as a
+    request generator that yields [p] for the matching floor, then the
+    grid's images once.  Each report, and each error, is that of the
+    `residual_sweep` call over the same range at its order."""
+    rs, = yield [p]
+    floor = _matching_floor(rs)
+    h_min, h_max = h_range(floor)
+    _check_grid(h_min, h_max, steps)
     if h_min < floor:
         raise InvalidInput(
             f"h_min {h_min} is below the matching floor {floor:.6g}"
@@ -302,7 +293,8 @@ def report_summary(report: AsymptoticReport) -> dict:
         "h_min": report.h_grid[0],
         "h_max": report.h_grid[-1],
         "steps": len(report.h_grid),
-        "fitted_decay": report.fitted_decay,
+        # JSON has no NaN: None when the fit is undefined
+        "fitted_decay": report.fitted_decay if math.isfinite(report.fitted_decay) else None,
         "omega_bound_ok": report.omega_bound_ok,
         "max_residual": max(r.residual for r in report.records),
     }

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import _floor_sweeps, monic_head, predict_roots
+from .asymptotics import _sweeps, monic_head, predict_roots
 from .debruijn import (
     DeBruijnOp,
     _extremal_bounds,
@@ -60,6 +60,8 @@ from .rootfind import (
     _drive,
     _interlace_verdict,
     _pencil,
+    _realness,
+    _root_scale,
     _run_requests,
     extremes,
     mesh,
@@ -202,9 +204,11 @@ def _pad_gap(p: Polynomial, q: Polynomial) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _imag_excess(root_list, tol: float) -> float:
-    scale = max(1.0, max(abs(r) for r in root_list))
-    return max(abs(r.imag) for r in root_list) - tol * scale
+def _imag_excess(root_list, tol: float, line: float = 0.0) -> float:
+    # how far the roots sit from the line Im z = line beyond the realness
+    # threshold, by the rule of classify_real
+    v = _realness(root_list, tol, line)
+    return v.max_imag - v.tol_used
 
 
 def _draw_degree(cfg: SuiteConfig, rng, lo: int = 1, hi: int | None = None) -> int:
@@ -476,8 +480,8 @@ def _chk_op_strip_sound(inst):
     if image.is_zero or image.degree == 0:
         return -1.0
     rs, = yield [image]
-    scale = max(1.0, max(abs(r) for r in rs.roots))
-    return max(abs(r.imag) for r in rs.roots) - inst["b"] - inst["tol_real"] * scale
+    v = _realness(rs.roots, inst["tol_real"])
+    return v.max_imag - inst["b"] - v.tol_used
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +563,8 @@ def _chk_tb_mesh_floor(inst):
     theta, h = inst["theta"], inst["h"]
     image = apply_tb(DeBruijnOp(theta, h), p)
     rs, = yield [image]
-    scale = max(1.0, max(abs(r) for r in rs.roots))
     floor = mesh_floor(p.degree, theta, h)
-    return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
+    return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * _root_scale(rs.roots)
 
 
 def _chk_tb_mesh_monotone(inst):
@@ -571,8 +574,7 @@ def _chk_tb_mesh_monotone(inst):
     m_p = mesh(rs, inst["tol_real"])
     image = apply_tb(DeBruijnOp(theta, h), p)
     rs, = yield [image]
-    scale = max(1.0, max(abs(r) for r in rs.roots))
-    return m_p - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
+    return m_p - mesh(rs, inst["tol_real"]) - inst["slack"] * _root_scale(rs.roots)
 
 
 def _chk_tb_extremal(inst):
@@ -604,9 +606,7 @@ def _chk_tb_line_lemma(inst):
     if image.is_zero or image.degree == 0:
         return -1.0
     rs, = yield [image]
-    line = inst["c"] + inst["beta"] / 2.0
-    scale = max(1.0, max(abs(r) for r in rs.roots))
-    return max(abs(r.imag - line) for r in rs.roots) - inst["tol"] * scale
+    return _imag_excess(rs.roots, inst["tol"], inst["c"] + inst["beta"] / 2.0)
 
 
 def _gen_tb_periodicity(cfg, rng):
@@ -653,11 +653,10 @@ def _chk_walsh_mesh(inst):
     if conv.is_zero or conv.degree < 2:
         return -1.0
     rs, rs_p = yield [conv, p]
-    scale = max(1.0, max(abs(r) for r in rs.roots))
     m_p = mesh(rs_p, inst["tol_real"])
     rs_q, = yield [q]
     floor = max(m_p, mesh(rs_q, inst["tol_real"]))
-    return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * scale
+    return floor - mesh(rs, inst["tol_real"]) - inst["slack"] * _root_scale(rs.roots)
 
 
 def _chk_walsh_interval(inst):
@@ -669,8 +668,7 @@ def _chk_walsh_interval(inst):
     bound = yield from _walsh_interval_bound(p, q, inst["n"], inst["tol_real"])
     rs, = yield [conv]
     xs = sorted_real_parts(rs)
-    scale = max(1.0, float(np.max(np.abs(xs))))
-    eps = inst["slack"] * scale
+    eps = inst["slack"] * _root_scale(xs)
     return max(bound["lo"] - float(xs[0]), float(xs[-1]) - bound["hi"]) - eps
 
 
@@ -723,8 +721,8 @@ def _gen_asym_omega(cfg, rng):
 
 def _chk_asym_omega(inst):
     p = poly_from_json(inst["poly"])
-    rep, = yield from _floor_sweeps(p, inst["theta"], 1.05, 10.5, inst["steps"],
-                                    (inst["order"],))
+    rep, = yield from _sweeps(p, inst["theta"], lambda f: (1.05 * f, 10.5 * f),
+                              inst["steps"], (inst["order"],))
     return -1.0 if rep.omega_bound_ok else 1.0
 
 
@@ -772,7 +770,8 @@ def _gen_asym_hierarchy(cfg, rng):
 def _chk_asym_hierarchy(inst):
     p = poly_from_json(inst["poly"])
     # one batch of image roots serves all three orders
-    reps = yield from _floor_sweeps(p, inst["theta"], 1.1, 11.0, inst["steps"], (0, 1, 2))
+    reps = yield from _sweeps(p, inst["theta"], lambda f: (1.1 * f, 11.0 * f),
+                              inst["steps"], (0, 1, 2))
     # compare the per-h worst residual: a single root can have an
     # accidentally tiny low-order residual when its correction coefficient
     # nearly vanishes, but the profile over all roots still orders strictly

@@ -29,6 +29,7 @@ from .rootfind import (
     _certified_many,
     _check_tol,
     _drive,
+    _realness,
     _rootset,
     _sorted,
     rootset_to_json,
@@ -303,11 +304,10 @@ def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
             if error is not None:
                 continue
             z = _sorted(z)
-            scale = max(1.0, max(abs(r) for r in z))
+            v = _realness(z, 10.0 * tol)
+            excess = v.max_imag - band
             worst = max(z, key=lambda r: abs(r.imag))
-            excess = abs(worst.imag) - band
-            margin = 10.0 * tol * scale
-            if excess > margin and _offense_confirmed(op, n, s, worst, band, margin):
+            if excess > v.tol_used and _offense_confirmed(op, n, s, worst, band, v.tol_used):
                 return Witness(cand, label, _rootset(image, z), float(excess))
     return None
 

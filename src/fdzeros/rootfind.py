@@ -7,6 +7,8 @@ certificate for every degree, judged row by row.  `_certified_many`, its one
 caller, answers `roots`, `roots_many`, `aberth_batch` and the driver below.
 The predicates below (realness, mesh, extremes, interlacing) are the
 language the zero-location guarantees elsewhere in the package are stated in.
+`_realness` is the one rule for how far roots sit from a line Im z = c; the
+pencil, the witness search and the property checks all judge by it.
 
 Code that root-finds many polynomials in stages may be written as a request
 generator, and `_run_requests` is the one driver that answers it.  A yield
@@ -16,8 +18,9 @@ list of coefficient arrays (each of same-width rows), answered with what
 first such error is thrown in at that yield instead: what `roots` raises for
 that polynomial alone, or what `aberth_batch` raises for that array alone.
 The driver advances all its generators one yield per round and root-finds
-every row of a round with one engine call per width (degree + 1).  Rows do
-not interact in the engine, so each answer equals the one-at-a-time call's.
+every row of a round with one engine call per width (degree + 1), the one
+batching layer: generators never group rows by width.  Rows do not
+interact in the engine, so each answer equals the one-at-a-time call's.
 A generator merges two root-finds into one yield only when nothing between
 them can raise, so it raises what it would raise with one call after
 another.  `_drive` runs one generator: the pencil oracle, the residual sweep,
@@ -549,9 +552,11 @@ def _check_tol(tol: float, what: str) -> None:
         raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
 
 
-def _realness(zs, tol: float) -> RealnessVerdict:
+def _realness(zs, tol: float, line: float = 0.0) -> RealnessVerdict:
+    # max |Im z - line| against tol * max(1, max |z|), |z| by scalar abs:
+    # numpy's vectorised complex abs can differ from it in the last bit
     _check_tol(tol, "realness tolerance")
-    max_imag = max((abs(r.imag) for r in zs), default=0.0)
+    max_imag = max((abs(r.imag - line) for r in zs), default=0.0)
     tol_used = tol * _root_scale(zs)
     return RealnessVerdict(max_imag <= tol_used, max_imag, tol_used)
 
@@ -717,12 +722,12 @@ def _pencil(pairs, n_samples: int, seeds, tol: float, rss=None):
     it certifies real are never root-found; complex rows always go to the
     engine.  Stage 1 takes the other directions among the first
     `_PENCIL_FIRST` of every pair, stage 2 the other remaining directions of
-    the pairs that stage 1 left unsettled.  A stage yields its rows as one
-    coefficient array per width, pairs in order; a stage with no rows is
-    skipped.  Rows do not interact in the engine, so a direction's roots
-    are the same whichever rows share its array.  Raises InvalidInput
-    unless there is one seed per pair: a pair left without a seed would
-    come back a vacuous True.
+    the pairs that stage 1 left unsettled.  A stage yields one coefficient
+    array per pair with rows in it, pairs in order (a NonConvergence carries
+    the first failing pair's rows), and each row is judged by `_realness`.
+    A direction that cancels the leading coefficient exactly is requested
+    last, alone, as a polynomial.  Raises InvalidInput unless there is one
+    seed per pair: a pair left without a seed would come back a vacuous True.
     """
     for p, q in pairs:
         if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
@@ -757,27 +762,19 @@ def _pencil(pairs, n_samples: int, seeds, tol: float, rss=None):
             todo[i] &= ~ok
     real = [True] * len(pairs)
     for lo, hi in ((0, _PENCIL_FIRST), (_PENCIL_FIRST, n_samples)):
-        groups: dict[int, list[np.ndarray]] = {}
-        owners: dict[int, list[int]] = {}
-        for i, r in enumerate(rows):
-            block = r[lo:hi][todo[i][lo:hi]]
-            if real[i] and len(block):
-                groups.setdefault(r.shape[1], []).append(block)
-                owners.setdefault(r.shape[1], []).extend([i] * len(block))
-        if not groups:
-            continue
-        zs = yield [np.concatenate(blocks) for blocks in groups.values()]
-        for width, z in zip(groups, zs):
-            scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
-            for i in np.asarray(owners[width])[np.max(np.abs(z.imag), axis=1) > tol * scale]:
-                real[i] = False
+        live = [i for i, ok in enumerate(real) if ok and todo[i][lo:hi].any()]
+        if live:
+            zs = yield [rows[i][lo:hi][todo[i][lo:hi]] for i in live]
+            for i, z in zip(live, zs):
+                real[i] = all(_realness(row, tol).is_real_rooted for row in z)
     # A direction that cancels the leading coefficient exactly leaves a
     # lower-degree (possibly constant or zero) combination.
     for i, r in enumerate(rows):
         for row in r[r[:, -1] == 0]:
             pr = make_poly(row)
-            if real[i] and not (pr.is_zero or pr.degree == 0):
-                real[i] = bool(classify_real(roots(pr), tol).is_real_rooted)
+            if real[i] and _unrootable(pr) is None:
+                rs, = yield [pr]
+                real[i] = bool(classify_real(rs, tol).is_real_rooted)
     return real
 
 

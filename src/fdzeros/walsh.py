@@ -51,14 +51,20 @@ def _derivs_at_zero(p: Polynomial, n: int) -> np.ndarray:
 
 
 def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
-    """P [+] Q inside frame degree n."""
+    """P [+] Q inside frame degree n; InvalidInput if a coefficient overflows
+    a double (P = from_roots(linspace(-1, 1, n)), Q = G_n(0.7, 1) at n = 150)."""
     _check_frame(p, q, n)
     pd = _derivs_at_zero(p, n)
     q_derivs = [q]
     for _ in range(n):
         q_derivs.append(derivative(q_derivs[-1]))
     pairs = [(pd[k], q_derivs[n - k]) for k in range(n + 1)]
-    return linear_combine(pairs)
+    conv = linear_combine(pairs)
+    bad = int(np.count_nonzero(~np.isfinite(conv.as_array())))
+    if bad:
+        raise InvalidInput(f"P [+] Q in frame {n} overflows a double: {bad} of "
+                           f"{len(conv.coeffs)} coefficients are not finite")
+    return conv
 
 
 def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:

@@ -231,18 +231,20 @@ def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
         raise AssertionError("image built or root-found before the floor check")
 
     p = from_roots([-3.0, 1.0, 4.0])
+    h_min = sweep_h_floor(p) / 2
     certified_many = rootfind._certified_many
 
     def p_only(items):
-        # the floor root-finds p itself, as roots(p) does; nothing else may
-        if len(items) != 1 or not np.array_equal(items[0], p.as_array()[None, :]):
+        # the floor root-finds p itself, requested as a polynomial item;
+        # nothing else may be root-found
+        if items != [p]:
             forbidden()
         return certified_many(items)
 
     monkeypatch.setattr(asymptotics, "apply_tb", forbidden)
     monkeypatch.setattr(rootfind, "_certified_many", p_only)
     with pytest.raises(InvalidInput, match="matching floor"):
-        residual_sweep(p, 0.7, sweep_h_floor(p) / 2, 100.0, 5, 1)
+        residual_sweep(p, 0.7, h_min, 100.0, 5, 1)
 
 
 @pytest.mark.parametrize("certificate", ["residual", "forward"])
@@ -281,7 +283,8 @@ def test_shared_sweeps_equal_one_sweep_per_order():
         floor = sweep_h_floor(p)
         args = (p, theta, floor * 1.1, floor * 11.0, 8)
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
-        assert rootfind._drive(asymptotics._sweeps(*args, (0, 1, 2), floor)) == want, k
+        shared = asymptotics._sweeps(p, theta, lambda f: args[2:4], 8, (0, 1, 2))
+        assert rootfind._drive(shared) == want, k
 
 
 def _drive(check, inst, requests):
@@ -304,7 +307,7 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
     prop = next(q for q in ALL_PROPERTIES if q.name == "asym_order_hierarchy")
     cfg = SuiteConfig(seed=42, trials=20)
     instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
-    original = harness._floor_sweeps
+    original = harness._sweeps
     reports = []
 
     def recorded(*args):
@@ -312,7 +315,7 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
         reports.append(reps)
         return reps
 
-    monkeypatch.setattr(harness, "_floor_sweeps", recorded)
+    monkeypatch.setattr(harness, "_sweeps", recorded)
     for inst in instances:
         requests = []
         _drive(prop.check, inst, requests)
@@ -321,7 +324,9 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
         args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
         assert reports[-1] == want
-        assert rootfind._drive(asymptotics._sweeps(*args, (0, 1, 2), floor)) == want
+        shared = asymptotics._sweeps(p, inst["theta"], lambda f: args[2:4], inst["steps"],
+                                     (0, 1, 2))
+        assert rootfind._drive(shared) == want
         assert requests == [[p], [apply_tb(DeBruijnOp(inst["theta"], h), p)
                                   for h in want[0].h_grid]]
 

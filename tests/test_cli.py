@@ -12,6 +12,7 @@ from fdzeros import (
     InvalidInput,
     cli,
     from_roots,
+    gn,
     operator_to_json,
     operators,
     poly_to_json,
@@ -113,6 +114,24 @@ def test_asymptotics_csv(tmp_path, capsys):
     assert lines[0] == "h,j,actual,predicted,residual,residual_h2"
     summary = json.loads(lines[-1])
     assert summary["omega_bound_ok"] is True
+
+
+@pytest.mark.parametrize("order", ["0", "1", "2"])
+def test_asymptotics_summary_writes_null_for_an_undefined_fit(tmp_path, capsys, order):
+    # (x - 1)^2: every residual is below the fit's 1e-13 relative floor, so
+    # fitted_decay is NaN; the command printed the CSV and then exited 2 on
+    # "Out of range float values are not JSON compliant"
+    code, out = run(capsys, [
+        "asymptotics", write(tmp_path, "p.json", {"coeffs": [[1, 0], [-2, 0], [1, 0]]}),
+        "--theta", "0.9", "--h-min", "40", "--h-max", "400", "--steps", "6",
+        "--order", order, "--summary",
+    ])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 6 * 2 + 1  # header, two roots per h, summary
+    summary = json.loads(lines[-1])
+    assert summary["fitted_decay"] is None
+    assert summary["order"] == int(order) and summary["steps"] == 6
 
 
 def test_witness_found(tmp_path, capsys):
@@ -384,6 +403,19 @@ def test_overflowing_tb_exit_3_without_warnings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_walsh_overflow_exits_2(tmp_path, capsys):
+    # P [+] G_160 overflows a double in 133 of its 161 coefficients; the
+    # error named the overflow only as "Out of range float values are not
+    # JSON compliant", from the emitter
+    p = write(tmp_path, "p.json", poly_to_json(from_roots(np.linspace(-1, 1, 160))))
+    g = write(tmp_path, "g.json", poly_to_json(gn(160, 0.7, 1.0)))
+    code = main(["walsh", p, g, "--frame", "160"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: P [+] Q in frame 160 overflows a double: 133 of 161 " \
+                           "coefficients are not finite\n"
 
 
 @pytest.mark.parametrize("command", ["walsh", "apolar"])

@@ -18,12 +18,14 @@ from fdzeros import (
     gn,
     make_poly,
     mesh,
+    pencil_hyperbolic_sample,
     random_hyperbolic,
     random_line_poly,
     random_preserver,
     random_strip_operator,
     replay,
     report_to_json,
+    residual_sweep,
     roots,
     run_properties,
     run_suite,
@@ -289,15 +291,44 @@ def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
         calls["rows"] += len(c)
         return core(c)
 
-    for name, module in list(sys.modules.items()):
-        if name == "fdzeros" or name.startswith("fdzeros."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted_roots)
+    _wrap_in_every_module(monkeypatch, original, counted_roots)
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     run_suite(SuiteConfig(seed=42, trials=20))
     assert calls == {"roots": 0, "engine": 205, "rows": 2396}
     assert callers == {rootfind._certified_many.__code__}
+
+
+def _wrap_in_every_module(monkeypatch, original, wrapper):
+    # replace original by wrapper in every fdzeros module that holds it
+    for name, module in list(sys.modules.items()):
+        if name == "fdzeros" or name.startswith("fdzeros."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_sweep_and_cancelled_pencil_root_find_only_through_the_driver(monkeypatch):
+    # residual_sweep requests p for its matching floor (it called
+    # sweep_h_floor, so roots(p), first), and the pencil requests a direction
+    # that cancels the leading coefficient exactly (it called roots on it):
+    # neither calls roots or roots_many, in any module.
+    calls = []
+    for original in (rootfind.roots, rootfind.roots_many):
+        def counted(arg, _original=original):
+            calls.append(_original.__name__)
+            return _original(arg)
+
+        _wrap_in_every_module(monkeypatch, original, counted)
+    rep = residual_sweep(make_poly([5, -1, 2, 1]), 0.7, 20.0, 500.0, 7, 1)
+    assert len(rep.records) == 3 * 7
+    # the first sampled direction at seed 0 leaves s*c*(x^2 + 1), not
+    # real-rooted, which alone (n_samples = 1) decides the verdict
+    phi = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 1)[0]
+    s, c = math.sin(phi), math.cos(phi)
+    p = make_poly([s * a for a in (0.0, 2.0, -3.0, 1.0)])
+    q = make_poly([-c * a for a in (-1.0, 2.0, -4.0, 1.0)])
+    assert pencil_hyperbolic_sample(p, q, 1, seed=0) is False
+    assert calls == []
 
 
 def test_tb_image_real_simple_root_finds_each_image_once(monkeypatch):

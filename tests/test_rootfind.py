@@ -333,12 +333,19 @@ def test_pencil_needs_one_seed_per_pair():
             rootfind._drive(rootfind._pencil([(p, r), (p, r)], 200, seeds, 1e-7))
 
 
-def test_pencil_generator_yields_one_array_per_width_and_stage():
+def _rows_per_width(arrays):
+    totals = {}
+    for c in arrays:
+        totals[c.shape[1]] = totals.get(c.shape[1], 0) + len(c)
+    return totals
+
+
+def test_pencil_generator_yields_one_array_per_pair_and_stage():
     # The requests of the pencil, answered with roots and aberth_batch: P and
     # Q of every pair, then stage 1 with the first directions of every pair
     # that the signs leave undecided, then stage 2 only with the pairs stage
-    # 1 left unsettled; in each stage, widths come in the order of their
-    # first pair.  The complex pairs bypass the signs.
+    # 1 left unsettled; in each stage one array per pair, pairs in order,
+    # which the driver groups by width.  The complex pairs bypass the signs.
     first = rootfind._PENCIL_FIRST
     p, q, r = from_roots([-1.0, 1.0]), from_roots([0.0, 2.0]), from_roots([3.0, 4.0])
     cubic = (_times_i(from_roots([-1.0, 0.0, 1.0])), _times_i(from_roots([-0.5, 0.5, 1.5])))
@@ -347,14 +354,45 @@ def test_pencil_generator_yields_one_array_per_width_and_stage():
     polys = next(stages)
     assert polys == [x for pair in pairs for x in pair]
     arrays = stages.send([roots(x) for x in polys])
-    assert [c.shape for c in arrays] == [(10 + first, 3), (first, 4)]
+    assert [c.shape for c in arrays] == [(10, 3), (first, 4), (first, 3)]
+    assert _rows_per_width(arrays) == {3: 10 + first, 4: first}
     arrays = stages.send([aberth_batch(c) for c in arrays])
     assert [c.shape for c in arrays] == [(200 - first, 4), (200 - first, 3)]
+    assert _rows_per_width(arrays) == {4: 200 - first, 3: 200 - first}
     with pytest.raises(StopIteration) as stop:
         stages.send([aberth_batch(c) for c in arrays])
     assert stop.value.value == [False, True, True]
     assert rootfind._drive(rootfind._pencil(pairs, 200, [0, 1, 2], 1e-7)) == \
         [False, True, True]
+
+
+def test_pencil_judges_engine_rows_by_the_rule_of_classify_real():
+    # numpy's vectorised complex abs can differ from the scalar abs in the
+    # last bit, so a threshold tol * max(1, max |z|) taken with np.abs sits
+    # one ulp from classify_real's.  An engine row with such a root, at a
+    # tol where the two thresholds fall on either side of max |Im z|, gets
+    # classify_real's verdict from the pencil.
+    rng = np.random.default_rng(0)
+    for w in rng.normal(size=(1000, 2)) @ np.array([1.0, 1j]):
+        row = np.array([w, 0j])
+        tol = abs(w.imag) / max(1.0, abs(w))
+        scalar = tol * max(1.0, abs(w))
+        vectorised = tol * np.maximum(1.0, np.max(np.abs(row)))
+        if vectorised < abs(w.imag) <= scalar:
+            break
+    else:
+        raise AssertionError("no row with differing abs found")
+    want = classify_real(rootfind.RootSet(tuple(row), (0.0, 0.0), 1.0), tol).is_real_rooted
+    assert want
+    # complex coefficients: the one direction goes to the engine, whose
+    # answer is replaced by the row
+    pair = (_times_i(from_roots([-1.0, 1.0])), _times_i(from_roots([0.0, 2.0])))
+    stages = rootfind._pencil([pair], 1, [0], tol, [roots(x) for x in pair])
+    arrays = next(stages)
+    assert [c.shape for c in arrays] == [(1, 3)]
+    with pytest.raises(StopIteration) as stop:
+        stages.send([row[None, :]])
+    assert stop.value.value == [want]
 
 
 def test_pencil_cancelled_direction_matches_reference():

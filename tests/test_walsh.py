@@ -78,13 +78,41 @@ def test_frame_validation():
 
 
 def test_degree_170_is_accepted_without_warnings():
+    # with leading coefficient 1 the convolutions of this P overflow at
+    # degree 170 (see the overflow test below); scaled by 1e-60 they stay
+    # finite, and the frame cap admits degree 170
     p = from_roots(np.linspace(-1, 1, 170))
+    small = from_roots(np.linspace(-1, 1, 170), lead=1e-60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        conv = walsh_convolve(p, p, 170)
+        conv = walsh_convolve(small, small, 170)
         apolar_report(p, p, 170, 1e-8)
-        image = tb_via_walsh(p, 0.7, 1.0)
+        image = tb_via_walsh(small, 0.7, 1.0)
     assert conv.degree == 170 and image.degree == 170
+    assert np.isfinite(conv.as_array()).all() and np.isfinite(image.as_array()).all()
+
+
+def test_convolution_overflow_raises_instead_of_returning_non_finite_coefficients():
+    # P [+] G_n for the roots linspace(-1, 1, n): finite at n = 149, while
+    # from n = 150 on some terms P^(k)(0) G_n^(n-k) overflow a double; they
+    # came back as inf and NaN coefficients, 29 of 151 at n = 150
+    p = from_roots(np.linspace(-1, 1, 149))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv = walsh_convolve(p, gn(149, 0.7, 1.0), 149)
+        image = tb_via_walsh(p, 0.7, 1.0)
+    assert np.isfinite(conv.as_array()).all() and np.isfinite(image.as_array()).all()
+    assert conv.degree == image.degree == 149
+    for n, bad in ((150, 29), (160, 133)):
+        p = from_roots(np.linspace(-1, 1, n))
+        for call in (lambda: walsh_convolve(p, gn(n, 0.7, 1.0), n),
+                     lambda: tb_via_walsh(p, 0.7, 1.0)):
+            with pytest.raises(InvalidInput, match=f"frame {n} overflows a double: "
+                                                   f"{bad} of {n + 1} coefficients"):
+                call()
+    p = from_roots(np.linspace(-1, 1, 170))
+    with pytest.raises(InvalidInput, match="frame 170 overflows a double"):
+        walsh_convolve(p, p, 170)
 
 
 def test_apolar_examples():
