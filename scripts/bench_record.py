@@ -17,10 +17,8 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 `run_properties(SuiteConfig(42, 20), [prop])` for each harness property
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
 `rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
-`_engine_rows`) and its one-row `roots` calls (`_roots_calls`, counted in
-every fdzeros module that holds `roots`, as bench/spans.py wraps it; the
-traced run cannot count them, since its spans do not see into request
-generators), kept apart in a `counts` block per side.  The layer table has a
+`_engine_rows`; the traced run cannot count them, since its spans do not see
+into request generators), kept apart in a `counts` block per side.  The layer table has a
 third side, `control`, a second export of the parent: each of LAYER_ROUNDS
 rounds runs the three sides in an order rotated by one from the last, and
 each side's entry is its per-layer median over the rounds.  The control's
@@ -65,9 +63,11 @@ LAYER_SIDES = ("parent", "change", "control")
 # loop long enough (timeit's autorange) to be timed.  The inputs are fixed:
 # real-rooted polynomials with roots drawn from [-5, 5], a preserver of
 # half-support 2, T_{0.7,1}, gn(50, 0.7, 1), gn(96, 0.7, 1) (timed up to
-# its NonConvergence), and the classify workload's
-# m = 2 `rotated` operator, built as that workload builds it; `cli.main`
-# runs `analyze` on that operator's file with stdout captured.  Each harness
+# its NonConvergence), and two m = 2 operators of the classify workload,
+# built as that workload builds them (the seeded one at FIXED_SEED):
+# `witness_search` runs on the `off_circle` one, whose candidates it
+# searches, and `cli.main` runs `analyze` on the `rotated` one's file with
+# stdout captured.  Each harness
 # property runs once per repetition, as one property of `fdzeros verify
 # --seed 42 --trials 20` (the `suite` workload's operation).
 LAYER_SCRIPT = """
@@ -89,8 +89,10 @@ def poly(n):
     return from_roots(np.random.default_rng([7, n]).uniform(-5.0, 5.0, n))
 
 op = random_preserver(2, np.random.default_rng(7))
-rotated = KINDS["rotated"][0](2, np.random.default_rng(
-    [FIXED_SEED, list(KINDS).index("rotated"), 2]))
+def classify_op(kind):
+    return KINDS[kind][0](2, np.random.default_rng([FIXED_SEED, list(KINDS).index(kind), 2]))
+
+off_circle, rotated = classify_op("off_circle"), classify_op("rotated")
 out = {}
 for n in (8, 50, 200):
     p = poly(n)
@@ -119,7 +121,7 @@ out["roots_gn96_s"] = best(lambda: roots_raises(g96))
 many = [from_roots(np.random.default_rng([7, 8, k]).uniform(-5.0, 5.0, 8))
         for k in range(200)]
 out["roots_many_200x8_s"] = best(lambda: roots_many(many))
-out["witness_search_rotated_m2_s"] = best(lambda: witness_search(rotated))
+out["witness_search_off_circle_m2_s"] = best(lambda: witness_search(off_circle))
 with open("layer_rotated_m2.json", "w") as fh:
     json.dump(operator_to_json(rotated), fh)
 
@@ -133,37 +135,24 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     out[f"property_{prop.name}_s"] = min(
         timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
 # Engine calls and rows of one more run per property, counted at the engine
-# core that every root-find goes through, and its one-row `roots` calls,
-# counted in every fdzeros module that holds `roots`; not timed.
+# core that every root-find goes through; not timed.
 counts = {}
 core = rootfind._aberth_core
-holders = [(m, attr) for name, m in list(sys.modules.items())
-           if name == "fdzeros" or name.startswith("fdzeros.")
-           for attr, value in list(vars(m).items()) if value is roots]
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
-    tally = [0, 0, 0]
+    tally = [0, 0]
 
     def counted(c):
         tally[0] += 1
         tally[1] += len(c)
         return core(c)
 
-    def counted_roots(p):
-        tally[2] += 1
-        return roots(p)
-
     rootfind._aberth_core = counted
-    for m, attr in holders:
-        setattr(m, attr, counted_roots)
     try:
         run_properties(suite, [prop])
     finally:
         rootfind._aberth_core = core
-        for m, attr in holders:
-            setattr(m, attr, roots)
     counts[f"property_{prop.name}_engine_calls"] = tally[0]
     counts[f"property_{prop.name}_engine_rows"] = tally[1]
-    counts[f"property_{prop.name}_roots_calls"] = tally[2]
 print(json.dumps({"layers": out, "counts": counts}))
 """
 

@@ -53,7 +53,6 @@ class MonicHead:
     a: complex  # coeff of x^(n-1) after monic normalization
     b: complex  # coeff of x^(n-2)
     c: complex  # coeff of x^(n-3); 0 when n == 2
-    full: Polynomial
 
 
 class RootRecord(NamedTuple):
@@ -86,7 +85,6 @@ def monic_head(p: Polynomial) -> MonicHead:
         a=complex(a[n - 1]),
         b=complex(a[n - 2]),
         c=complex(a[n - 3]) if n >= 3 else 0j,
-        full=Polynomial(tuple(a)),
     )
 
 

@@ -70,15 +70,14 @@ def _finite_float(text: str) -> float:
 
 
 def _theta_of(args) -> float:
+    # argparse requires one of the two options (_add_theta)
     if args.theta_pi is not None:
         return args.theta_pi * math.pi
-    if args.theta is None:
-        raise FDZerosError("theta: one of --theta or --theta-pi is required")
     return args.theta
 
 
-def _add_theta(sub, required=True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_theta(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", type=_finite_float, help="angle in radians")
     group.add_argument("--theta-pi", type=_finite_float, metavar="Q",
                        help="angle as Q*pi (exact for degenerate angles)")

@@ -120,14 +120,12 @@ def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
 
 
 def qn(n: int, theta: float) -> Polynomial:
-    """Image of x**n under T_{theta,1} by direct expansion.
+    """Image of x**n under T_{theta,1}: gn(n, theta, 1.0).
 
     n = 0 yields the constant 2 sin(theta), hence the zero polynomial in the
     degenerate case.
     """
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
-    return apply_tb(DeBruijnOp(theta, 1.0), monomial(n))
+    return gn(n, theta, 1.0)
 
 
 def qn_zeros(n: int, theta: float) -> CotangentZeros:

@@ -348,8 +348,8 @@ def _gen_interlace_obreschkov(cfg, rng):
 def _chk_interlace_obreschkov(inst):
     pairs = [(poly_from_json(pj), poly_from_json(qj)) for pj, qj in inst["pairs"]]
     rss = yield [r for pair in pairs for r in pair]
-    a = [_interlace_verdict(p, q, np.array(rp.roots), np.array(rq.roots), inst["tol_real"])
-         for (p, q), rp, rq in zip(pairs, rss[0::2], rss[1::2])]
+    a = [_interlace_verdict(np.array(rp.roots), np.array(rq.roots), inst["tol_real"])
+         for rp, rq in zip(rss[0::2], rss[1::2])]
     seeds = [inst["seed"] + k for k in range(len(pairs))]
     b = yield from _pencil(pairs, 200, seeds, 1e-7, rss)
     disagree = sum(x != y for x, y in zip(a, b))

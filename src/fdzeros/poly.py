@@ -65,10 +65,10 @@ def make_poly(coeffs: Iterable[complex]) -> Polynomial:
     return Polynomial(tuple(c))
 
 
-def monomial(n: int, lead: complex = 1.0) -> Polynomial:
+def monomial(n: int) -> Polynomial:
     if n < 0:
         raise InvalidInput("monomial power must be >= 0")
-    return make_poly([0.0] * n + [lead])
+    return make_poly([0.0] * n + [1.0])
 
 
 def from_roots(roots: Sequence[complex], lead: complex = 1.0) -> Polynomial:
@@ -119,8 +119,10 @@ def shift_arg(p: Polynomial, lam: complex) -> Polynomial:
 # `_shift_many` runs its S nonzero shifts as one wavefront once degree * S
 # reaches this, and loops `shift_arg` below it.  A wavefront step costs about
 # the same for any small S, while the loop's cost grows with S, so the
-# cutover degree falls as S grows: 40 for 4 shifts, 80 for 2, 160 for 1.
-_WAVEFRONT_WORK = 160
+# cutover degree falls as S grows: 28 for 4 shifts, 56 for 2, 112 for 1.
+# Measured break-even (2-CPU Xeon, numpy 2.4, loop and wavefront alternated,
+# median of 25 rounds): degree * S = 104-112 for 1 and 2 shifts, ~96 for 4.
+_WAVEFRONT_WORK = 112
 
 
 def _shift_many(p: Polynomial, lams) -> list[Polynomial]:

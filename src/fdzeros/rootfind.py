@@ -56,14 +56,13 @@ from .errors import (
     TooFewRoots,
     ZeroPolynomial,
 )
-from .poly import Polynomial, coeff_scale, evaluate_many, make_poly
+from .poly import Polynomial, evaluate_many, make_poly
 
 __all__ = [
     "RootSet",
     "RealnessVerdict",
     "roots",
     "roots_many",
-    "aberth_batch",
     "classify_real",
     "sorted_real_parts",
     "mesh",
@@ -96,7 +95,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 class RootSet:
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
-    scale: float  # max coefficient magnitude of the source polynomial
 
 
 class RealnessVerdict(NamedTuple):
@@ -423,7 +421,7 @@ def _rootset(p: Polynomial, z: np.ndarray) -> RootSet:
     # The RootSet of p from its roots z as the engine returned them.
     z = _sorted(z)
     res = np.abs(evaluate_many(p, z))
-    return RootSet(tuple(z), tuple(float(r) for r in res), coeff_scale(p))
+    return RootSet(tuple(z), tuple(float(r) for r in res))
 
 
 def roots_many(ps) -> list[np.ndarray]:
@@ -610,18 +608,18 @@ def interlace(p: Polynomial, q: Polynomial, tol: float = DEFAULT_REAL_TOL) -> bo
     judges them with the same verdict code.
     """
     zp, zq = roots_many([p, q])
-    return _interlace_verdict(p, q, zp, zq, tol)
+    return _interlace_verdict(zp, zq, tol)
 
 
-def _interlace_verdict(p: Polynomial, q: Polynomial, zp: np.ndarray, zq: np.ndarray,
-                       tol: float) -> bool:
-    """`interlace` for p and q from their certified roots zp and zq (sorted as
-    `roots` sorts them).  Raises NotRealRooted for the first of the two that
-    is not real-rooted, then DegreeGapTooLarge."""
+def _interlace_verdict(zp: np.ndarray, zq: np.ndarray, tol: float) -> bool:
+    """`interlace` for two polynomials from their certified roots zp and zq
+    (sorted as `roots` sorts them; one root per degree).  Raises
+    NotRealRooted for the first of the two that is not real-rooted, then
+    DegreeGapTooLarge."""
     for z, name in ((zp, "first"), (zq, "second")):
         if not _realness(z, tol).is_real_rooted:
             raise NotRealRooted(f"{name} polynomial is not real-rooted at tol {tol}")
-    if abs(p.degree - q.degree) > 1:
+    if abs(len(zp) - len(zq)) > 1:
         raise DegreeGapTooLarge("degrees must be equal or differ by one")
     a, b = np.sort(zp.real), np.sort(zq.real)
     if len(a) < len(b):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegreeExceedsFrame, InvalidInput, NotRealRooted, ZeroPolynomial
 from .debruijn import gn
-from .poly import Polynomial, derivative, linear_combine, make_poly
+from .poly import ZERO, Polynomial, derivative, linear_combine, make_poly
 from .rootfind import (
     DEFAULT_REAL_TOL,
     _check_tol,
@@ -42,6 +42,12 @@ def _check_frame(p: Polynomial, q: Polynomial, n: int) -> None:
                                "k whose k! is a finite double")
 
 
+def _vanishes(p: Polynomial, q: Polynomial, n: int) -> bool:
+    # Every term P^(k)(0) Q^(n-k) has an exactly zero factor once the frame
+    # exceeds deg P + deg Q, or when an operand is zero.
+    return p.is_zero or q.is_zero or p.degree + q.degree < n
+
+
 def _derivs_at_zero(p: Polynomial, n: int) -> np.ndarray:
     """P^(k)(0) = k! * coeffs[k], exactly, padded to k = 0..n."""
     out = np.zeros(n + 1, dtype=complex)
@@ -54,6 +60,8 @@ def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     """P [+] Q inside frame degree n; InvalidInput if a coefficient overflows
     a double (P = from_roots(linspace(-1, 1, n)), Q = G_n(0.7, 1) at n = 150)."""
     _check_frame(p, q, n)
+    if _vanishes(p, q, n):
+        return ZERO
     pd = _derivs_at_zero(p, n)
     q_derivs = [q]
     for _ in range(n):
@@ -76,6 +84,8 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
     """
     _check_tol(tol, "tolerance")
     _check_frame(p, q, n)
+    if _vanishes(p, q, n):
+        return {"apolar": True, "sum_magnitude": 0.0, "term_scale": 0.0}
     pd = _derivs_at_zero(p, n)
     qd = _derivs_at_zero(q, n)
     terms = np.array([(-1) ** k * pd[k] * qd[n - k] for k in range(n + 1)])

@@ -101,6 +101,11 @@ def test_walsh_and_apolar(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert set(d) == {"apolar", "sum_magnitude", "term_scale"}
+    # above deg P + deg Q every term vanishes; the frame sets no work
+    huge = ["--frame", "1000000000"]
+    assert run(capsys, ["walsh", p, p, *huge]) == (0, '{"coeffs": []}\n')
+    assert json.loads(run(capsys, ["apolar", p, p, *huge])[1]) == {
+        "apolar": True, "sum_magnitude": 0.0, "term_scale": 0.0}
 
 
 def test_asymptotics_csv(tmp_path, capsys):
@@ -428,3 +433,19 @@ def test_walsh_above_degree_170_exits_2(tmp_path, capsys, command):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: deg P = 180 exceeds 170, the largest k whose k! is " \
                            "a finite double\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--n", "3"],
+    ["tb", "p.json", "--h", "1"],
+    ["asymptotics", "p.json", "--h-min", "20", "--h-max", "500", "--steps", "3"],
+])
+def test_missing_theta_exits_2_from_argparse(capsys, argv):
+    # argparse's required group stops the command before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"fdzeros {argv[0]}: error: one of the arguments --theta --theta-pi is required")

@@ -85,11 +85,11 @@ def _two_shift_image(op, p):
     return coerce_real(image, 1e-10) if all(c.imag == 0 for c in p.coeffs) else image
 
 
-@pytest.mark.parametrize("n", [8, 159, 160, 200])
+@pytest.mark.parametrize("n", [8, 111, 112, 200])
 def test_apply_tb_real_input_conjugates_one_shift_bit_for_bit(n):
     # For real P, apply_tb takes P(x - ih) as the conjugate of P(x + ih);
     # the image keeps every bit of the two-shift form on both sides of the
-    # wavefront cutover (one shift at n >= 160, two at n >= 80), for
+    # wavefront cutover (one shift at n >= 112, two at n >= 56), for
     # real-rooted and random-coefficient P, and complex P keeps two shifts.
     rng = np.random.default_rng(n)
     polys = [from_roots(rng.uniform(-5, 5, n)), make_poly(rng.normal(size=n + 1)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdzeros import (
+    ZERO,
     DeBruijnOp,
     DegreeExceedsFrame,
     InvalidInput,
@@ -23,6 +24,7 @@ from fdzeros import (
     shift_arg,
     tb_via_walsh,
     walsh_convolve,
+    walsh,
     walsh_interval_bound,
 )
 
@@ -113,6 +115,36 @@ def test_convolution_overflow_raises_instead_of_returning_non_finite_coefficient
     p = from_roots(np.linspace(-1, 1, 170))
     with pytest.raises(InvalidInput, match="frame 170 overflows a double"):
         walsh_convolve(p, p, 170)
+
+
+def test_frames_above_the_degree_sum_answer_zero_without_work(monkeypatch):
+    # Above deg P + deg Q every term of P [+] Q and of the apolarity sum has
+    # an exactly zero factor; the frame no longer sets the work done.
+    calls = []
+    original = walsh.derivative
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(walsh, "derivative", counted)
+    p, q = from_roots([1.0, -2.0]), make_poly([1, 0, 1])
+    zero_report = {"apolar": True, "sum_magnitude": 0.0, "term_scale": 0.0}
+    assert walsh_convolve(p, q, 10**6) == ZERO
+    assert apolar_report(p, q, 10**6, 1e-8) == zero_report
+    assert len(calls) <= p.degree + q.degree + 1
+    # the boundary: at the degree sum the one surviving term is P''(0) Q'' = 2 * 2
+    assert walsh_convolve(p, q, 4) == make_poly([4])
+    assert walsh_convolve(p, q, 5) == ZERO and apolar_report(p, q, 5, 0.0) == zero_report
+    # a zero operand, and a factor k! c_k that overflows: 0 * inf read as
+    # NaN, so these raised instead of answering zero
+    big = make_poly([100.0] * 171)
+    for a, b, n in ((ZERO, q, 2), (p, ZERO, 7), (monomial(0), big, 171),
+                    (big, monomial(1), 172), (ZERO, big, 170)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert walsh_convolve(a, b, n) == ZERO
+            assert apolar_report(a, b, n, 1e-8) == zero_report
 
 
 def test_apolar_examples():
