@@ -18,12 +18,12 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
 `rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
 `_engine_rows`; the traced run cannot count them, since its spans do not see
-into request generators), kept apart in a `counts` block per side.  The layer table has a
-third side, `control`, a second export of the parent: each of LAYER_ROUNDS
-rounds runs the three sides in an order rotated by one from the last, and
-each side's entry is its per-layer median over the rounds.  The control's
-relative difference from the parent is the spread of the table on unchanged
-code; a layer claim needs the change's difference to exceed it.
+into request generators), kept apart in a `counts` block per side.  The
+layer table has a third side, `control`, a second export of the parent: each
+of LAYER_ROUNDS rounds runs the three sides in an order rotated by one from
+the last, and each side's entry is its per-layer median over the rounds.  The
+control's relative difference from the parent is the spread of the table on
+unchanged code; a layer claim needs the change's difference to exceed it.
 The output holds the git revisions, machine information, every result line,
 per-metric medians and quartiles, every traced run's per-layer metrics and
 the layer tables with every round.
@@ -67,9 +67,9 @@ LAYER_SIDES = ("parent", "change", "control")
 # built as that workload builds them (the seeded one at FIXED_SEED):
 # `witness_search` runs on the `off_circle` one, whose candidates it
 # searches, and `cli.main` runs `analyze` on the `rotated` one's file with
-# stdout captured.  Each harness
-# property runs once per repetition, as one property of `fdzeros verify
-# --seed 42 --trials 20` (the `suite` workload's operation).
+# stdout captured.  Each harness property runs once per repetition, as one
+# property of `fdzeros verify --seed 42 --trials 20` (the `suite` workload's
+# operation).
 LAYER_SCRIPT = """
 import contextlib, io, json, sys, timeit
 import numpy as np

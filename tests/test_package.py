@@ -2,7 +2,6 @@ import importlib
 import types
 
 import fdzeros
-from fdzeros import errors
 
 MODULES = ("errors", "poly", "rootfind", "operators", "debruijn", "walsh",
            "asymptotics", "harness")
@@ -11,7 +10,7 @@ MODULES = ("errors", "poly", "rootfind", "operators", "debruijn", "walsh",
 def _public(name):
     module = importlib.import_module(f"fdzeros.{name}")
     if name == "errors":  # no __all__: every exception class it defines
-        return module, [k for k, v in vars(errors).items()
+        return module, [k for k, v in vars(module).items()
                         if isinstance(v, type) and issubclass(v, Exception)]
     return module, module.__all__
 
