@@ -7,6 +7,8 @@ extremal mesh / root-bound quantities built from them.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -53,6 +55,7 @@ __all__ = [
 # because the leading coefficient 2 sin(theta) nearly vanishes.
 SIN_ZERO_TOL = 1e-12
 _SIN_WARN_TOL = 1e-6
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,17 @@ class CotangentZeros:
 def _sin_degenerate(theta: float) -> bool:
     s = abs(math.sin(theta))
     if SIN_ZERO_TOL < s <= _SIN_WARN_TOL:
+        # the warning names the first caller outside this package, whether
+        # the user called apply_tb directly or through qn, gn or the harness
+        frame, level = sys._getframe(), 1
+        while (frame.f_back is not None
+               and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"|sin(theta)| = {s:.2e} is nearly degenerate; the leading "
             "coefficient of images nearly vanishes",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return s <= SIN_ZERO_TOL
 

@@ -1,9 +1,11 @@
 """Seeded instance generators and the property-suite runner.
 
-Every mathematical invariant the library relies on becomes a named property: a
-generator that draws self-contained instance dicts from a per-property seed
-stream, and a checker that maps an instance to a violation score (pass iff
-<= 0).  Instances are JSON-serializable so any failure replays standalone.
+Every mathematical invariant the library relies on becomes a named property:
+one draw of a self-contained instance dict and one checker that maps an
+instance to a violation score (pass iff <= 0).  The runner owns the rest:
+`_trials` makes cfg.trials draws and `_instances` feeds them the property's
+own seed stream, default_rng([seed, stream]).  Instances are JSON-serializable
+so any failure replays standalone.
 
 A checker that root-finds may be a request generator, which `rootfind`'s
 module docstring describes: `run_properties` and `replay` start the checkers
@@ -220,17 +222,14 @@ def _draw_degree(cfg: SuiteConfig, rng, lo: int = 1, hi: int | None = None) -> i
 # properties: polynomial arithmetic
 
 
-def _gen_shift_roundtrip(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = int(rng.integers(1, 21))
-        c = rng.uniform(-1, 1, size=(n + 1, 2)) @ np.array([1, 1j])
-        # |lam| stays small: a degree-20 shift amplifies coefficients by
-        # (1+|lam|)^20 before the inverse shift cancels it back
-        lam = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
-        out.append({"poly": poly_to_json(make_poly(c)),
-                    "lam": [lam.real, lam.imag], "tol": 1e-12})
-    return out
+def _draw_shift_roundtrip(cfg, rng):
+    n = int(rng.integers(1, 21))
+    c = rng.uniform(-1, 1, size=(n + 1, 2)) @ np.array([1, 1j])
+    # |lam| stays small: a degree-20 shift amplifies coefficients by
+    # (1+|lam|)^20 before the inverse shift cancels it back
+    lam = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
+    return {"poly": poly_to_json(make_poly(c)),
+            "lam": [lam.real, lam.imag], "tol": 1e-12}
 
 
 def _chk_shift_roundtrip(inst):
@@ -240,16 +239,12 @@ def _chk_shift_roundtrip(inst):
     return _pad_gap(p, back) - inst["tol"]
 
 
-def _gen_shift_eval(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = _draw_degree(cfg, rng)
-        p = random_hyperbolic(n, ROOT_RANGE, rng)
-        lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        out.append({"poly": poly_to_json(p), "lam": [lam.real, lam.imag],
-                    "z": [z.real, z.imag], "tol": 1e-10})
-    return out
+def _draw_shift_eval(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    return {"poly": poly_to_json(p), "lam": [lam.real, lam.imag],
+            "z": [z.real, z.imag], "tol": 1e-10}
 
 
 def _chk_shift_eval(inst):
@@ -262,15 +257,12 @@ def _chk_shift_eval(inst):
     return abs(lhs - rhs) / scale - inst["tol"]
 
 
-def _gen_poly_linearity(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-        a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
-        out.append({"p": poly_to_json(p), "q": poly_to_json(q),
-                    "a": a, "b": b, "tol": TOL_IDENTITY})
-    return out
+def _draw_poly_linearity(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
+    return {"p": poly_to_json(p), "q": poly_to_json(q),
+            "a": a, "b": b, "tol": TOL_IDENTITY}
 
 
 def _chk_poly_linearity(inst):
@@ -287,13 +279,10 @@ def _chk_poly_linearity(inst):
 # properties: root finding
 
 
-def _gen_roots_product(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
-        out.append({"p": poly_to_json(p), "q": poly_to_json(q), "tol": 1e-8})
-    return out
+def _draw_roots_product(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+    return {"p": poly_to_json(p), "q": poly_to_json(q), "tol": 1e-8}
 
 
 def _chk_roots_product(inst):
@@ -305,13 +294,10 @@ def _chk_roots_product(inst):
     return max(abs(g - w) for g, w in zip(got, want)) - inst["tol"]
 
 
-def _gen_mesh_translation(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 2), ROOT_RANGE, rng)
-        out.append({"poly": poly_to_json(p), "t": float(rng.uniform(-4, 4)),
-                    "tol": 1e-9, "tol_real": TOL_REAL})
-    return out
+def _draw_mesh_translation(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng, 2), ROOT_RANGE, rng)
+    return {"poly": poly_to_json(p), "t": float(rng.uniform(-4, 4)),
+            "tol": 1e-9, "tol_real": TOL_REAL}
 
 
 def _chk_mesh_translation(inst):
@@ -323,26 +309,19 @@ def _chk_mesh_translation(inst):
     return abs(m0 - m1) - inst["tol"]
 
 
-def _gen_interlace_obreschkov(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        pairs = []
-        for k in range(10):
-            n = int(rng.integers(2, 7))
-            if k % 2 == 0:
-                # alternate draws of 2n points give a genuinely interlacing pair
-                pts = np.sort(rng.uniform(*ROOT_RANGE, size=2 * n))
-                pairs.append((from_roots(pts[0::2]), from_roots(pts[1::2])))
-            else:
-                pairs.append((random_hyperbolic(n, ROOT_RANGE, rng),
-                              random_hyperbolic(n, ROOT_RANGE, rng)))
-        out.append({
-            "pairs": [[poly_to_json(p), poly_to_json(q)] for p, q in pairs],
-            "seed": int(rng.integers(0, 2**31)),
-            "tol_real": TOL_REAL,
-            "max_rate": 0.01,
-        })
-    return out
+def _draw_interlace_obreschkov(cfg, rng):
+    pairs = []
+    for k in range(10):
+        n = int(rng.integers(2, 7))
+        if k % 2 == 0:
+            # alternate draws of 2n points give a genuinely interlacing pair
+            pts = np.sort(rng.uniform(*ROOT_RANGE, size=2 * n))
+            pairs.append((from_roots(pts[0::2]), from_roots(pts[1::2])))
+        else:
+            pairs.append((random_hyperbolic(n, ROOT_RANGE, rng),
+                          random_hyperbolic(n, ROOT_RANGE, rng)))
+    return {"pairs": [[poly_to_json(p), poly_to_json(q)] for p, q in pairs],
+            "seed": int(rng.integers(0, 2**31)), "tol_real": TOL_REAL, "max_rate": 0.01}
 
 
 def _chk_interlace_obreschkov(inst):
@@ -356,12 +335,9 @@ def _chk_interlace_obreschkov(inst):
     return disagree / len(inst["pairs"]) - inst["max_rate"]
 
 
-def _gen_derivative_mesh(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        p = random_hyperbolic(_draw_degree(cfg, rng, 3), ROOT_RANGE, rng)
-        out.append({"poly": poly_to_json(p), "tol_real": TOL_REAL})
-    return out
+def _draw_derivative_mesh(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng, 3), ROOT_RANGE, rng)
+    return {"poly": poly_to_json(p), "tol_real": TOL_REAL}
 
 
 def _chk_derivative_mesh(inst):
@@ -379,16 +355,13 @@ def _chk_derivative_mesh(inst):
 # properties: general finite-difference operators
 
 
-def _gen_op_linearity(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        op = random_preserver(int(rng.integers(1, 4)), rng)
-        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-        q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-        a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
-        out.append({"op": operator_to_json(op), "p": poly_to_json(p),
-                    "q": poly_to_json(q), "a": a, "b": b, "tol": 1e-12})
-    return out
+def _draw_op_linearity(cfg, rng):
+    op = random_preserver(int(rng.integers(1, 4)), rng)
+    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
+    return {"op": operator_to_json(op), "p": poly_to_json(p),
+            "q": poly_to_json(q), "a": a, "b": b, "tol": 1e-12}
 
 
 def _chk_op_linearity(inst):
@@ -401,16 +374,13 @@ def _chk_op_linearity(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _gen_op_composition(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        beta = float(rng.uniform(0.3, 2.0))
-        op1 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
-        op2 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
-        p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-        out.append({"op1": operator_to_json(op1), "op2": operator_to_json(op2),
-                    "poly": poly_to_json(p), "tol": 1e-10})
-    return out
+def _draw_op_composition(cfg, rng):
+    beta = float(rng.uniform(0.3, 2.0))
+    op1 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
+    op2 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
+    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    return {"op1": operator_to_json(op1), "op2": operator_to_json(op2),
+            "poly": poly_to_json(p), "tol": 1e-10}
 
 
 def _chk_op_composition(inst):
@@ -422,14 +392,10 @@ def _chk_op_composition(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _gen_op_preserver_sound(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        op = random_preserver(int(rng.integers(1, 4)), rng)
-        p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
-        out.append({"op": operator_to_json(op), "poly": poly_to_json(p),
-                    "tol_real": TOL_REAL})
-    return out
+def _draw_op_preserver_sound(cfg, rng):
+    op = random_preserver(int(rng.integers(1, 4)), rng)
+    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+    return {"op": operator_to_json(op), "poly": poly_to_json(p), "tol_real": TOL_REAL}
 
 
 def _chk_op_preserver_sound(inst):
@@ -452,24 +418,16 @@ def _chk_op_real_output(inst):
     return float(np.max(np.abs(a.imag))) - inst["tol"] * float(np.max(np.abs(a)))
 
 
-def _gen_op_real_output(cfg, rng):
-    out = _gen_op_preserver_sound(cfg, rng)
-    for inst in out:
-        inst["tol"] = 1e-10
-    return out
+def _draw_op_real_output(cfg, rng):
+    return {**_draw_op_preserver_sound(cfg, rng), "tol": 1e-10}
 
 
-def _gen_op_strip_sound(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        op = random_strip_operator(int(rng.integers(1, 4)), rng)
-        n = _draw_degree(cfg, rng, 1, 8)
-        zs = [complex(rng.uniform(*ROOT_RANGE), rng.uniform(-1, 1))
-              for _ in range(n)]
-        out.append({"op": operator_to_json(op),
-                    "poly": poly_to_json(from_roots(zs)),
-                    "b": 1.0, "tol_real": TOL_REAL})
-    return out
+def _draw_op_strip_sound(cfg, rng):
+    op = random_strip_operator(int(rng.integers(1, 4)), rng)
+    n = _draw_degree(cfg, rng, 1, 8)
+    zs = [complex(rng.uniform(*ROOT_RANGE), rng.uniform(-1, 1)) for _ in range(n)]
+    return {"op": operator_to_json(op), "poly": poly_to_json(from_roots(zs)),
+            "b": 1.0, "tol_real": TOL_REAL}
 
 
 def _chk_op_strip_sound(inst):
@@ -488,10 +446,9 @@ def _chk_op_strip_sound(inst):
 # properties: the specialized operator T_{theta,h}
 
 
-def _gen_tb_ladder(cfg, rng):
-    return [{"n": int(rng.integers(2, 21)),
-             "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
-            for _ in range(cfg.trials)]
+def _draw_tb_ladder(cfg, rng):
+    return {"n": int(rng.integers(2, 21)),
+            "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
 
 
 def _chk_tb_ladder(inst):
@@ -501,11 +458,10 @@ def _chk_tb_ladder(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _gen_tb_scaling(cfg, rng):
-    return [{"n": int(rng.integers(1, 21)),
-             "theta": float(rng.uniform(0.0, 2 * math.pi)),
-             "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-10}
-            for _ in range(cfg.trials)]
+def _draw_tb_scaling(cfg, rng):
+    return {"n": int(rng.integers(1, 21)),
+            "theta": float(rng.uniform(0.0, 2 * math.pi)),
+            "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-10}
 
 
 def _chk_tb_scaling(inst):
@@ -516,11 +472,10 @@ def _chk_tb_scaling(inst):
     return _pad_gap(g, scaled) - inst["tol"]
 
 
-def _gen_tb_closed_form(cfg, rng):
-    return [{"n": int(rng.integers(1, 21)),
-             "theta": float(rng.uniform(0.15, math.pi - 0.15)),
-             "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-8}
-            for _ in range(cfg.trials)]
+def _draw_tb_closed_form(cfg, rng):
+    return {"n": int(rng.integers(1, 21)),
+            "theta": float(rng.uniform(0.15, math.pi - 0.15)),
+            "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-8}
 
 
 def _chk_tb_closed_form(inst):
@@ -536,16 +491,10 @@ def _chk_tb_closed_form(inst):
     return max(abs(a - b) for a, b in zip(got, want)) - inst["tol"]
 
 
-def _gen_tb_random(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = int(rng.integers(2, 11))
-        p = random_hyperbolic(n, ROOT_RANGE, rng)
-        out.append({"poly": poly_to_json(p),
-                    "theta": float(rng.uniform(0.25, math.pi - 0.25)),
-                    "h": float(rng.choice([0.5, 1.0, 2.0])),
-                    "tol_real": TOL_REAL, "slack": 1e-9})
-    return out
+def _draw_tb_random(cfg, rng):
+    p = random_hyperbolic(int(rng.integers(2, 11)), ROOT_RANGE, rng)
+    return {"poly": poly_to_json(p), "theta": float(rng.uniform(0.25, math.pi - 0.25)),
+            "h": float(rng.choice([0.5, 1.0, 2.0])), "tol_real": TOL_REAL, "slack": 1e-9}
 
 
 def _chk_tb_image_real_simple(inst):
@@ -587,17 +536,12 @@ def _chk_tb_extremal(inst):
     return max(top - bounds["lambda_bound"], bounds["mu_bound"] - bot) - inst["slack"]
 
 
-def _gen_tb_line_lemma(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = _draw_degree(cfg, rng, 1, 8)
-        c = float(rng.uniform(-2, 2))
-        p = random_line_poly(n, c, ROOT_RANGE, rng)
-        out.append({"poly": poly_to_json(p), "c": c,
-                    "beta": float(rng.uniform(-3, 3)),
-                    "theta": float(rng.uniform(0.1, 2 * math.pi - 0.1)),
-                    "tol": 1e-8})
-    return out
+def _draw_tb_line_lemma(cfg, rng):
+    n = _draw_degree(cfg, rng, 1, 8)
+    c = float(rng.uniform(-2, 2))
+    p = random_line_poly(n, c, ROOT_RANGE, rng)
+    return {"poly": poly_to_json(p), "c": c, "beta": float(rng.uniform(-3, 3)),
+            "theta": float(rng.uniform(0.1, 2 * math.pi - 0.1)), "tol": 1e-8}
 
 
 def _chk_tb_line_lemma(inst):
@@ -609,10 +553,9 @@ def _chk_tb_line_lemma(inst):
     return _imag_excess(rs.roots, inst["tol"], inst["c"] + inst["beta"] / 2.0)
 
 
-def _gen_tb_periodicity(cfg, rng):
-    return [{"n": int(rng.integers(1, 21)),
-             "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
-            for _ in range(cfg.trials)]
+def _draw_tb_periodicity(cfg, rng):
+    return {"n": int(rng.integers(1, 21)),
+            "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
 
 
 def _chk_tb_periodicity(inst):
@@ -626,14 +569,11 @@ def _chk_tb_periodicity(inst):
 # properties: Walsh convolution
 
 
-def _gen_walsh_pair(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = _draw_degree(cfg, rng, 2, 8)
-        out.append({"p": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
-                    "q": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
-                    "n": n, "tol_real": TOL_REAL, "slack": 1e-9})
-    return out
+def _draw_walsh_pair(cfg, rng):
+    n = _draw_degree(cfg, rng, 2, 8)
+    return {"p": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
+            "q": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
+            "n": n, "tol_real": TOL_REAL, "slack": 1e-9}
 
 
 def _chk_walsh_closure(inst):
@@ -686,14 +626,10 @@ def _chk_walsh_apolarity(inst):
     return -1.0
 
 
-def _gen_walsh_dual_path(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = _draw_degree(cfg, rng, 1, 8)
-        out.append({"poly": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
-                    "theta": float(rng.uniform(0.0, 2 * math.pi)),
-                    "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-9})
-    return out
+def _draw_walsh_dual_path(cfg, rng):
+    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+    return {"poly": poly_to_json(p), "theta": float(rng.uniform(0.0, 2 * math.pi)),
+            "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-9}
 
 
 def _chk_walsh_dual_path(inst):
@@ -708,15 +644,11 @@ def _chk_walsh_dual_path(inst):
 # properties: asymptotics
 
 
-def _gen_asym_omega(cfg, rng):
-    out = []
-    for _ in range(cfg.trials):
-        n = int(rng.integers(2, 9))
-        c = rng.uniform(-2, 2, size=n).tolist() + [1.0]
-        out.append({"poly": poly_to_json(make_poly(c)),
-                    "theta": float(rng.uniform(0.3, 2.8)),
-                    "steps": 8, "order": 1})
-    return out
+def _draw_asym_omega(cfg, rng):
+    n = int(rng.integers(2, 9))
+    c = rng.uniform(-2, 2, size=n).tolist() + [1.0]
+    return {"poly": poly_to_json(make_poly(c)),
+            "theta": float(rng.uniform(0.3, 2.8)), "steps": 8, "order": 1}
 
 
 def _chk_asym_omega(inst):
@@ -726,12 +658,11 @@ def _chk_asym_omega(inst):
     return -1.0 if rep.omega_bound_ok else 1.0
 
 
-def _gen_asym_monomial(cfg, rng):
-    return [{"n": int(rng.integers(2, 9)),
-             "theta": float(rng.uniform(0.3, 2.8)),
-             "h": float(rng.uniform(5.0, 50.0)),
-             "order": int(rng.integers(0, 3)), "tol": 1e-10}
-            for _ in range(cfg.trials)]
+def _draw_asym_monomial(cfg, rng):
+    return {"n": int(rng.integers(2, 9)),
+            "theta": float(rng.uniform(0.3, 2.8)),
+            "h": float(rng.uniform(5.0, 50.0)),
+            "order": int(rng.integers(0, 3)), "tol": 1e-10}
 
 
 def _chk_asym_monomial(inst):
@@ -743,6 +674,7 @@ def _chk_asym_monomial(inst):
 
 
 def _gen_asym_count(cfg, rng):
+    # indexed: every fifth instance takes theta = 0 without drawing a theta
     out = []
     for k in range(cfg.trials):
         n = int(rng.integers(2, 9))
@@ -761,10 +693,9 @@ def _chk_asym_count(inst):
     return -1.0 if got == want else 1.0
 
 
-def _gen_asym_hierarchy(cfg, rng):
-    return [{"poly": poly_to_json(make_poly([5.0, -1.0, 2.0, 1.0])),
-             "theta": float(rng.uniform(0.4, 2.7)), "steps": 8}
-            for _ in range(cfg.trials)]
+def _draw_asym_hierarchy(cfg, rng):
+    return {"poly": poly_to_json(make_poly([5.0, -1.0, 2.0, 1.0])),
+            "theta": float(rng.uniform(0.4, 2.7)), "steps": 8}
 
 
 def _chk_asym_hierarchy(inst):
@@ -790,41 +721,64 @@ def _chk_asym_hierarchy(inst):
 # ---------------------------------------------------------------------------
 # registry and runner
 
+def _trials(draw: Callable) -> Callable:
+    """The generator of cfg.trials instances, one draw each, in turn on one stream."""
+    def generate(cfg, rng):
+        return [draw(cfg, rng) for _ in range(cfg.trials)]
+    return generate
+
+
+_tb_random = _trials(_draw_tb_random)
+_walsh_pair = _trials(_draw_walsh_pair)
+
 ALL_PROPERTIES: tuple[Property, ...] = (
-    Property("poly_shift_roundtrip", 1, _gen_shift_roundtrip, _chk_shift_roundtrip),
-    Property("poly_shift_eval", 2, _gen_shift_eval, _chk_shift_eval),
-    Property("poly_derivative_linearity", 3, _gen_poly_linearity, _chk_poly_linearity),
-    Property("roots_product_multiset", 10, _gen_roots_product, _chk_roots_product),
-    Property("mesh_translation_invariant", 11, _gen_mesh_translation,
+    Property("poly_shift_roundtrip", 1, _trials(_draw_shift_roundtrip),
+             _chk_shift_roundtrip),
+    Property("poly_shift_eval", 2, _trials(_draw_shift_eval), _chk_shift_eval),
+    Property("poly_derivative_linearity", 3, _trials(_draw_poly_linearity),
+             _chk_poly_linearity),
+    Property("roots_product_multiset", 10, _trials(_draw_roots_product),
+             _chk_roots_product),
+    Property("mesh_translation_invariant", 11, _trials(_draw_mesh_translation),
              _chk_mesh_translation),
-    Property("interlace_obreschkov_agreement", 12, _gen_interlace_obreschkov,
+    Property("interlace_obreschkov_agreement", 12, _trials(_draw_interlace_obreschkov),
              _chk_interlace_obreschkov),
-    Property("derivative_mesh_grows", 13, _gen_derivative_mesh, _chk_derivative_mesh),
-    Property("op_linearity", 20, _gen_op_linearity, _chk_op_linearity),
-    Property("op_composition", 21, _gen_op_composition, _chk_op_composition),
-    Property("op_preserver_sound", 22, _gen_op_preserver_sound,
+    Property("derivative_mesh_grows", 13, _trials(_draw_derivative_mesh),
+             _chk_derivative_mesh),
+    Property("op_linearity", 20, _trials(_draw_op_linearity), _chk_op_linearity),
+    Property("op_composition", 21, _trials(_draw_op_composition), _chk_op_composition),
+    Property("op_preserver_sound", 22, _trials(_draw_op_preserver_sound),
              _chk_op_preserver_sound),
-    Property("op_real_output", 23, _gen_op_real_output, _chk_op_real_output),
-    Property("op_strip_sound", 24, _gen_op_strip_sound, _chk_op_strip_sound),
-    Property("tb_derivative_ladder", 30, _gen_tb_ladder, _chk_tb_ladder),
-    Property("tb_scaling", 31, _gen_tb_scaling, _chk_tb_scaling),
-    Property("tb_closed_form_roots", 32, _gen_tb_closed_form, _chk_tb_closed_form),
-    Property("tb_image_real_simple", 33, _gen_tb_random, _chk_tb_image_real_simple),
-    Property("tb_mesh_floor", 34, _gen_tb_random, _chk_tb_mesh_floor),
-    Property("tb_mesh_monotone", 35, _gen_tb_random, _chk_tb_mesh_monotone),
-    Property("tb_extremal_bounds", 36, _gen_tb_random, _chk_tb_extremal),
-    Property("tb_line_lemma", 37, _gen_tb_line_lemma, _chk_tb_line_lemma),
-    Property("tb_periodicity", 38, _gen_tb_periodicity, _chk_tb_periodicity),
-    Property("walsh_hyperbolicity_closure", 40, _gen_walsh_pair, _chk_walsh_closure),
-    Property("walsh_mesh_bound", 41, _gen_walsh_pair, _chk_walsh_mesh),
-    Property("walsh_interval_bound", 42, _gen_walsh_pair, _chk_walsh_interval),
-    Property("walsh_apolarity_duality", 43, _gen_walsh_pair, _chk_walsh_apolarity),
-    Property("walsh_dual_path", 44, _gen_walsh_dual_path, _chk_walsh_dual_path),
-    Property("asym_omega_bound", 50, _gen_asym_omega, _chk_asym_omega),
-    Property("asym_monomial_exact", 51, _gen_asym_monomial, _chk_asym_monomial),
+    Property("op_real_output", 23, _trials(_draw_op_real_output), _chk_op_real_output),
+    Property("op_strip_sound", 24, _trials(_draw_op_strip_sound), _chk_op_strip_sound),
+    Property("tb_derivative_ladder", 30, _trials(_draw_tb_ladder), _chk_tb_ladder),
+    Property("tb_scaling", 31, _trials(_draw_tb_scaling), _chk_tb_scaling),
+    Property("tb_closed_form_roots", 32, _trials(_draw_tb_closed_form),
+             _chk_tb_closed_form),
+    Property("tb_image_real_simple", 33, _tb_random, _chk_tb_image_real_simple),
+    Property("tb_mesh_floor", 34, _tb_random, _chk_tb_mesh_floor),
+    Property("tb_mesh_monotone", 35, _tb_random, _chk_tb_mesh_monotone),
+    Property("tb_extremal_bounds", 36, _tb_random, _chk_tb_extremal),
+    Property("tb_line_lemma", 37, _trials(_draw_tb_line_lemma), _chk_tb_line_lemma),
+    Property("tb_periodicity", 38, _trials(_draw_tb_periodicity), _chk_tb_periodicity),
+    Property("walsh_hyperbolicity_closure", 40, _walsh_pair, _chk_walsh_closure),
+    Property("walsh_mesh_bound", 41, _walsh_pair, _chk_walsh_mesh),
+    Property("walsh_interval_bound", 42, _walsh_pair, _chk_walsh_interval),
+    Property("walsh_apolarity_duality", 43, _walsh_pair, _chk_walsh_apolarity),
+    Property("walsh_dual_path", 44, _trials(_draw_walsh_dual_path),
+             _chk_walsh_dual_path),
+    Property("asym_omega_bound", 50, _trials(_draw_asym_omega), _chk_asym_omega),
+    Property("asym_monomial_exact", 51, _trials(_draw_asym_monomial),
+             _chk_asym_monomial),
     Property("asym_root_count", 52, _gen_asym_count, _chk_asym_count),
-    Property("asym_order_hierarchy", 53, _gen_asym_hierarchy, _chk_asym_hierarchy),
+    Property("asym_order_hierarchy", 53, _trials(_draw_asym_hierarchy),
+             _chk_asym_hierarchy),
 )
+
+
+def _instances(prop: Property, cfg: SuiteConfig) -> list[dict]:
+    """prop's instances under cfg, drawn from the property's own seed stream."""
+    return prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
 
 
 def _run_checks(check, instances) -> list:
@@ -851,8 +805,7 @@ def run_properties(cfg: SuiteConfig, properties) -> SuiteReport:
     """
     records = []
     for prop in sorted(properties, key=lambda p: p.name):
-        rng = np.random.default_rng([cfg.seed, prop.stream])
-        instances = prop.generate(cfg, rng)
+        instances = _instances(prop, cfg)
         failures = 0
         worst = -math.inf
         example = None

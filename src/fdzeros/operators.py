@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInput
 from .poly import (
     Polynomial,
+    _check_tol,
     _finite_pair,
     _shift_many,
     linear_combine,
@@ -27,7 +28,6 @@ from .poly import (
 from .rootfind import (
     RootSet,
     _certified_many,
-    _check_tol,
     _drive,
     _realness,
     _rootset,

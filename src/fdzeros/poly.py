@@ -221,6 +221,11 @@ def coeff_scale(p: Polynomial) -> float:
     return float(np.max(np.abs(p.as_array()))) if p.coeffs else 0.0
 
 
+def _check_tol(tol: float, what: str) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
+
+
 class RealCoeffReport(NamedTuple):
     is_real: bool
     max_imag: float
@@ -228,8 +233,7 @@ class RealCoeffReport(NamedTuple):
 
 def is_real_coeffs(p: Polynomial, tol: float) -> RealCoeffReport:
     """True iff max |Im c_k| <= tol * max(1, max |c_k|)."""
-    if tol < 0:
-        raise InvalidInput("tolerance must be >= 0")
+    _check_tol(tol, "tolerance")
     if p.is_zero:
         return RealCoeffReport(True, 0.0)
     a = p.as_array()

@@ -56,7 +56,7 @@ from .errors import (
     TooFewRoots,
     ZeroPolynomial,
 )
-from .poly import Polynomial, evaluate_many, make_poly
+from .poly import Polynomial, _check_tol, evaluate_many, make_poly
 
 __all__ = [
     "RootSet",
@@ -543,11 +543,6 @@ def _drive(gen):
 
 def _root_scale(zs) -> float:
     return max(1.0, max((abs(r) for r in zs), default=0.0))
-
-
-def _check_tol(tol: float, what: str) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
 
 
 def _realness(zs, tol: float, line: float = 0.0) -> RealnessVerdict:

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import DegreeExceedsFrame, InvalidInput, NotRealRooted, ZeroPolynomial
 from .debruijn import gn
-from .poly import ZERO, Polynomial, derivative, linear_combine, make_poly
+from .poly import ZERO, Polynomial, _check_tol, derivative, linear_combine, make_poly
 from .rootfind import (
     DEFAULT_REAL_TOL,
-    _check_tol,
     _drive,
     classify_real,
     sorted_real_parts,
@@ -64,8 +63,9 @@ def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
         return ZERO
     pd = _derivs_at_zero(p, n)
     q_derivs = [q]
-    for _ in range(n):
-        q_derivs.append(derivative(q_derivs[-1]))
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        for _ in range(n):
+            q_derivs.append(derivative(q_derivs[-1]))
     pairs = [(pd[k], q_derivs[n - k]) for k in range(n + 1)]
     conv = linear_combine(pairs)
     bad = int(np.count_nonzero(~np.isfinite(conv.as_array())))
@@ -80,7 +80,8 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
 
     The vanishing test is relative to the largest summand; an exactly zero
     summand scale (both operands too sparse) counts as apolar.  Raises
-    InvalidInput for a tol that is negative or not finite.
+    InvalidInput for a tol that is negative or not finite, and when a summand
+    or the sum overflows a double (P = 100 * sum x^k at degree 170, Q = 1).
     """
     _check_tol(tol, "tolerance")
     _check_frame(p, q, n)
@@ -88,9 +89,13 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
         return {"apolar": True, "sum_magnitude": 0.0, "term_scale": 0.0}
     pd = _derivs_at_zero(p, n)
     qd = _derivs_at_zero(q, n)
-    terms = np.array([(-1) ** k * pd[k] * qd[n - k] for k in range(n + 1)])
-    scale = float(np.max(np.abs(terms)))
-    total = float(abs(terms.sum()))
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        terms = np.array([(-1) ** k * pd[k] * qd[n - k] for k in range(n + 1)])
+        scale = float(np.max(np.abs(terms)))
+        total = float(abs(terms.sum()))
+    if not (math.isfinite(scale) and math.isfinite(total)):
+        raise InvalidInput(f"sum (-1)^k P^(k)(0) Q^(n-k)(0) in frame {n} overflows "
+                           "a double")
     return {
         "apolar": scale == 0.0 or total <= tol * scale,
         "sum_magnitude": total,

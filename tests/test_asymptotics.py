@@ -306,7 +306,7 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
     # the reports of three sweeps
     prop = next(q for q in ALL_PROPERTIES if q.name == "asym_order_hierarchy")
     cfg = SuiteConfig(seed=42, trials=20)
-    instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+    instances = harness._instances(prop, cfg)
     original = harness._sweeps
     reports = []
 
@@ -339,7 +339,7 @@ def test_asymptotic_checks_root_find_p_once(monkeypatch, name):
     # the public residual_sweep's report.
     prop = next(q for q in ALL_PROPERTIES if q.name == name)
     cfg = SuiteConfig(seed=42, trials=20)
-    instances = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+    instances = harness._instances(prop, cfg)
 
     def forbidden(*args):
         raise AssertionError("root-found outside the checker's requests")

@@ -108,6 +108,25 @@ def test_walsh_and_apolar(tmp_path, capsys):
         "apolar": True, "sum_magnitude": 0.0, "term_scale": 0.0}
 
 
+def test_overflowing_walsh_and_apolar_exit_2_without_numpy_warnings(tmp_path):
+    # in a fresh interpreter that shows every warning: apolar printed a numpy
+    # RuntimeWarning and then "Out of range float values are not JSON
+    # compliant", walsh two RuntimeWarnings before its own message
+    ones = write(tmp_path, "ones.json", {"coeffs": [[1, 0]] * 171})
+    big = write(tmp_path, "big.json", {"coeffs": [[100, 0]] * 171})
+    one = write(tmp_path, "one.json", {"coeffs": [[1, 0]]})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv, message in (
+        (["apolar", big, one, "--frame", "170"],
+         "sum (-1)^k P^(k)(0) Q^(n-k)(0) in frame 170 overflows a double"),
+        (["walsh", ones, big, "--frame", "340"],
+         "P [+] Q in frame 340 overflows a double: 3 of 3 coefficients are not finite"),
+    ):
+        done = subprocess.run([sys.executable, "-W", "always", "-m", "fdzeros.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_asymptotics_csv(tmp_path, capsys):
     code, out = run(capsys, [
         "asymptotics", write(tmp_path, "p.json", X2_PLUS_1),

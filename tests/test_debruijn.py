@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_line_image_random():
 def test_near_degenerate_warning():
     with pytest.warns(RuntimeWarning):
         apply_tb(DeBruijnOp(1e-9, 1.0), monomial(3))
+
+
+def test_near_degenerate_warning_names_the_callers_line():
+    # qn and gn reach the warning through apply_tb inside the package; a
+    # fixed stacklevel named a line of debruijn.py for them
+    calls = [lambda: qn(3, 1e-9), lambda: gn(3, 1e-9, 1.0),
+             lambda: apply_tb(DeBruijnOp(1e-9, 1.0), monomial(3)),
+             lambda: qn_zeros(3, 1e-9)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
 
 
 def test_qn_zeros_report():

@@ -94,6 +94,17 @@ def test_suite_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_instances_do_not_depend_on_the_trial_count(seed):
+    # instance k is the same at any trial count: test_acceptance's per-property
+    # counts and replays of a recorded instance at another count rely on it
+    for prop in ALL_PROPERTIES:
+        few = harness._instances(prop, SuiteConfig(seed=seed, trials=5))
+        many = harness._instances(prop, SuiteConfig(seed=seed, trials=20))
+        assert len(few) == 5 and len(many) == 20, prop.name
+        assert json.dumps(few) == json.dumps(many[:5]), prop.name
+
+
 def test_injected_failure_is_replayable():
     def gen(cfg, rng):
         return [{"x": float(rng.uniform(0, 1))} for _ in range(cfg.trials)]
@@ -137,7 +148,7 @@ def test_typed_error_is_a_failing_instance():
 def test_replay_known_property():
     prop = next(p for p in ALL_PROPERTIES if p.name == "tb_scaling")
     cfg = SuiteConfig(trials=1, seed=5)
-    inst = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))[0]
+    inst = harness._instances(prop, cfg)[0]
     assert replay("tb_scaling", inst) <= 0
     with pytest.raises(KeyError):
         replay("no_such_property", {})
@@ -204,10 +215,6 @@ def _assert_same_outcomes(got, want):
             assert float(g) == float(w) or (math.isnan(g) and math.isnan(w)), k
 
 
-def _instances(prop, cfg):
-    return prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
-
-
 def test_generator_checkers_are_the_root_finding_properties():
     assert {p.name for p in ALL_PROPERTIES
             if inspect.isgeneratorfunction(p.check)} == ROOT_FINDING
@@ -221,7 +228,7 @@ def test_batched_checks_match_one_root_find_at_a_time(seed):
     for prop in ALL_PROPERTIES:
         if seed != 42 and prop.name not in ROOT_FINDING:
             continue
-        instances = _instances(prop, cfg)
+        instances = harness._instances(prop, cfg)
         got = harness._run_checks(prop.check, instances)
         _assert_same_outcomes(got, [_sequential(prop.check, inst) for inst in instances])
 
@@ -256,7 +263,7 @@ def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypa
     for prop in ALL_PROPERTIES:
         if prop.name not in ROOT_FINDING:
             continue
-        instances = _instances(prop, cfg)
+        instances = harness._instances(prop, cfg)
         yields = []
         for inst in instances:
             requests = []

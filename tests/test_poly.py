@@ -191,8 +191,14 @@ def test_is_real_coeffs():
     report = is_real_coeffs(make_poly([1e-12j, 0, 1]), 1e-9)
     assert report.is_real and report.max_imag == 1e-12
     assert not is_real_coeffs(make_poly([0, 1j]), 1e-9).is_real
-    with pytest.raises(InvalidInput):
-        is_real_coeffs(make_poly([1]), -1.0)
+    # a tolerance that is negative or not finite is refused, as everywhere
+    # else in the package: nan would call a real polynomial not real and inf
+    # would call [1, 1j] real
+    for tol in (-1.0, math.nan, math.inf):
+        want = f"^tolerance must be finite and >= 0, got {tol}$"
+        for p in (make_poly([1.0]), make_poly([1.0, 1j])):
+            with pytest.raises(InvalidInput, match=want):
+                is_real_coeffs(p, tol)
 
 
 def test_coerce_real():

@@ -36,7 +36,7 @@ from fdzeros import (
     shift_arg,
     sorted_real_parts,
 )
-from fdzeros import rootfind
+from fdzeros import harness, rootfind
 from fdzeros.rootfind import _aberth_core, aberth_batch
 
 
@@ -263,7 +263,7 @@ def _registry_pairs(trials):
     prop = next(q for q in ALL_PROPERTIES if q.name == "interlace_obreschkov_agreement")
     cfg = SuiteConfig(seed=42, trials=trials)
     return [(poly_from_json(pj), poly_from_json(qj), inst["seed"] + k)
-            for inst in prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))
+            for inst in harness._instances(prop, cfg)
             for k, (pj, qj) in enumerate(inst["pairs"])]
 
 
@@ -846,7 +846,7 @@ def test_extended_polish_reaches_exact_roots_of_product():
     # 4.8e-10 from the union of the factor roots.
     prop = next(q for q in ALL_PROPERTIES if q.name == "roots_product_multiset")
     cfg = SuiteConfig(seed=42, trials=20)
-    inst = prop.generate(cfg, np.random.default_rng([cfg.seed, prop.stream]))[14]
+    inst = harness._instances(prop, cfg)[14]
     p = multiply(poly_from_json(inst["p"]), poly_from_json(inst["q"]))
     with mpmath.workdps(60):
         exact = mpmath.polyroots([mpmath.mpc(c) for c in reversed(p.coeffs)],

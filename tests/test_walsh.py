@@ -147,6 +147,21 @@ def test_frames_above_the_degree_sum_answer_zero_without_work(monkeypatch):
             assert apolar_report(a, b, n, 1e-8) == zero_report
 
 
+def test_overflowing_sums_raise_without_numpy_warnings():
+    # k! c_k of 100 * sum x^k overflows at k = 170.  Its apolarity sum with
+    # Q = 1 in frame 170 came back with an infinite term scale after a numpy
+    # warning, and P [+] Q of sum x^k and it in frame 340 raised only after
+    # two numpy warnings from the derivatives of Q
+    ones, big = make_poly([1.0] * 171), make_poly([100.0] * 171)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=r"^sum \(-1\)\^k P\^\(k\)\(0\) "
+                                               r"Q\^\(n-k\)\(0\) in frame 170 overflows"):
+            apolar_report(big, monomial(0), 170, 1e-8)
+        with pytest.raises(InvalidInput, match=r"^P \[\+\] Q in frame 340 overflows"):
+            walsh_convolve(ones, big, 340)
+
+
 def test_apolar_examples():
     assert apolar(monomial(2), monomial(2), 2, 1e-12)
     p = from_roots([1.0, 1.0])
