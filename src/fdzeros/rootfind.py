@@ -3,8 +3,13 @@
 Every root-find goes through one engine, `_aberth_core`: closed forms for
 degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
 companion-matrix eigenvalues above that, and a residual and a forward-error
-certificate for every degree, judged row by row.  `_certified_many`, its one
-caller, answers `roots`, `roots_many`, `aberth_batch` and the driver below.
+certificate for every degree, judged row by row.  Real rows, and complex rows
+that are real up to rounding, start from real eigenvalues.  A row whose
+rounding floor alone fails the forward certificate during the iteration is
+ruled out: it leaves before the extended-precision polish, is judged from
+the loop's own residuals, and its best iterate is the loop's, unpolished.
+`_certified_many`, its one caller, answers `roots`, `roots_many`,
+`aberth_batch` and the driver below.
 The predicates below (realness, mesh, extremes, interlacing) are the
 language the zero-location guarantees elsewhere in the package are stated in.
 `_realness` is the one rule for how far roots sit from a line Im z = c; the
@@ -125,7 +130,12 @@ def _residual_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, tol: float):
     """
     p = _horner_rows(a, z)
     err = _horner_rows(absa, np.abs(z))
-    return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err), p, err
+    return _residual_within(p, err, tol), p, err
+
+
+def _residual_within(p: np.ndarray, err: np.ndarray, tol: float) -> np.ndarray:
+    # `_residual_ok`'s test on p(z) and err already evaluated
+    return (np.abs(p) <= tol * np.maximum(err, 1.0)) & np.isfinite(err)
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,15 +237,28 @@ def _forward_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
     return ok
 
 
-def _companion_eigvals(a: np.ndarray) -> np.ndarray:
-    # a: (B, n+1) monic rows.  Eigenvalues of the companion matrices, with
-    # real arithmetic for real rows; a row with a non-finite coefficient
-    # starts (and fails) at NaN.  A stack on which LAPACK does not converge is
-    # retried row by row, and a row that fails again starts at NaN too.
+# A complex row is near-real when every coefficient has |Im a_k| at most
+# _NEAR_REAL (n + 1) eps |a_k|: an imaginary part of the size of the rounding
+# that a coefficient summed from n + 1 complex products carries, the factor 4
+# allowing for the products themselves and the division that makes the row
+# monic.  The companion eigenvalues are only backward stable to rounding of
+# that order (Edelman & Murakami, Math. Comp. 64 (1995)), so such a row (an
+# apply_op image that is real in exact arithmetic) starts from the real
+# companion matrix of its real part, in real arithmetic; the iteration, the
+# polish and both certificates judge the stored complex row.
+_NEAR_REAL = 4
+
+
+def _companion_eigvals(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
+    # a: (B, n+1) monic rows, absa = |a|.  Eigenvalues of the companion
+    # matrices, with real arithmetic for real and near-real rows; a row with
+    # a non-finite coefficient starts (and fails) at NaN.  A stack on which
+    # LAPACK does not converge is retried row by row, and a row that fails
+    # again starts at NaN too.
     B, n = a.shape[0], a.shape[1] - 1
     z = np.full((B, n), np.nan, dtype=complex)
     finite = np.isfinite(a).all(axis=1)
-    real = ~np.any(a.imag != 0, axis=1)
+    real = np.all(np.abs(a.imag) <= _NEAR_REAL * (n + 1) * _EPS * absa, axis=1)
     for rows, part in ((finite & real, a.real), (finite & ~real, a)):
         idx = np.flatnonzero(rows)
         if not idx.size:
@@ -254,28 +277,31 @@ def _companion_eigvals(a: np.ndarray) -> np.ndarray:
     return z
 
 
-def _aberth(a: np.ndarray, absa: np.ndarray,
-            dcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
     # iterates on its own from its companion eigenvalues: a root stops once
-    # its residual passes, a row stops once its own steps stagnate or a root
-    # fails the rounding floor of the forward certificate.  No row's iterates
-    # depend on the other rows.  Returns the roots and p'(roots) when the
-    # polish computed it at the returned roots, else None.
+    # its residual passes, and a row stops once its own steps stagnate or once
+    # a root fails the rounding floor of the forward certificate.  Such a row
+    # is ruled out: no iterate of it can pass that certificate.  No row's
+    # iterates depend on the other rows.  Returns the iterate z, which rows
+    # were ruled out, and p(z) and the error bound sum_k |a_k| |z|^k at z for
+    # every row, from the loop's last residual test.
     B = a.shape[0]
-    z = _companion_eigvals(a)
+    z = _companion_eigvals(a, absa)
     n = z.shape[1]
     eye = np.eye(n, dtype=bool)[None, :, :]
     stalled = np.zeros(B, dtype=bool)
+    out = np.zeros(B, dtype=bool)
     for it in range(MAX_ITER):
         done, p, err = _residual_ok(a, absa, z, _ITER_TOL)
-        done |= stalled[:, None]
+        done |= (stalled | out)[:, None]
         if done.all():
             break
         dp = _horner_rows(dcoef, z)
         live = ~done.all(axis=1)
-        stalled |= live & ~_forward_ok(a, absa, z, err, dp, live)
-        done |= stalled[:, None]
+        out |= live & ~_forward_ok(a, absa, z, err, dp, live)
+        done |= out[:, None]
         if done.all():
             break  # the step below would be zero everywhere
         w = np.where(dp != 0, p / dp, 0.1 * (1.0 + np.abs(z)))
@@ -287,13 +313,22 @@ def _aberth(a: np.ndarray, absa: np.ndarray,
         step = np.where(done, 0.0, step)
         z = z - step
         stalled |= np.max(np.abs(step), axis=1) <= 1e-16 * (1.0 + np.max(np.abs(z), axis=1))
+    # A ruled-out row takes no step after it is ruled out, so p and err of
+    # the last residual test are its values at z.
+    return z, out, p, err
+
+
+def _polish(a: np.ndarray, dcoef: np.ndarray,
+            z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     # Newton polish with p(z) evaluated in extended precision (np.clongdouble;
     # plain double where long double is double): a few steps push simple
     # roots to the accuracy the double-precision coefficients allow; the
     # certificates then judge what is returned.  Non-finite steps (vanishing
     # derivative) are rejected, and so are steps longer than half the gap to
     # the nearest other root: inside a cluster a step that long comes from
-    # rounding noise in p(z), not from the polynomial.
+    # rounding noise in p(z), not from the polynomial.  Returns the polished
+    # roots and p'(roots) when the polish computed it at them, else None.
+    eye = np.eye(z.shape[1], dtype=bool)[None, :, :]
     gap = np.where(eye, np.inf, np.abs(z[:, :, None] - z[:, None, :])).min(axis=2)
     limit = 0.5 * np.minimum(1.0 + np.abs(z), gap)
     # The polish stops once a step leaves every root bit for bit unchanged:
@@ -310,14 +345,33 @@ def _aberth(a: np.ndarray, absa: np.ndarray,
     return z, None
 
 
+def _certify(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray, z: np.ndarray,
+             polish: bool):
+    # The polish (when asked) and both certificates for the rows a with
+    # iterate z: the roots, p(roots), and per row whether it passed the
+    # residual certificate and whether it is certified.
+    dp = None  # p'(z), unless the polish leaves it at the roots it returns
+    if polish:
+        z, dp = _polish(a, dcoef, z)
+    if dp is None:
+        dp = _horner_rows(dcoef, z)
+    ok, p, err = _residual_ok(a, absa, z, TOL)
+    residual_ok = ok.all(axis=1)
+    return z, p, residual_ok, _forward_ok(a, absa, z, err, dp, residual_ok, p)
+
+
 class _BatchRoots(NamedTuple):
     """Roots of a batch of same-degree polynomials, with each row's outcome.
 
     z is (B, n): a certified row's roots, or a failed row's best iterate.
     residuals is |p(z)| on the monic rows.  failed[i] is None for a certified
     row; otherwise it names the first certificate the row failed, "residual"
-    or "forward".  A row whose companion eigenvalues did not converge stays
-    at NaN and fails the residual one.
+    or "forward".  A row that the Aberth loop ruled out on the forward
+    certificate's rounding floor leaves before the polish: its best iterate
+    is the loop's, unpolished, and it is judged from the loop's own p(z) and
+    error bound, "residual" if it misses TOL there, else "forward".  A row
+    whose companion eigenvalues did not converge stays at NaN and fails the
+    residual one.
     """
 
     z: np.ndarray
@@ -330,15 +384,18 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
 
     c is (B, n+1), ascending, with nonzero leading column.  Degrees 1 and 2
     use closed forms, higher degrees Aberth-Ehrlich iteration from the
-    companion-matrix eigenvalues with an extended-precision Newton polish.
-    Each row is judged by two certificates on its monic form: a residual one
-    against the error bound sum_k |a_k| |z|^k, so that large-magnitude roots
-    are not held to an unattainable absolute residual, and a forward one, a
-    first-order error estimate per root (simple, or as part of a cluster of
-    up to 8) of at most FWD_TOL * max(1, |z|).  A row with a non-finite root
-    or error bound is never certified.  Rows do not interact: a row's roots
-    and outcome are the same in any batch, alone included.  Never raises for
-    a row that fails; see `aberth_batch` for the raising form.
+    companion-matrix eigenvalues (real ones for real and near-real rows, see
+    `_NEAR_REAL`) with an extended-precision Newton polish.  Each row is
+    judged by two certificates on its monic form: a residual one against the
+    error bound sum_k |a_k| |z|^k, so that large-magnitude roots are not held
+    to an unattainable absolute residual, and a forward one, a first-order
+    error estimate per root (simple, or as part of a cluster of up to 8) of
+    at most FWD_TOL * max(1, |z|).  A row that the iteration rules out on the
+    forward certificate's rounding floor fails without the polish or a
+    second forward estimate (see `_BatchRoots`).  A row with a non-finite
+    root or error bound is never certified.  Rows do not interact: a row's
+    roots and outcome are the same in any batch, alone included.  Never
+    raises for a row that fails; see `aberth_batch` for the raising form.
     """
     c = np.asarray(c, dtype=complex)
     n = c.shape[1] - 1
@@ -348,7 +405,7 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
         a = c / c[:, -1:]
         absa = np.abs(a)
         dcoef = a[:, 1:] * np.arange(1, n + 1)
-        dp = None  # p'(z), unless the polish leaves it at the roots it returns
+        out = np.zeros(len(c), dtype=bool)  # rows the Aberth loop ruled out
         if n == 1:
             z = -c[:, :1] / c[:, 1:]
         elif n == 2:
@@ -362,12 +419,17 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z, dp = _aberth(a, absa, dcoef)
-        if dp is None:
-            dp = _horner_rows(dcoef, z)
-        ok, p, err = _residual_ok(a, absa, z, TOL)
-        residual_ok = ok.all(axis=1)
-        certified = _forward_ok(a, absa, z, err, dp, residual_ok, p)
+            z, out, p, err = _aberth(a, absa, dcoef)
+        if not out.any():
+            z, p, residual_ok, certified = _certify(a, absa, dcoef, z, n > 2)
+        else:
+            # a ruled-out row is judged from the loop's own p(z) and error bound
+            residual_ok = _residual_within(p, err, TOL).all(axis=1)
+            certified = np.zeros(len(c), dtype=bool)
+            keep = ~out
+            if keep.any():
+                z[keep], p[keep], residual_ok[keep], certified[keep] = _certify(
+                    a[keep], absa[keep], dcoef[keep], z[keep], True)
     failed = tuple(None if good else "forward" if res else "residual"
                    for good, res in zip(certified.tolist(), residual_ok.tolist()))
     return _BatchRoots(z, np.abs(p), failed)
@@ -401,16 +463,19 @@ def roots(p: Polynomial) -> RootSet:
     """All degree-many roots of p, certified, sorted by (real, imag).
 
     The one-row call of `aberth_batch`: closed forms for degrees 1 and 2,
-    Aberth iteration from the companion eigenvalues above, then a residual
-    certificate and a forward one (each root's first-order error estimate,
-    as a simple root or as part of a cluster, at most FWD_TOL * max(1, |z|)).
-    The monomial-coefficient representation caps the reachable degree:
-    `roots(gn(n, 0.7, 1))` converges at n = 80 and raises at n = 84 and 88, and
-    random real-rooted inputs with roots in [-5, 5] begin to raise above
-    degree 20.  Past the cap the answer is NonConvergence (with the best
-    iterate attached), never NaN roots nor roots whose forward-error
-    estimate exceeds FWD_TOL.  Raises ZeroPolynomial / ConstantPolynomial for
-    degenerate input.
+    Aberth iteration from the companion eigenvalues above (real ones when p
+    is real up to rounding), then a residual certificate and a forward one
+    (each root's first-order error estimate, as a simple root or as part of
+    a cluster, at most FWD_TOL * max(1, |z|)).  The monomial-coefficient
+    representation caps the reachable degree: `roots(gn(n, 0.7, 1))`
+    converges at n = 80 and raises at n = 84 and 88, and random real-rooted
+    inputs with roots in [-5, 5] begin to raise above degree 20.  Past the
+    cap the answer is NonConvergence (with the best iterate attached), never
+    NaN roots nor roots whose forward-error estimate exceeds FWD_TOL.  A
+    polynomial whose rounding floor alone fails the forward certificate
+    (`gn(96, 0.7, 1)`) raises as soon as the iteration sees it, before the
+    polish, with the loop's unpolished iterate as best.  Raises
+    ZeroPolynomial / ConstantPolynomial for degenerate input.
     """
     if (error := _unrootable(p)) is not None:
         raise error

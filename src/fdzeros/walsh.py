@@ -57,7 +57,8 @@ def _derivs_at_zero(p: Polynomial, n: int) -> np.ndarray:
 
 def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     """P [+] Q inside frame degree n; InvalidInput if a coefficient overflows
-    a double (P = from_roots(linspace(-1, 1, n)), Q = G_n(0.7, 1) at n = 150)."""
+    a double (P = from_roots(linspace(-1, 1, n)), Q = G_n(0.7, 1) at n = 150).
+    A term whose P^(k)(0) is exactly zero is left out, whatever Q^(n-k) is."""
     _check_frame(p, q, n)
     if _vanishes(p, q, n):
         return ZERO
@@ -66,7 +67,9 @@ def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     with np.errstate(all="ignore"):  # an overflow shows in the check below
         for _ in range(n):
             q_derivs.append(derivative(q_derivs[-1]))
-    pairs = [(pd[k], q_derivs[n - k]) for k in range(n + 1)]
+    # a pair with P^(k)(0) exactly zero adds nothing, and would turn an
+    # overflowing Q^(n-k) into NaN (0 * inf)
+    pairs = [(pd[k], q_derivs[n - k]) for k in range(n + 1) if pd[k] != 0]
     conv = linear_combine(pairs)
     bad = int(np.count_nonzero(~np.isfinite(conv.as_array())))
     if bad:
@@ -79,7 +82,8 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
     """Apolarity verdict plus the magnitude of sum (-1)^k P^(k)(0) Q^(n-k)(0).
 
     The vanishing test is relative to the largest summand; an exactly zero
-    summand scale (both operands too sparse) counts as apolar.  Raises
+    summand scale (both operands too sparse) counts as apolar.  A summand
+    with an exactly zero factor is zero, whatever the other factor.  Raises
     InvalidInput for a tol that is negative or not finite, and when a summand
     or the sum overflows a double (P = 100 * sum x^k at degree 170, Q = 1).
     """
@@ -90,7 +94,10 @@ def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:
     pd = _derivs_at_zero(p, n)
     qd = _derivs_at_zero(q, n)
     with np.errstate(all="ignore"):  # an overflow shows in the check below
-        terms = np.array([(-1) ** k * pd[k] * qd[n - k] for k in range(n + 1)])
+        # a term with an exactly zero factor is zero, not 0 * inf = NaN; it
+        # keeps its place, so the sum adds the others in the same order
+        terms = np.array([(-1) ** k * pd[k] * qd[n - k] if pd[k] != 0 and qd[n - k] != 0
+                          else 0j for k in range(n + 1)])
         scale = float(np.max(np.abs(terms)))
         total = float(abs(terms.sum()))
     if not (math.isfinite(scale) and math.isfinite(total)):

@@ -17,6 +17,7 @@ from fdzeros import (
     ZERO,
     TooFewRoots,
     ZeroPolynomial,
+    apply_op,
     apply_tb,
     classify_real,
     coeff_scale,
@@ -618,9 +619,22 @@ def test_forward_certificate_rejects_ill_conditioned_roots():
         roots(gn(96, 0.7, 1.0))
 
 
+@pytest.mark.parametrize("n", [84, 88, 96])
+def test_failing_iterate_lies_near_the_cotangent_zeros(n):
+    # gn(84) and gn(96) are ruled out on the forward certificate's rounding
+    # floor and carry the loop's unpolished iterate, gn(88) fails the final
+    # certificate after the polish; each best iterate sits within 1e-3
+    # relative of the closed-form zeros h cot((pi k - theta)/n)
+    with pytest.raises(NonConvergence, match="forward certificate") as exc:
+        roots(gn(n, 0.7, 1.0))
+    assert exc.value.best.shape == (1, n)
+    assert _rel_err(exc.value.best[0], _cotangent_zeros(n, 0.7, 1.0)) < 1e-3
+
+
 def test_stalled_batch_takes_no_extra_residual_pass(monkeypatch):
-    # gn(96) stalls on the forward floor in the first iteration: one
-    # residual check in the loop and one certificate, not a second loop check
+    # gn(96) is ruled out on the forward floor in the first iteration: one
+    # residual check in the loop, and the row is reported from it, with no
+    # polish and no second residual pass
     calls = []
     original = rootfind._residual_ok
 
@@ -628,10 +642,14 @@ def test_stalled_batch_takes_no_extra_residual_pass(monkeypatch):
         calls.append(args)
         return original(*args)
 
+    def forbidden(*args):
+        raise AssertionError("_polish called")
+
     monkeypatch.setattr(rootfind, "_residual_ok", counted)
+    monkeypatch.setattr(rootfind, "_polish", forbidden)
     with pytest.raises(NonConvergence, match="forward certificate"):
         roots(gn(96, 0.7, 1.0))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_certificate_reuses_the_polish_derivative(monkeypatch):
@@ -767,8 +785,8 @@ def test_staged_forward_certificate_matches_full_evaluation():
 
 def test_failing_row_takes_one_cluster_estimate(monkeypatch):
     # gn(96) has 37 roots that fail as simple roots; the first one whose
-    # cluster estimate fails decides the row, in the loop's rounding-floor
-    # check and in the final certificate alike
+    # cluster estimate fails decides the row in the loop's rounding-floor
+    # check, and the ruled-out row takes no final certificate
     sizes = []
     original = rootfind._cluster_bound
 
@@ -779,7 +797,45 @@ def test_failing_row_takes_one_cluster_estimate(monkeypatch):
     monkeypatch.setattr(rootfind, "_cluster_bound", counted)
     with pytest.raises(NonConvergence, match="forward certificate"):
         roots(gn(96, 0.7, 1.0))
-    assert sizes == [1, 1]
+    assert sizes == [1]
+
+
+def test_near_real_rows_start_from_real_eigenvalues(monkeypatch):
+    # A preserver image of a real-rooted polynomial is real in exact
+    # arithmetic; its stored coefficients carry rounding-level imaginary
+    # parts.  It starts from the real companion matrix, a genuinely complex
+    # row from the complex one, and the near-real row's roots are certified
+    # on its stored complex coefficients.
+    rng = np.random.default_rng(0)
+    image = apply_op(harness.random_preserver(2, rng), from_roots(rng.uniform(-5, 5, 12)))
+    assert np.any(image.as_array().imag)
+    complex_row = make_poly(rng.normal(size=13) + 1j * rng.normal(size=13))
+    dtypes = []
+    original = np.linalg.eigvals
+
+    def recorded(m):
+        dtypes.append(m.dtype)
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    for p, want in ((image, np.float64), (complex_row, np.complex128)):
+        dtypes.clear()
+        c = p.as_array()[None, :]
+        z = aberth_batch(c)
+        assert dtypes == [want]
+        a = c / c[:, -1:]
+        ok, _, _ = rootfind._residual_ok(a, np.abs(a), z, rootfind.TOL)
+        assert ok.all()
+
+
+def test_random_real_rooted_draws_certify_as_recorded():
+    # the degree-ceiling figures: of 200 consecutive draws of roots in
+    # [-5, 5], 194 certify at degree 20 and 26 at degree 40
+    for n, want in ((20, 194), (40, 26)):
+        rng = np.random.default_rng(n)
+        out = rootfind._certified_many([from_roots(rng.uniform(-5, 5, n))
+                                        for _ in range(200)])
+        assert sum(error is None for _, error in out) == want
 
 
 def _same_error(got, p):

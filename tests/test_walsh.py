@@ -162,6 +162,25 @@ def test_overflowing_sums_raise_without_numpy_warnings():
             walsh_convolve(ones, big, 340)
 
 
+def test_exactly_zero_factors_take_no_part_in_the_sums():
+    # P = 1e-300 x^170 has one nonzero derivative at 0, P^(170)(0) =
+    # 170! 1e-300, so in frame 170 P [+] Q = 170! 1e-300 Q and the apolarity
+    # sum is 170! 1e-300 Q(0), both finite; the zero P^(k)(0), k < 170, met
+    # the overflowing derivatives of Q = 100 sum x^k, and 0 inf = NaN made
+    # both raise "overflows a double"
+    p, q = make_poly([0.0] * 170 + [1e-300]), make_poly([100.0] * 171)
+    want = math.factorial(170) * 1e-300 * 100.0  # about 7.26e8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv = walsh_convolve(p, q, 170)
+        rep = apolar_report(p, q, 170, 1e-8)
+    assert np.allclose(conv.as_array(), want, rtol=1e-13, atol=0.0)
+    assert len(conv.coeffs) == 171
+    assert rep["sum_magnitude"] == pytest.approx(want, rel=1e-13)
+    assert rep["term_scale"] == pytest.approx(want, rel=1e-13)
+    assert not rep["apolar"]
+
+
 def test_apolar_examples():
     assert apolar(monomial(2), monomial(2), 2, 1e-12)
     p = from_roots([1.0, 1.0])
