@@ -142,8 +142,7 @@ def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.nda
     """
     if order not in (0, 1, 2):
         raise InvalidInput("order must be 0, 1 or 2")
-    if not h > 0:
-        raise InvalidInput("h must be > 0")
+    DeBruijnOp(theta, h)
     return _predict_at(head, _prediction_terms(head, theta, order), h)
 
 
@@ -178,13 +177,13 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     Errors come in this order: InvalidInput for the grid arguments (bounds
     outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2),
     checked before any root-find, then what `sweep_h_floor` raises for p,
-    InvalidInput for an h_min below the matching floor, NonConvergence for
-    an image at any h, then InvalidInput for the order and DegenerateQ,
-    then, h by h from h_min up, InvalidInput for a root-count mismatch and
-    MatchAmbiguity.  A NonConvergence for the images is the one `roots`
-    raises for the first image that fails, alone: its best iterate is that
-    image's, of shape (1, n), and its message names the certificate that
-    image failed.  No image is known to fail at a grid the floor admits.
+    InvalidInput for an h_min below the matching floor and then for a
+    non-finite theta, NonConvergence for an image at any h, then
+    InvalidInput for the order and DegenerateQ, then, h by h from h_min
+    up, InvalidInput for a root-count mismatch and MatchAmbiguity.  A
+    NonConvergence for the images is the one `roots` raises for the first
+    image that fails, alone: its best iterate is that image's, of shape
+    (1, n), and its message names the certificate that image failed.  No image is known to fail at a grid the floor admits.
     """
     _check_grid(h_min, h_max, steps)
     rep, = _drive(_sweeps(p, theta, lambda floor: (h_min, h_max), steps, (order,)))

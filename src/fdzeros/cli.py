@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="run the seeded property suite")
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--trials", type=int, default=20)
-    s.add_argument("--degree-max", type=int, default=8)
 
     return parser
 
@@ -228,9 +227,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(seed=args.seed, trials=args.trials,
-                      degree_max=args.degree_max)
-    report = run_suite(cfg)
+    report = run_suite(SuiteConfig(seed=args.seed, trials=args.trials))
     _emit(report_to_json(report))
     return 0 if report.passed else 1
 

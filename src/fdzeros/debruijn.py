@@ -64,8 +64,13 @@ class DeBruijnOp:
     h: float
 
     def __post_init__(self):
+        # the one rule on (theta, h), which the functions taking them apply
+        if not math.isfinite(self.theta):
+            raise InvalidInput(f"angle theta must be finite, got {self.theta!r}")
         if not self.h > 0:
             raise InvalidInput("step h must be > 0")
+        if self.h == math.inf:
+            raise InvalidInput("step h must be finite")
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,7 @@ def qn_zeros(n: int, theta: float) -> CotangentZeros:
     """Closed-form zeros cot((-theta + pi k)/n), strictly decreasing in k."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
+    DeBruijnOp(theta, 1.0)  # Q_n is the image under T_{theta,1}: theta's rule
     if _sin_degenerate(theta):
         ks = range(1, n)
         zs = [1.0 / math.tan(math.pi * k / n) for k in ks]
@@ -153,8 +159,7 @@ def qn_zeros(n: int, theta: float) -> CotangentZeros:
 
 def qn_zeros_report(n: int, theta: float, h: float = 1.0) -> dict:
     """Closed-form zeros scaled by h, with cross-check residuals |G_n(h x_k)|."""
-    if not h > 0:
-        raise InvalidInput("h must be > 0")
+    DeBruijnOp(theta, h)
     qz = qn_zeros(n, theta)
     g = gn(n, theta, h)
     scaled = [h * z for z in qz.zeros]
@@ -183,6 +188,7 @@ def extremal_bounds(p: Polynomial, theta: float, h: float,
 
 
 def _extremal_bounds(p: Polynomial, theta: float, h: float, tol: float):
+    DeBruijnOp(theta, h)
     rs, = yield [p]
     if not classify_real(rs, tol).is_real_rooted:
         raise NotRealRooted("extremal bounds require a real-rooted polynomial")
@@ -198,6 +204,7 @@ def _extremal_bounds(p: Polynomial, theta: float, h: float, tol: float):
 
 def mesh_floor(n: int, theta: float, h: float) -> float:
     """h times the mesh of the cotangent grid: the minimal image mesh at degree n."""
+    DeBruijnOp(theta, h)
     qz = qn_zeros(n, theta)
     if qz.count < 2:
         raise TooFewRoots("mesh floor needs at least 2 cotangent zeros")
@@ -230,6 +237,8 @@ def _simplicity_margin(p: Polynomial, theta: float, h: float, tol: float,
 
 def line_image(p: Polynomial, beta: float, theta: float) -> Polynomial:
     """(S_{i beta} - e^{i theta} I)(P) = P(x - i beta) - e^{i theta} P(x)."""
+    if not (math.isfinite(beta) and math.isfinite(theta)):
+        raise InvalidInput(f"beta and theta must be finite, got {beta!r}, {theta!r}")
     e = complex(math.cos(theta), math.sin(theta))
     return linear_combine([(1.0, shift_arg(p, 1j * beta)), (-e, p)],
                           trim_tol=1e-13)

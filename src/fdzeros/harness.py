@@ -4,8 +4,9 @@ Every mathematical invariant the library relies on becomes a named property:
 one draw of a self-contained instance dict and one checker that maps an
 instance to a violation score (pass iff <= 0).  The runner owns the rest:
 `_trials` makes cfg.trials draws and `_instances` feeds them the property's
-own seed stream, default_rng([seed, stream]).  Instances are JSON-serializable
-so any failure replays standalone.
+own seed stream, default_rng([seed, stream]); a draw takes nothing else, as
+DEGREE_MAX and ROOT_RANGE are fixed.  Instances are JSON-serializable so any
+failure replays standalone.
 
 A checker that root-finds may be a request generator, which `rootfind`'s
 module docstring describes: `run_properties` and `replay` start the checkers
@@ -88,9 +89,11 @@ __all__ = [
 ]
 
 
-# Fixed for every run and printed in the report's config block: the interval
+# Fixed for every run and printed in the report's config block: the largest
+# degree a draw takes (the mesh tolerances were set for it), the interval
 # random roots are drawn from, the realness tolerance the checks pass to the
 # root tools, and the relative tolerance of the derivative-linearity identity.
+DEGREE_MAX = 8
 ROOT_RANGE = (-5.0, 5.0)
 TOL_REAL = 1e-7
 TOL_IDENTITY = 1e-10
@@ -100,17 +103,13 @@ TOL_IDENTITY = 1e-10
 class SuiteConfig:
     seed: int = 42
     trials: int = 20
-    degree_max: int = 8
 
     def __post_init__(self):
-        # seed feeds np.random.default_rng, which takes no negative entropy;
-        # derivative_mesh_grows draws its degrees from [3, degree_max].
+        # seed feeds np.random.default_rng, which takes no negative entropy
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.degree_max < 3:
-            raise ValueError("degree_max must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -213,16 +212,15 @@ def _imag_excess(root_list, tol: float, line: float = 0.0) -> float:
     return v.max_imag - v.tol_used
 
 
-def _draw_degree(cfg: SuiteConfig, rng, lo: int = 1, hi: int | None = None) -> int:
-    top = min(cfg.degree_max, hi) if hi is not None else cfg.degree_max
-    return int(rng.integers(lo, top + 1))
+def _draw_degree(rng, lo: int = 1) -> int:
+    return int(rng.integers(lo, DEGREE_MAX + 1))
 
 
 # ---------------------------------------------------------------------------
 # properties: polynomial arithmetic
 
 
-def _draw_shift_roundtrip(cfg, rng):
+def _draw_shift_roundtrip(rng):
     n = int(rng.integers(1, 21))
     c = rng.uniform(-1, 1, size=(n + 1, 2)) @ np.array([1, 1j])
     # |lam| stays small: a degree-20 shift amplifies coefficients by
@@ -239,8 +237,8 @@ def _chk_shift_roundtrip(inst):
     return _pad_gap(p, back) - inst["tol"]
 
 
-def _draw_shift_eval(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+def _draw_shift_eval(rng):
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
     return {"poly": poly_to_json(p), "lam": [lam.real, lam.imag],
@@ -257,9 +255,9 @@ def _chk_shift_eval(inst):
     return abs(lhs - rhs) / scale - inst["tol"]
 
 
-def _draw_poly_linearity(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-    q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+def _draw_poly_linearity(rng):
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
     return {"p": poly_to_json(p), "q": poly_to_json(q),
             "a": a, "b": b, "tol": TOL_IDENTITY}
@@ -279,9 +277,9 @@ def _chk_poly_linearity(inst):
 # properties: root finding
 
 
-def _draw_roots_product(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
-    q = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+def _draw_roots_product(rng):
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     return {"p": poly_to_json(p), "q": poly_to_json(q), "tol": 1e-8}
 
 
@@ -294,8 +292,8 @@ def _chk_roots_product(inst):
     return max(abs(g - w) for g, w in zip(got, want)) - inst["tol"]
 
 
-def _draw_mesh_translation(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng, 2), ROOT_RANGE, rng)
+def _draw_mesh_translation(rng):
+    p = random_hyperbolic(_draw_degree(rng, 2), ROOT_RANGE, rng)
     return {"poly": poly_to_json(p), "t": float(rng.uniform(-4, 4)),
             "tol": 1e-9, "tol_real": TOL_REAL}
 
@@ -309,7 +307,7 @@ def _chk_mesh_translation(inst):
     return abs(m0 - m1) - inst["tol"]
 
 
-def _draw_interlace_obreschkov(cfg, rng):
+def _draw_interlace_obreschkov(rng):
     pairs = []
     for k in range(10):
         n = int(rng.integers(2, 7))
@@ -335,8 +333,8 @@ def _chk_interlace_obreschkov(inst):
     return disagree / len(inst["pairs"]) - inst["max_rate"]
 
 
-def _draw_derivative_mesh(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng, 3), ROOT_RANGE, rng)
+def _draw_derivative_mesh(rng):
+    p = random_hyperbolic(_draw_degree(rng, 3), ROOT_RANGE, rng)
     return {"poly": poly_to_json(p), "tol_real": TOL_REAL}
 
 
@@ -355,10 +353,10 @@ def _chk_derivative_mesh(inst):
 # properties: general finite-difference operators
 
 
-def _draw_op_linearity(cfg, rng):
+def _draw_op_linearity(rng):
     op = random_preserver(int(rng.integers(1, 4)), rng)
-    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
-    q = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
+    q = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     a, b = (float(x) for x in rng.uniform(-2, 2, size=2))
     return {"op": operator_to_json(op), "p": poly_to_json(p),
             "q": poly_to_json(q), "a": a, "b": b, "tol": 1e-12}
@@ -374,11 +372,11 @@ def _chk_op_linearity(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _draw_op_composition(cfg, rng):
+def _draw_op_composition(rng):
     beta = float(rng.uniform(0.3, 2.0))
     op1 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
     op2 = random_preserver(int(rng.integers(1, 3)), rng, lam=1j * beta)
-    p = random_hyperbolic(_draw_degree(cfg, rng), ROOT_RANGE, rng)
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     return {"op1": operator_to_json(op1), "op2": operator_to_json(op2),
             "poly": poly_to_json(p), "tol": 1e-10}
 
@@ -392,9 +390,9 @@ def _chk_op_composition(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _draw_op_preserver_sound(cfg, rng):
+def _draw_op_preserver_sound(rng):
     op = random_preserver(int(rng.integers(1, 4)), rng)
-    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     return {"op": operator_to_json(op), "poly": poly_to_json(p), "tol_real": TOL_REAL}
 
 
@@ -418,13 +416,13 @@ def _chk_op_real_output(inst):
     return float(np.max(np.abs(a.imag))) - inst["tol"] * float(np.max(np.abs(a)))
 
 
-def _draw_op_real_output(cfg, rng):
-    return {**_draw_op_preserver_sound(cfg, rng), "tol": 1e-10}
+def _draw_op_real_output(rng):
+    return {**_draw_op_preserver_sound(rng), "tol": 1e-10}
 
 
-def _draw_op_strip_sound(cfg, rng):
+def _draw_op_strip_sound(rng):
     op = random_strip_operator(int(rng.integers(1, 4)), rng)
-    n = _draw_degree(cfg, rng, 1, 8)
+    n = _draw_degree(rng)
     zs = [complex(rng.uniform(*ROOT_RANGE), rng.uniform(-1, 1)) for _ in range(n)]
     return {"op": operator_to_json(op), "poly": poly_to_json(from_roots(zs)),
             "b": 1.0, "tol_real": TOL_REAL}
@@ -446,7 +444,7 @@ def _chk_op_strip_sound(inst):
 # properties: the specialized operator T_{theta,h}
 
 
-def _draw_tb_ladder(cfg, rng):
+def _draw_tb_ladder(rng):
     return {"n": int(rng.integers(2, 21)),
             "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
 
@@ -458,7 +456,7 @@ def _chk_tb_ladder(inst):
     return _pad_gap(lhs, rhs) - inst["tol"]
 
 
-def _draw_tb_scaling(cfg, rng):
+def _draw_tb_scaling(rng):
     return {"n": int(rng.integers(1, 21)),
             "theta": float(rng.uniform(0.0, 2 * math.pi)),
             "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-10}
@@ -472,7 +470,7 @@ def _chk_tb_scaling(inst):
     return _pad_gap(g, scaled) - inst["tol"]
 
 
-def _draw_tb_closed_form(cfg, rng):
+def _draw_tb_closed_form(rng):
     return {"n": int(rng.integers(1, 21)),
             "theta": float(rng.uniform(0.15, math.pi - 0.15)),
             "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-8}
@@ -491,7 +489,7 @@ def _chk_tb_closed_form(inst):
     return max(abs(a - b) for a, b in zip(got, want)) - inst["tol"]
 
 
-def _draw_tb_random(cfg, rng):
+def _draw_tb_random(rng):
     p = random_hyperbolic(int(rng.integers(2, 11)), ROOT_RANGE, rng)
     return {"poly": poly_to_json(p), "theta": float(rng.uniform(0.25, math.pi - 0.25)),
             "h": float(rng.choice([0.5, 1.0, 2.0])), "tol_real": TOL_REAL, "slack": 1e-9}
@@ -536,8 +534,8 @@ def _chk_tb_extremal(inst):
     return max(top - bounds["lambda_bound"], bounds["mu_bound"] - bot) - inst["slack"]
 
 
-def _draw_tb_line_lemma(cfg, rng):
-    n = _draw_degree(cfg, rng, 1, 8)
+def _draw_tb_line_lemma(rng):
+    n = _draw_degree(rng)
     c = float(rng.uniform(-2, 2))
     p = random_line_poly(n, c, ROOT_RANGE, rng)
     return {"poly": poly_to_json(p), "c": c, "beta": float(rng.uniform(-3, 3)),
@@ -553,7 +551,7 @@ def _chk_tb_line_lemma(inst):
     return _imag_excess(rs.roots, inst["tol"], inst["c"] + inst["beta"] / 2.0)
 
 
-def _draw_tb_periodicity(cfg, rng):
+def _draw_tb_periodicity(rng):
     return {"n": int(rng.integers(1, 21)),
             "theta": float(rng.uniform(0.0, 2 * math.pi)), "tol": 1e-10}
 
@@ -569,8 +567,8 @@ def _chk_tb_periodicity(inst):
 # properties: Walsh convolution
 
 
-def _draw_walsh_pair(cfg, rng):
-    n = _draw_degree(cfg, rng, 2, 8)
+def _draw_walsh_pair(rng):
+    n = _draw_degree(rng, 2)
     return {"p": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
             "q": poly_to_json(random_hyperbolic(n, ROOT_RANGE, rng)),
             "n": n, "tol_real": TOL_REAL, "slack": 1e-9}
@@ -626,8 +624,8 @@ def _chk_walsh_apolarity(inst):
     return -1.0
 
 
-def _draw_walsh_dual_path(cfg, rng):
-    p = random_hyperbolic(_draw_degree(cfg, rng, 1, 8), ROOT_RANGE, rng)
+def _draw_walsh_dual_path(rng):
+    p = random_hyperbolic(_draw_degree(rng), ROOT_RANGE, rng)
     return {"poly": poly_to_json(p), "theta": float(rng.uniform(0.0, 2 * math.pi)),
             "h": float(rng.uniform(0.3, 3.0)), "tol": 1e-9}
 
@@ -644,7 +642,7 @@ def _chk_walsh_dual_path(inst):
 # properties: asymptotics
 
 
-def _draw_asym_omega(cfg, rng):
+def _draw_asym_omega(rng):
     n = int(rng.integers(2, 9))
     c = rng.uniform(-2, 2, size=n).tolist() + [1.0]
     return {"poly": poly_to_json(make_poly(c)),
@@ -658,7 +656,7 @@ def _chk_asym_omega(inst):
     return -1.0 if rep.omega_bound_ok else 1.0
 
 
-def _draw_asym_monomial(cfg, rng):
+def _draw_asym_monomial(rng):
     return {"n": int(rng.integers(2, 9)),
             "theta": float(rng.uniform(0.3, 2.8)),
             "h": float(rng.uniform(5.0, 50.0)),
@@ -693,7 +691,7 @@ def _chk_asym_count(inst):
     return -1.0 if got == want else 1.0
 
 
-def _draw_asym_hierarchy(cfg, rng):
+def _draw_asym_hierarchy(rng):
     return {"poly": poly_to_json(make_poly([5.0, -1.0, 2.0, 1.0])),
             "theta": float(rng.uniform(0.4, 2.7)), "steps": 8}
 
@@ -724,7 +722,7 @@ def _chk_asym_hierarchy(inst):
 def _trials(draw: Callable) -> Callable:
     """The generator of cfg.trials instances, one draw each, in turn on one stream."""
     def generate(cfg, rng):
-        return [draw(cfg, rng) for _ in range(cfg.trials)]
+        return [draw(rng) for _ in range(cfg.trials)]
     return generate
 
 
@@ -845,7 +843,7 @@ def report_to_json(report: SuiteReport) -> dict:
         "config": {
             "seed": report.config.seed,
             "trials": report.config.trials,
-            "degree_max": report.config.degree_max,
+            "degree_max": DEGREE_MAX,
             "root_range": list(ROOT_RANGE),
             "tol_real": TOL_REAL,
             "tol_identity": TOL_IDENTITY,

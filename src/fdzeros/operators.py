@@ -9,6 +9,7 @@ batch per degree.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,12 +78,14 @@ def make_operator(lam: complex, terms) -> FDOperator:
 
     terms maps j -> a_j (dict or iterable of pairs).  The standing
     assumptions are enforced: lam != 0, support has l < m, and the endpoint
-    coefficients a_l, a_m are nonzero.  Input violating them is rejected
-    rather than silently re-indexed.
+    coefficients a_l, a_m are nonzero.  Input violating them, or with a
+    non-finite lam or a_j, is rejected rather than silently re-indexed.
     """
     lam = complex(lam)
     if lam == 0:
         raise InvalidInput("operator shift lambda must be nonzero")
+    if not cmath.isfinite(lam):
+        raise InvalidInput(f"operator shift lambda must be finite, got {lam!r}")
     if isinstance(terms, dict):
         items = terms.items()
     else:
@@ -93,7 +96,10 @@ def make_operator(lam: complex, terms) -> FDOperator:
             raise InvalidInput(f"term index {j!r} is not an integer")
         if int(j) in seen:
             raise InvalidInput(f"duplicate term index {j}")
-        seen[int(j)] = complex(a)
+        a = complex(a)
+        if not cmath.isfinite(a):
+            raise InvalidInput(f"term a_{j} must be finite, got {a!r}")
+        seen[int(j)] = a
     if len(seen) < 2:
         raise InvalidInput("operator needs support l < m (at least two indices)")
     l, m = min(seen), max(seen)
@@ -241,50 +247,35 @@ def _witness(op: FDOperator, max_degree: int, strip_b: float | None,
     one is found, else the settled status or "inconclusive" with None.
 
     The one place that decides the status, for `witness_search` and the
-    `witness` CLI command; raises as `witness_search` does.
-    """
-    _check_search_args(max_degree, strip_b)
-    status = _settled_status(analyze(op, tol), strip_b)
-    if status is not None:
-        return status, None
-    w = _search_candidates(op, max_degree, strip_b, tol)
-    return ("inconclusive", None) if w is None else ("witness", w)
-
-
-def _settled_status(verdict: OperatorVerdict, strip_b: float | None) -> str | None:
-    """The witness status the verdict settles without a search, or None when
-    the candidates must be searched.
-
-    "preserver" when the verdict proves the property searched for: strip
-    preservation with a strip, hyperbolicity preservation without one.
-    "inconclusive" for a strip preserver searched without a strip: its
+    `witness` CLI command; raises as `witness_search` does, for a search that
+    would search nothing or a strip of negative (or non-finite) half-width.
+    The verdict settles the status without a search when conditions 1-3
+    hold: "preserver" when it proves the property searched for (strip
+    preservation with a strip, hyperbolicity preservation without one), and
+    "inconclusive" for a strip preserver searched without a strip, whose
     images of real-rooted polynomials have only real zeros, so there is
-    nothing to find, but they need not have real coefficients, so it is no
-    hyperbolicity preserver.  Everything else (condition 1, 2 or 3 fails)
-    is searched.
+    nothing to find, but need not have real coefficients, so it is no
+    hyperbolicity preserver.
     """
-    if not verdict.strip_preserver:
-        return None
-    if strip_b is not None or verdict.hyperbolicity_preserver:
-        return "preserver"
-    return "inconclusive"
-
-
-def _check_search_args(max_degree: int, strip_b: float | None) -> None:
-    """Reject a witness search that would search nothing or a strip of
-    negative (or non-finite) half-width."""
     if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
         raise InvalidInput(f"max degree must be an integer, got {max_degree!r}")
     if max_degree < 1:
         raise InvalidInput(f"max degree must be >= 1, got {max_degree}")
     if strip_b is not None and not 0.0 <= strip_b < math.inf:
         raise InvalidInput(f"strip half-width must be finite and >= 0, got {strip_b}")
+    verdict = analyze(op, tol)
+    if verdict.strip_preserver:
+        if strip_b is not None or verdict.hyperbolicity_preserver:
+            return "preserver", None
+        return "inconclusive", None
+    w = _search_candidates(op, max_degree, strip_b, tol)
+    return ("inconclusive", None) if w is None else ("witness", w)
 
 
 def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
                        tol: float) -> Witness | None:
-    """The candidate search of `_witness`, once `_settled_status` has left
-    the verdict unsettled.
+    """The candidate search of `_witness`, once the verdict has left the
+    status unsettled.
 
     Degree by degree: the degree-n candidates' images are built, those of
     degree >= 1 are root-found in one batch per image degree, certified row

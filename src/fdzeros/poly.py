@@ -71,9 +71,9 @@ def monomial(n: int) -> Polynomial:
     return make_poly([0.0] * n + [1.0])
 
 
-def from_roots(roots: Sequence[complex], lead: complex = 1.0) -> Polynomial:
-    """Expand lead * prod(x - r) by repeated convolution."""
-    acc = np.array([complex(lead)])
+def from_roots(roots: Sequence[complex]) -> Polynomial:
+    """Expand the monic prod(x - r) by repeated convolution."""
+    acc = np.array([1.0 + 0j])
     for r in roots:
         acc = np.convolve(acc, np.array([-complex(r), 1.0]))
     return Polynomial(tuple(acc))

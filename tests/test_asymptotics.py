@@ -80,6 +80,22 @@ def test_predict_validation():
         predict_roots(head, 0.5, -1.0, 1)
 
 
+def test_predict_rejects_non_finite_theta_and_h():
+    # h = inf came back as +-inf predictions
+    head = monic_head(from_roots([1, 2, 4]))
+    for theta, h in [(0.7, math.inf), (math.nan, 1.0), (math.inf, 1.0)]:
+        with pytest.raises(InvalidInput):
+            predict_roots(head, theta, h, 1)
+
+
+def test_sweep_rejects_non_finite_theta():
+    # math.sin raised a bare ValueError here
+    p = from_roots([1, 2, 4])
+    for theta in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="^angle theta must be finite"):
+            residual_sweep(p, theta, 20.0, 50.0, 5, 1)
+
+
 def test_predict_roots_equals_direct_formula():
     # The expansion written out at one h, each term in the order of the
     # module docstring; the h-independent terms are shared across a sweep,

@@ -50,6 +50,61 @@ def test_op_validation():
         DeBruijnOp(0.5, -1.0)
 
 
+def test_op_rejects_non_finite_theta_and_h():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="^angle theta must be finite"):
+            DeBruijnOp(theta, 1.0)
+    with pytest.raises(InvalidInput, match="^step h must be > 0$"):
+        DeBruijnOp(0.5, math.nan)
+    with pytest.raises(InvalidInput, match="^step h must be finite$"):
+        DeBruijnOp(0.5, math.inf)
+
+
+def test_gn_rejects_non_finite_theta_and_h():
+    # these came back as NaN coefficients
+    for theta, h in [(math.nan, 1.0), (0.7, math.inf)]:
+        with pytest.raises(InvalidInput):
+            gn(3, theta, h)
+
+
+def test_qn_zeros_rejects_non_finite_theta():
+    # math.floor and math.sin raised a bare ValueError here
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="^angle theta must be finite"):
+            qn_zeros(3, theta)
+
+
+def test_qn_zeros_report_rejects_h_out_of_range():
+    # h = inf came back as NaN residuals
+    for h, message in [(0.0, "^step h must be > 0$"), (math.inf, "^step h must be finite$")]:
+        with pytest.raises(InvalidInput, match=message):
+            qn_zeros_report(3, 0.7, h)
+
+
+def test_mesh_floor_rejects_h_out_of_range():
+    # h = -1 came back as a negative floor, h = 0 as 0.0
+    for h in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            mesh_floor(4, 0.7, h)
+
+
+def test_extremal_bounds_rejects_h_out_of_range_before_root_finding():
+    # h = -1 came back with lambda_bound below mu_bound; a polynomial that
+    # is not real-rooted shows the check comes before the root-find
+    for p in (from_roots([1, 2, 4]), make_poly([1, 0, 1])):
+        for h in (-1.0, math.inf):
+            with pytest.raises(InvalidInput):
+                extremal_bounds(p, 0.7, h)
+
+
+def test_line_image_rejects_non_finite_beta_and_theta():
+    # beta = inf came back as a NaN polynomial
+    p = from_roots([1, 2, 4])
+    for beta, theta in [(math.inf, 0.3), (math.nan, 0.3), (0.3, math.inf), (0.3, math.nan)]:
+        with pytest.raises(InvalidInput, match="^beta and theta must be finite"):
+            line_image(p, beta, theta)
+
+
 def test_apply_tb_examples():
     # theta = pi/2: i(x+i)^2 + i(x-i)^2 over nothing... works out to 2x^2 - 2
     got = apply_tb(DeBruijnOp(math.pi / 2, 1.0), monomial(2))

@@ -35,11 +35,11 @@ from fdzeros import harness, rootfind
 
 def test_config_validation():
     # Every config accepted here must run: run_suite seeds numpy with seed,
-    # which takes no negative value, and draws degrees from [3, degree_max].
-    for field, value in [("trials", 0), ("degree_max", 1), ("degree_max", 2), ("seed", -1)]:
+    # which takes no negative value.
+    for field, value in [("trials", 0), ("seed", -1)]:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             SuiteConfig(**{field: value})
-    report = run_suite(SuiteConfig(seed=0, trials=1, degree_max=3))
+    report = run_suite(SuiteConfig(seed=0, trials=1))
     assert len(report.records) == len(ALL_PROPERTIES)
 
 

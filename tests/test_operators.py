@@ -45,6 +45,14 @@ def test_make_operator_validation():
     assert op.support_low == -1 and op.support_high == 1
 
 
+def test_make_operator_rejects_non_finite_input():
+    # operator_from_json rejected these already; the constructor took them
+    for lam, terms in [(1j, {0: math.nan, 1: 1}), (1j, {-1: 1, 0: math.inf, 1: 1}),
+                       (complex(math.nan, 1), {0: 1, 1: 1}), (math.inf, {0: 1, 1: 1})]:
+        with pytest.raises(InvalidInput, match="must be finite"):
+            make_operator(lam, terms)
+
+
 def test_apply_examples():
     # lambda = i, a_{-1} = a_1 = 1, P = x^2: (x+i)^2 + (x-i)^2 = 2x^2 - 2
     op = make_operator(1j, {-1: 1, 1: 1})

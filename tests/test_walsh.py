@@ -84,7 +84,7 @@ def test_degree_170_is_accepted_without_warnings():
     # degree 170 (see the overflow test below); scaled by 1e-60 they stay
     # finite, and the frame cap admits degree 170
     p = from_roots(np.linspace(-1, 1, 170))
-    small = from_roots(np.linspace(-1, 1, 170), lead=1e-60)
+    small = make_poly(1e-60 * p.as_array())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         conv = walsh_convolve(small, small, 170)
