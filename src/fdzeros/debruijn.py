@@ -18,6 +18,7 @@ from .errors import InvalidInput, NotRealRooted, TooFewRoots
 from .operators import FDOperator, make_operator
 from .poly import (
     Polynomial,
+    _check_finite,
     _shift_many,
     coerce_real,
     evaluate_many,
@@ -110,7 +111,9 @@ def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
     verifying the imaginary residue is roundoff-sized (<= 1e-10 relative).
     Complex input takes both shifts.  Degenerate theta (sin theta = 0
     numerically) is evaluated with the exactly-cancelling form so the
-    degree drop is exact.
+    degree drop is exact.  InvalidInput if a coefficient overflows a double
+    (gn(3, 0.7, 1e200)), checked before the coercion drops a NaN imaginary
+    part.
     """
     if p.is_zero:
         return p
@@ -128,6 +131,7 @@ def apply_tb(op: DeBruijnOp, p: Polynomial) -> Polynomial:
         e_plus = complex(math.cos(op.theta), math.sin(op.theta))
         image = linear_combine([(-1j * e_plus, up), (1j * e_plus.conjugate(), down)],
                                trim_tol=1e-13)
+    _check_finite(image, "T_{theta,h}(P)")
     if real:
         image = coerce_real(image, 1e-10)
     return image
@@ -203,13 +207,18 @@ def _extremal_bounds(p: Polynomial, theta: float, h: float, tol: float):
 
 
 def mesh_floor(n: int, theta: float, h: float) -> float:
-    """h times the mesh of the cotangent grid: the minimal image mesh at degree n."""
+    """h times the mesh of the cotangent grid: the minimal image mesh at degree n.
+
+    InvalidInput when the product overflows a double (h = 1.7e308)."""
     DeBruijnOp(theta, h)
     qz = qn_zeros(n, theta)
     if qz.count < 2:
         raise TooFewRoots("mesh floor needs at least 2 cotangent zeros")
     zs = np.sort(np.array(qz.zeros))
-    return h * float(np.min(np.diff(zs)))
+    floor = h * float(np.min(np.diff(zs)))
+    if not math.isfinite(floor):
+        raise InvalidInput(f"mesh floor at h = {h!r} overflows a double")
+    return floor
 
 
 def simplicity_margin(p: Polynomial, theta: float, h: float,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput
 from .poly import (
     Polynomial,
+    _check_finite,
     _check_tol,
     _finite_pair,
     _shift_many,
@@ -92,7 +93,7 @@ def make_operator(lam: complex, terms) -> FDOperator:
         items = terms
     seen: dict[int, complex] = {}
     for j, a in items:
-        if not isinstance(j, (int, np.integer)):
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
             raise InvalidInput(f"term index {j!r} is not an integer")
         if int(j) in seen:
             raise InvalidInput(f"duplicate term index {j}")
@@ -139,10 +140,11 @@ class Witness:
 
 
 def apply_op(op: FDOperator, p: Polynomial) -> Polynomial:
-    """T(P) = sum a_j P(x - j*lambda)."""
+    """T(P) = sum a_j P(x - j*lambda); InvalidInput if a coefficient
+    overflows a double."""
     shifted = _shift_many(p, [j * op.lam for j, _ in op.terms])
     pairs = [(a, q) for (_, a), q in zip(op.terms, shifted)]
-    return linear_combine(pairs, trim_tol=APPLY_TRIM_TOL)
+    return _check_finite(linear_combine(pairs, trim_tol=APPLY_TRIM_TOL), "T(P)")
 
 
 def generating_fn(op: FDOperator) -> GeneratingFn:

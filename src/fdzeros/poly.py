@@ -226,6 +226,16 @@ def _check_tol(tol: float, what: str) -> None:
         raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
 
 
+def _check_finite(p: Polynomial, what: str) -> Polynomial:
+    """p, the result `what` names, or InvalidInput naming the overflow when
+    a coefficient of p is not finite."""
+    bad = int(np.count_nonzero(~np.isfinite(p.as_array())))
+    if bad:
+        raise InvalidInput(f"{what} overflows a double: {bad} of {len(p.coeffs)} "
+                           "coefficients are not finite")
+    return p
+
+
 class RealCoeffReport(NamedTuple):
     is_real: bool
     max_imag: float

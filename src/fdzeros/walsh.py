@@ -13,7 +13,15 @@ import numpy as np
 
 from .errors import DegreeExceedsFrame, InvalidInput, NotRealRooted, ZeroPolynomial
 from .debruijn import gn
-from .poly import ZERO, Polynomial, _check_tol, derivative, linear_combine, make_poly
+from .poly import (
+    ZERO,
+    Polynomial,
+    _check_finite,
+    _check_tol,
+    derivative,
+    linear_combine,
+    make_poly,
+)
 from .rootfind import (
     DEFAULT_REAL_TOL,
     _drive,
@@ -70,12 +78,7 @@ def walsh_convolve(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     # a pair with P^(k)(0) exactly zero adds nothing, and would turn an
     # overflowing Q^(n-k) into NaN (0 * inf)
     pairs = [(pd[k], q_derivs[n - k]) for k in range(n + 1) if pd[k] != 0]
-    conv = linear_combine(pairs)
-    bad = int(np.count_nonzero(~np.isfinite(conv.as_array())))
-    if bad:
-        raise InvalidInput(f"P [+] Q in frame {n} overflows a double: {bad} of "
-                           f"{len(conv.coeffs)} coefficients are not finite")
-    return conv
+    return _check_finite(linear_combine(pairs), f"P [+] Q in frame {n}")
 
 
 def apolar_report(p: Polynomial, q: Polynomial, n: int, tol: float) -> dict:

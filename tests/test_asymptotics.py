@@ -303,6 +303,13 @@ def test_shared_sweeps_equal_one_sweep_per_order():
         assert rootfind._drive(shared) == want, k
 
 
+# what the two sweep checkers state: 8 steps, order 1 for asym_omega_bound,
+# and asym_order_hierarchy's fixed cubic x^3 + 2x^2 - x + 5
+SWEEP_STEPS = 8
+OMEGA_ORDER = 1
+HIERARCHY_POLY = make_poly([5.0, -1.0, 2.0, 1.0])
+
+
 def _drive(check, inst, requests):
     # Run a generator checker, answering each yield with roots() on one
     # polynomial after another; appends each request to requests.
@@ -335,12 +342,12 @@ def test_order_hierarchy_root_finds_its_images_once(monkeypatch):
     for inst in instances:
         requests = []
         _drive(prop.check, inst, requests)
-        p = poly_from_json(inst["poly"])
+        p = HIERARCHY_POLY
         floor = sweep_h_floor(p)
-        args = (p, inst["theta"], floor * 1.1, floor * 11.0, inst["steps"])
+        args = (p, inst["theta"], floor * 1.1, floor * 11.0, SWEEP_STEPS)
         want = [residual_sweep(*args, order) for order in (0, 1, 2)]
         assert reports[-1] == want
-        shared = asymptotics._sweeps(p, inst["theta"], lambda f: args[2:4], inst["steps"],
+        shared = asymptotics._sweeps(p, inst["theta"], lambda f: args[2:4], SWEEP_STEPS,
                                      (0, 1, 2))
         assert rootfind._drive(shared) == want
         assert requests == [[p], [apply_tb(DeBruijnOp(inst["theta"], h), p)
@@ -366,13 +373,13 @@ def test_asymptotic_checks_root_find_p_once(monkeypatch, name):
             m.setattr(asymptotics, "roots", forbidden)
             m.setattr(asymptotics, "_drive", forbidden)
             got = _drive(prop.check, inst, requests)
-        p = poly_from_json(inst["poly"])
+        p = poly_from_json(inst["poly"]) if name == "asym_omega_bound" else HIERARCHY_POLY
         assert [q for request in requests for q in request].count(p) == 1
         assert requests[0] == [p]
         if name == "asym_omega_bound":
             floor = sweep_h_floor(p)
             rep = residual_sweep(p, inst["theta"], floor * 1.05, floor * 10.5,
-                                 inst["steps"], inst["order"])
+                                 SWEEP_STEPS, OMEGA_ORDER)
             assert got == (-1.0 if rep.omega_bound_ok else 1.0)
 
 

@@ -430,12 +430,27 @@ def test_overflowing_zeros_exit_2_without_warnings(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_overflowing_tb_exit_3_without_warnings(tmp_path, capsys):
+def test_overflowing_zeros_names_the_overflow(capsys):
+    # G_3 at h = 1e200 has non-finite coefficients; the error was only the
+    # emitter's "Out of range float values are not JSON compliant"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["zeros", "--n", "3", "--theta", "0.7", "--h", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: T_{theta,h}(P) overflows a double: 2 of 4 " \
+                           "coefficients are not finite\n"
+
+
+def test_overflowing_tb_exit_2_without_warnings(tmp_path, capsys):
+    # the image's NaN coefficients reached the root finder, whose
+    # certificate failed them (exit 3); the overflow is now invalid input
     p = write(tmp_path, "p.json", {"coeffs": [[1, 0], [2, 0], [0.5, 0], [1, 0]]})
     code = main(["tb", p, "--theta", "0.5", "--h", "1e200"])
     err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert code == 2
+    assert err.startswith("error: T_{theta,h}(P) overflows a double") \
+        and len(err.splitlines()) == 1
 
 
 def test_walsh_overflow_exits_2(tmp_path, capsys):

@@ -67,6 +67,21 @@ def test_gn_rejects_non_finite_theta_and_h():
             gn(3, theta, h)
 
 
+def test_overflowing_image_raises():
+    # a finite h whose powers overflow: gn came back as (nan, -inf, 4.6e200,
+    # 1.29), qn_zeros_report with NaN residuals; the check comes before the
+    # real coercion, and complex input, which skips it, is checked too
+    message = r"^T_\{theta,h\}\(P\) overflows a double: 2 of 4 coefficients are not finite$"
+    with pytest.raises(InvalidInput, match=message):
+        gn(3, 0.7, 1e200)
+    with pytest.raises(InvalidInput, match=message):
+        qn_zeros_report(3, 0.7, 1e200)
+    with pytest.raises(InvalidInput, match="overflows a double"):
+        apply_tb(DeBruijnOp(0.7, 1e200), make_poly([1j, 0, 0, 1]))
+    # at h = 1e100 every coefficient is finite, and the image comes back
+    assert all(math.isfinite(abs(c)) for c in gn(3, 0.7, 1e100).coeffs)
+
+
 def test_qn_zeros_rejects_non_finite_theta():
     # math.floor and math.sin raised a bare ValueError here
     for theta in (math.nan, math.inf, -math.inf):
@@ -82,10 +97,13 @@ def test_qn_zeros_report_rejects_h_out_of_range():
 
 
 def test_mesh_floor_rejects_h_out_of_range():
-    # h = -1 came back as a negative floor, h = 0 as 0.0
+    # h = -1 came back as a negative floor, h = 0 as 0.0, and at n = 3,
+    # whose grid mesh exceeds 1, h = 1.7e308 as inf
     for h in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(InvalidInput):
             mesh_floor(4, 0.7, h)
+    with pytest.raises(InvalidInput, match="^mesh floor at h = 1.7e\\+308 overflows a double$"):
+        mesh_floor(3, 0.7, 1.7e308)
 
 
 def test_extremal_bounds_rejects_h_out_of_range_before_root_finding():

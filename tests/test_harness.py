@@ -145,6 +145,29 @@ def test_typed_error_is_a_failing_instance():
     json.dumps(d, allow_nan=False)
 
 
+def test_instances_hold_only_their_draws():
+    # A setting copied into every instance (a tolerance, a step count, a
+    # fixed polynomial) is the same in all 20; the checker states it, so a
+    # replay is judged by the checker's bound.  Walsh checkers take the
+    # frame from deg P.
+    cfg = SuiteConfig(seed=42, trials=20)
+    for prop in ALL_PROPERTIES:
+        instances = harness._instances(prop, cfg)
+        for key in instances[0]:
+            values = {json.dumps(inst[key]) for inst in instances}
+            assert len(values) > 1, (prop.name, key)
+        if prop.name.startswith("walsh_") and prop.name != "walsh_dual_path":
+            assert all(set(inst) == {"p", "q"} for inst in instances), prop.name
+    # an instance recorded with the old keys still replays: checkers ignore
+    # keys they do not read
+    coeffs = [-0.31717018939740305, -0.3905216285501729, -0.01188126181961735,
+              1.7084490350406316, 0.31863799548182925, 1.806293758135722,
+              0.21014983772322182, 1.0]
+    old = {"poly": {"coeffs": [[c, 0.0] for c in coeffs]},
+           "theta": 2.725286143090016, "steps": 8, "order": 1}
+    assert replay("asym_omega_bound", old) == 1.0
+
+
 def test_replay_known_property():
     prop = next(p for p in ALL_PROPERTIES if p.name == "tb_scaling")
     cfg = SuiteConfig(trials=1, seed=5)

@@ -41,6 +41,9 @@ def test_make_operator_validation():
         make_operator(1j, [(0, 1), (0, 2), (1, 1)])
     with pytest.raises(InvalidInput):
         make_operator(1j, {0.5: 1, 1: 1})
+    # a bool is an int to Python; True built the support {0, 1}
+    with pytest.raises(InvalidInput, match="^term index True is not an integer$"):
+        make_operator(1j, {True: 1, 0: 2})
     op = make_operator(1j, {1: 1, -1: 2})
     assert op.support_low == -1 and op.support_high == 1
 
@@ -51,6 +54,14 @@ def test_make_operator_rejects_non_finite_input():
                        (complex(math.nan, 1), {0: 1, 1: 1}), (math.inf, {0: 1, 1: 1})]:
         with pytest.raises(InvalidInput, match="must be finite"):
             make_operator(lam, terms)
+
+
+def test_apply_op_rejects_an_overflowing_image():
+    # the shifts by j * 1e200i overflow; the image came back with NaN coefficients
+    op = make_operator(1e200j, {-1: 1, 1: 1})
+    with pytest.raises(InvalidInput, match=r"^T\(P\) overflows a double: 2 of 4 coefficients "
+                                           "are not finite$"):
+        apply_op(op, from_roots([1, 2, 3]))
 
 
 def test_apply_examples():
