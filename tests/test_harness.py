@@ -156,7 +156,7 @@ def test_instances_hold_only_their_draws():
         for key in instances[0]:
             values = {json.dumps(inst[key]) for inst in instances}
             assert len(values) > 1, (prop.name, key)
-        if prop.name.startswith("walsh_") and prop.name != "walsh_dual_path":
+        if prop.generate is harness._walsh_pair:
             assert all(set(inst) == {"p", "q"} for inst in instances), prop.name
     # an instance recorded with the old keys still replays: checkers ignore
     # keys they do not read
