@@ -18,12 +18,14 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
 `rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
 `_engine_rows`; the traced run cannot count them, since its spans do not see
-into request generators), kept apart in a `counts` block per side.  The
-layer table has a third side, `control`, a second export of the parent: each
-of LAYER_ROUNDS rounds runs the three sides in an order rotated by one from
-the last, and each side's entry is its per-layer median over the rounds.  The
-control's relative difference from the parent is the spread of the table on
-unchanged code; a layer claim needs the change's difference to exceed it.
+into request generators), kept apart in a `counts` block per side, next to
+a `cold_start_modules` block: per side, the sorted fdzeros modules (and their
+count) that one fresh `analyze` process loads, run as `cold_start_s` runs it.
+The layer table has a third side, `control`, a second export of the parent:
+each of LAYER_ROUNDS rounds runs the three sides in an order rotated by one
+from the last, and each side's entry is its per-layer median over the rounds.
+The control's relative difference from the parent is the spread of the table
+on unchanged code; a layer claim needs the change's difference to exceed it.
 The output holds the git revisions, machine information, every result line,
 per-metric medians and quartiles, every traced run's per-layer metrics and
 the layer tables with every round.
@@ -156,6 +158,27 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
 print(json.dumps({"layers": out, "counts": counts}))
 """
 
+# Run in a fresh interpreter inside an exported tree; prints the sorted names
+# of the fdzeros modules that one `fdzeros analyze op.json` process loads, run
+# as `cold_start_s` runs it: bench/run.py's CLI_ENTRY on the operator its
+# write_cold_start_operator writes for the seed in argv[1].
+MODULES_SCRIPT = """
+import json, os, subprocess, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["src", "bench"]
+import run
+
+probe = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+         "k for k in sys.modules if k.split('.')[0] == 'fdzeros')), file=sys.stderr)); "
+         + run.CLI_ENTRY)
+with tempfile.TemporaryDirectory() as tmp:
+    op = run.write_cold_start_operator(int(sys.argv[1]), Path(tmp))
+    proc = subprocess.run([sys.executable, "-c", probe, "analyze", str(op)],
+                          env=dict(os.environ, PYTHONPATH="src"), check=True,
+                          capture_output=True, text=True)
+print(proc.stderr.strip().splitlines()[-1])
+"""
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
@@ -188,7 +211,15 @@ def layer_table(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def layer_tables(trees: dict) -> dict:
+def cold_start_modules(tree: Path, seed: int) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, str(seed)], cwd=tree,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    if proc.returncode != 0:
+        raise RuntimeError(f"cold start modules in {tree}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def layer_tables(trees: dict, seed: int) -> dict:
     rounds = []
     counts: dict = {side: [] for side in LAYER_SIDES}
     for k in range(LAYER_ROUNDS):
@@ -214,6 +245,11 @@ def layer_tables(trees: dict) -> dict:
     out["counts"] = {side: counts[side][0] for side in LAYER_SIDES}
     out["counts_repeat"] = all(c == counts[side][0]
                                for side in LAYER_SIDES for c in counts[side])
+    # The fdzeros modules a fresh `analyze` process loads, which decide much
+    # of `cold_start_s`; like the counts, they repeat exactly.
+    modules = {side: cold_start_modules(trees[side], seed) for side in LAYER_SIDES}
+    out["cold_start_modules"] = {side: {"count": len(names), "modules": names}
+                                 for side, names in modules.items()}
     out["rounds"] = rounds
     return out
 
@@ -293,7 +329,7 @@ def main(argv=None) -> int:
                                              SECONDS, 1)["metrics"]
                              for side in revs}
                   for workload in WORKLOADS}
-        layers = layer_tables(trees)
+        layers = layer_tables(trees, args.seed_base)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

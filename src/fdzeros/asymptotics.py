@@ -138,12 +138,18 @@ def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.nda
 
     order 0 is the linear-in-h term, order 1 adds the 1/h correction, order 2
     the 1/h^2 correction.  Predictions are complex when the head coefficients
-    are; for real coefficients they are real.
+    are; for real coefficients they are real.  InvalidInput when a prediction
+    overflows a double (h = 1.7e308).
     """
     if order not in (0, 1, 2):
         raise InvalidInput("order must be 0, 1 or 2")
     DeBruijnOp(theta, h)
-    return _predict_at(head, _prediction_terms(head, theta, order), h)
+    terms = _prediction_terms(head, theta, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = _predict_at(head, terms, h)
+    if not np.all(np.isfinite(pred)):
+        raise InvalidInput(f"predicted roots at h = {h!r} overflow a double")
+    return pred
 
 
 def actual_roots(p: Polynomial, theta: float, h: float) -> np.ndarray:

@@ -3,6 +3,10 @@ operation, reading JSON from files or stdin and printing JSON/CSV.
 
 Exit codes: 0 success, 1 failed verification suite, 2 parse/validation
 error, 3 root-finding non-convergence.
+
+The handlers of `tb`/`zeros`, `walsh`/`apolar`, `asymptotics` and `verify`
+import their modules when they run, so `analyze` and the other commands
+built on `operators` start without loading them.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ import sys
 
 import numpy as np
 
-from .asymptotics import report_summary, report_to_csv, residual_sweep
-from .debruijn import DeBruijnOp, apply_tb, qn_zeros_report
 from .errors import FDZerosError, NonConvergence
-from .harness import SuiteConfig, report_to_json, run_suite
 from .operators import (
     _witness,
     analyze,
@@ -29,7 +30,6 @@ from .operators import (
 )
 from .poly import poly_from_json, poly_to_json
 from .rootfind import DEFAULT_REAL_TOL, mesh, roots, rootset_to_json
-from .walsh import apolar_report, walsh_convolve
 
 __all__ = ["main"]
 
@@ -178,6 +178,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_tb(args) -> int:
+    from .debruijn import DeBruijnOp, apply_tb
     p = poly_from_json(_read_json(args.poly))
     image = apply_tb(DeBruijnOp(_theta_of(args), args.h), p)
     _emit(_image_payload(image))
@@ -185,6 +186,7 @@ def _cmd_tb(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from .debruijn import qn_zeros_report
     _emit(qn_zeros_report(args.n, _theta_of(args), args.h))
     return 0
 
@@ -196,6 +198,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_walsh(args) -> int:
+    from .walsh import walsh_convolve
     p = poly_from_json(_read_json(args.p))
     q = poly_from_json(_read_json(args.q))
     _emit(poly_to_json(walsh_convolve(p, q, args.frame)))
@@ -203,6 +206,7 @@ def _cmd_walsh(args) -> int:
 
 
 def _cmd_apolar(args) -> int:
+    from .walsh import apolar_report
     p = poly_from_json(_read_json(args.p))
     q = poly_from_json(_read_json(args.q))
     _emit(apolar_report(p, q, args.frame, args.tol))
@@ -210,6 +214,7 @@ def _cmd_apolar(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .asymptotics import report_summary, report_to_csv, residual_sweep
     p = poly_from_json(_read_json(args.poly))
     report = residual_sweep(p, _theta_of(args), args.h_min, args.h_max,
                             args.steps, args.order)
@@ -227,6 +232,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import SuiteConfig, report_to_json, run_suite
     report = run_suite(SuiteConfig(seed=args.seed, trials=args.trials))
     _emit(report_to_json(report))
     return 0 if report.passed else 1

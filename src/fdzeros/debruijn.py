@@ -187,7 +187,9 @@ def gn(n: int, theta: float, h: float) -> Polynomial:
 
 def extremal_bounds(p: Polynomial, theta: float, h: float,
                     tol: float = DEFAULT_REAL_TOL) -> dict:
-    """Upper/lower bounds on the extreme image roots: ext(P) + h * ext(Q_n)."""
+    """Upper/lower bounds on the extreme image roots: ext(P) + h * ext(Q_n).
+
+    InvalidInput when a bound overflows a double (h = 1.7e308)."""
     return _drive(_extremal_bounds(p, theta, h, tol))
 
 
@@ -200,10 +202,14 @@ def _extremal_bounds(p: Polynomial, theta: float, h: float, tol: float):
     if qz.count == 0:
         raise TooFewRoots("monomial image is constant; no root bounds exist")
     xs = sorted_real_parts(rs)
-    return {
-        "lambda_bound": float(xs[-1]) + h * max(qz.zeros),
-        "mu_bound": float(xs[0]) + h * min(qz.zeros),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # h may be a numpy scalar
+        bounds = {
+            "lambda_bound": float(xs[-1]) + h * max(qz.zeros),
+            "mu_bound": float(xs[0]) + h * min(qz.zeros),
+        }
+    if not all(map(math.isfinite, bounds.values())):
+        raise InvalidInput(f"extremal bounds at h = {h!r} overflow a double")
+    return bounds
 
 
 def mesh_floor(n: int, theta: float, h: float) -> float:
@@ -245,12 +251,15 @@ def _simplicity_margin(p: Polynomial, theta: float, h: float, tol: float,
 
 
 def line_image(p: Polynomial, beta: float, theta: float) -> Polynomial:
-    """(S_{i beta} - e^{i theta} I)(P) = P(x - i beta) - e^{i theta} P(x)."""
+    """(S_{i beta} - e^{i theta} I)(P) = P(x - i beta) - e^{i theta} P(x).
+
+    InvalidInput when a coefficient overflows a double (beta = 1e200)."""
     if not (math.isfinite(beta) and math.isfinite(theta)):
         raise InvalidInput(f"beta and theta must be finite, got {beta!r}, {theta!r}")
     e = complex(math.cos(theta), math.sin(theta))
-    return linear_combine([(1.0, shift_arg(p, 1j * beta)), (-e, p)],
-                          trim_tol=1e-13)
+    image = linear_combine([(1.0, shift_arg(p, 1j * beta)), (-e, p)],
+                           trim_tol=1e-13)
+    return _check_finite(image, f"line image at beta = {beta!r}")
 
 
 def as_fd_operator(op: DeBruijnOp) -> FDOperator:

@@ -88,6 +88,18 @@ def test_predict_rejects_non_finite_theta_and_h():
             predict_roots(head, theta, h, 1)
 
 
+def test_predict_overflow_raises_without_warnings():
+    # xs * h overflowed: a -inf root and numpy's overflow RuntimeWarning
+    head = monic_head(from_roots([1, 2, 4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^predicted roots at h = 1.7e\\+308 "
+                                               "overflow a double$"):
+            predict_roots(head, 0.7, 1.7e308, 1)
+        pred = predict_roots(head, 0.7, 1e300, 1)
+    assert np.all(np.isfinite(pred))
+
+
 def test_sweep_rejects_non_finite_theta():
     # math.sin raised a bare ValueError here
     p = from_roots([1, 2, 4])

@@ -272,6 +272,35 @@ def test_import_builds_no_parser():
     assert out == "0 0\n"
 
 
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # in a fresh interpreter, as `fdzeros analyze op.json` starts
+    op = write(tmp_path, "op.json", PRESERVER)
+    script = (
+        "import contextlib, io, sys\n"
+        "from fdzeros.cli import main\n"
+        "def loaded():\n"
+        "    return ' '.join(sorted(k for k in sys.modules if k.split('.')[0] == 'fdzeros'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['analyze', sys.argv[1]]), main(['witness', sys.argv[1]])]\n"
+        "print(codes, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['zeros', '--n', '8', '--theta-pi', '0.5'])]\n"
+        "print(codes, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--trials', '1'])]\n"
+        "print(codes, 'fdzeros.harness' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script, op], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == ("[0, 0] fdzeros fdzeros.cli fdzeros.errors fdzeros.operators "
+                      "fdzeros.poly fdzeros.rootfind")
+    assert out[1] == ("[0] fdzeros fdzeros.cli fdzeros.debruijn fdzeros.errors "
+                      "fdzeros.operators fdzeros.poly fdzeros.rootfind")
+    assert out[2] == "[0] True"
+
+
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     built = []
     original = cli.build_parser

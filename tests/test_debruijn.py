@@ -115,6 +115,29 @@ def test_extremal_bounds_rejects_h_out_of_range_before_root_finding():
                 extremal_bounds(p, 0.7, h)
 
 
+def test_extremal_bounds_overflow_raises_without_warnings():
+    # h * min(qz.zeros) overflowed: mu_bound came back as -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^extremal bounds at h = 1.7e\\+308 "
+                                               "overflow a double$"):
+            extremal_bounds(from_roots([1, 2, 4]), 0.7, 1.7e308)
+        b = extremal_bounds(from_roots([1, 2, 4]), 0.7, 1e300)
+    assert all(map(math.isfinite, b.values()))
+
+
+def test_line_image_overflow_raises():
+    # the i*beta shift overflowed: the image came back as (nan+nanj, -inf+nanj, ...)
+    p = from_roots([1, 2, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^line image at beta = 1e\\+200 overflows "
+                                               "a double: 2 of 4 coefficients"):
+            line_image(p, 1e200, 0.3)
+        image = line_image(p, 1e100, 0.3)
+    assert all(math.isfinite(abs(c)) for c in image.coeffs)
+
+
 def test_line_image_rejects_non_finite_beta_and_theta():
     # beta = inf came back as a NaN polynomial
     p = from_roots([1, 2, 4])

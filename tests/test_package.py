@@ -16,19 +16,25 @@ def _public(name):
 
 
 def test_package_exports_each_module_all_and_nothing_else():
+    # The package resolves names on first use, so its namespace need not hold
+    # them yet; dir() and a star import list every one.
+    star = {}
+    exec("from fdzeros import *", star)
     exported = set()
     for name in MODULES:
         module, names = _public(name)
         for attr in names:
             assert getattr(fdzeros, attr) is getattr(module, attr), f"{name}.{attr}"
+            assert star[attr] is getattr(module, attr), f"{name}.{attr}"
         exported.update(names)
-    # no name is declared by two modules, where a later star import would
-    # shadow an earlier one
+    # no name is declared by two modules, where the first module to list it
+    # would hide a later one
     assert len(exported) == sum(len(_public(name)[1]) for name in MODULES)
     # submodules (cli among them, once imported) are attributes too
-    public = {k for k, v in vars(fdzeros).items()
-              if not k.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert public == exported
+    for names in (dir(fdzeros), star):
+        public = {k for k in names if not k.startswith("_")
+                  and not isinstance(getattr(fdzeros, k), types.ModuleType)}
+        assert public == exported
     assert {"RealnessVerdict", "RealCoeffReport", "SIN_ZERO_TOL"} <= exported
     assert len(_public("errors")[1]) == 13
 
