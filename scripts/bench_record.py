@@ -16,9 +16,10 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 `witness_search` and `cli.main` at fixed inputs, and of
 `run_properties(SuiteConfig(42, 20), [prop])` for each harness property
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
-`rootfind._aberth_core` calls and rows (`property_<name>_engine_calls` and
-`_engine_rows`; the traced run cannot count them, since its spans do not see
-into request generators), kept apart in a `counts` block per side, next to
+`rootfind._aberth_core` calls and rows, and the rows those calls certify
+(`property_<name>_engine_calls`, `_engine_rows` and `_engine_certified`;
+the traced run cannot count them, since its spans do not see into request
+generators), kept apart in a `counts` block per side, next to
 a `cold_start_modules` block: per side, the sorted fdzeros modules (and their
 count) that one fresh `analyze` process loads, run as `cold_start_s` runs it.
 The layer table has a third side, `control`, a second export of the parent:
@@ -136,17 +137,19 @@ suite = SuiteConfig(seed=42, trials=20)
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     out[f"property_{prop.name}_s"] = min(
         timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
-# Engine calls and rows of one more run per property, counted at the engine
-# core that every root-find goes through; not timed.
+# Engine calls, rows and certified rows of one more run per property,
+# counted at the engine core that every root-find goes through; not timed.
 counts = {}
 core = rootfind._aberth_core
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
-    tally = [0, 0]
+    tally = [0, 0, 0]
 
     def counted(c):
         tally[0] += 1
         tally[1] += len(c)
-        return core(c)
+        batch = core(c)
+        tally[2] += batch.failed.count(None)
+        return batch
 
     rootfind._aberth_core = counted
     try:
@@ -155,6 +158,7 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
         rootfind._aberth_core = core
     counts[f"property_{prop.name}_engine_calls"] = tally[0]
     counts[f"property_{prop.name}_engine_rows"] = tally[1]
+    counts[f"property_{prop.name}_engine_certified"] = tally[2]
 print(json.dumps({"layers": out, "counts": counts}))
 """
 

@@ -12,6 +12,7 @@ against an h-grid certifies the remainder orders empirically.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .errors import (
     InvalidInput,
     MatchAmbiguity,
 )
-from .poly import Polynomial, evaluate_many
+from .poly import Polynomial, _check_int, evaluate_many
 from .rootfind import RootSet, _drive, roots
 
 __all__ = [
@@ -75,17 +76,29 @@ class AsymptoticReport:
 
 
 def monic_head(p: Polynomial) -> MonicHead:
-    """Normalize by the leading coefficient and read off the top coefficients."""
+    """Normalize by the leading coefficient and read off the top coefficients.
+
+    InvalidInput when a head coefficient overflows a double."""
     if p.is_zero or p.degree < 2:
         raise DegreeTooSmall("asymptotic head extraction needs degree >= 2")
-    a = p.as_array() / p.coeffs[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = p.as_array() / p.coeffs[-1]
     n = p.degree
-    return MonicHead(
+    head = MonicHead(
         n=n,
         a=complex(a[n - 1]),
         b=complex(a[n - 2]),
         c=complex(a[n - 3]) if n >= 3 else 0j,
     )
+    if not all(map(cmath.isfinite, (head.a, head.b, head.c))):
+        raise InvalidInput(f"the monic head of a degree-{n} polynomial overflows a double")
+    return head
+
+
+def _check_order(order: int) -> None:
+    _check_int(order, "order", 0)
+    if order > 2:
+        raise InvalidInput("order must be 0, 1 or 2")
 
 
 def _prediction_terms(head: MonicHead, theta: float, order: int):
@@ -96,8 +109,7 @@ def _prediction_terms(head: MonicHead, theta: float, order: int):
     (None where the order or degree leaves them out) and the denominator
     Q_{n-1}(xs) (None at order 0).
     """
-    if order not in (0, 1, 2):
-        raise InvalidInput("order must be 0, 1 or 2")
+    _check_order(order)
     n = head.n
     xs = np.sort(np.array(qn_zeros(n, theta).zeros))
     num1 = num2 = den = None
@@ -141,8 +153,7 @@ def predict_roots(head: MonicHead, theta: float, h: float, order: int) -> np.nda
     are; for real coefficients they are real.  InvalidInput when a prediction
     overflows a double (h = 1.7e308).
     """
-    if order not in (0, 1, 2):
-        raise InvalidInput("order must be 0, 1 or 2")
+    _check_order(order)
     DeBruijnOp(theta, h)
     terms = _prediction_terms(head, theta, order)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ from .operators import FDOperator, make_operator
 from .poly import (
     Polynomial,
     _check_finite,
+    _check_int,
     _shift_many,
     coerce_real,
     evaluate_many,
@@ -148,8 +149,7 @@ def qn(n: int, theta: float) -> Polynomial:
 
 def qn_zeros(n: int, theta: float) -> CotangentZeros:
     """Closed-form zeros cot((-theta + pi k)/n), strictly decreasing in k."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    _check_int(n, "n", 1)
     DeBruijnOp(theta, 1.0)  # Q_n is the image under T_{theta,1}: theta's rule
     if _sin_degenerate(theta):
         ks = range(1, n)
@@ -180,8 +180,7 @@ def qn_zeros_report(n: int, theta: float, h: float = 1.0) -> dict:
 
 def gn(n: int, theta: float, h: float) -> Polynomial:
     """Image of x**n under T_{theta,h}; equals h**n * Q_n(x/h) up to roundoff."""
-    if n < 0:
-        raise InvalidInput("n must be >= 0")
+    _check_int(n, "n", 0)
     return apply_tb(DeBruijnOp(theta, h), monomial(n))
 
 

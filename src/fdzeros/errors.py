@@ -18,7 +18,7 @@ class ConstantPolynomial(FDZerosError):
 
 
 class NonConvergence(FDZerosError):
-    """Root iteration exhausted its budget.
+    """Root-finding gave roots that failed a certificate.
 
     Carries the best iterate and its residuals so callers can inspect
     how close the finder got.

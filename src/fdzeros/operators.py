@@ -19,6 +19,7 @@ from .errors import InvalidInput
 from .poly import (
     Polynomial,
     _check_finite,
+    _check_int,
     _check_tol,
     _finite_pair,
     _shift_many,
@@ -259,10 +260,7 @@ def _witness(op: FDOperator, max_degree: int, strip_b: float | None,
     nothing to find, but need not have real coefficients, so it is no
     hyperbolicity preserver.
     """
-    if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
-        raise InvalidInput(f"max degree must be an integer, got {max_degree!r}")
-    if max_degree < 1:
-        raise InvalidInput(f"max degree must be >= 1, got {max_degree}")
+    _check_int(max_degree, "max degree", 1)
     if strip_b is not None and not 0.0 <= strip_b < math.inf:
         raise InvalidInput(f"strip half-width must be finite and >= 0, got {strip_b}")
     verdict = analyze(op, tol)

@@ -66,17 +66,17 @@ def make_poly(coeffs: Iterable[complex]) -> Polynomial:
 
 
 def monomial(n: int) -> Polynomial:
-    if n < 0:
-        raise InvalidInput("monomial power must be >= 0")
+    _check_int(n, "monomial power", 0)
     return make_poly([0.0] * n + [1.0])
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
-    """Expand the monic prod(x - r) by repeated convolution."""
+    """Expand the monic prod(x - r) by repeated convolution; InvalidInput
+    when a coefficient of the product overflows."""
     acc = np.array([1.0 + 0j])
     for r in roots:
         acc = np.convolve(acc, np.array([-complex(r), 1.0]))
-    return Polynomial(tuple(acc))
+    return _check_finite(Polynomial(tuple(acc)), "prod(x - r)")
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
@@ -224,6 +224,14 @@ def coeff_scale(p: Polynomial) -> float:
 def _check_tol(tol: float, what: str) -> None:
     if not 0.0 <= tol < math.inf:
         raise InvalidInput(f"{what} must be finite and >= 0, got {tol}")
+
+
+def _check_int(value, what: str, lo: int) -> None:
+    # an int or numpy integer (a bool is not one) of at least lo
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    if value < lo:
+        raise InvalidInput(f"{what} must be >= {lo}, got {value}")
 
 
 def _check_finite(p: Polynomial, what: str) -> Polynomial:

@@ -1,13 +1,15 @@
 """Simultaneous root computation and root-set predicates.
 
 Every root-find goes through one engine, `_aberth_core`: closed forms for
-degrees 1 and 2, Aberth-Ehrlich iteration (all roots at once) from the
-companion-matrix eigenvalues above that, and a residual and a forward-error
-certificate for every degree, judged row by row.  Real rows, and complex rows
-that are real up to rounding, start from real eigenvalues.  A row whose
-rounding floor alone fails the forward certificate during the iteration is
-ruled out: it leaves before the extended-precision polish, is judged from
-the loop's own residuals, and its best iterate is the loop's, unpolished.
+degrees 1 and 2, the companion-matrix eigenvalues with an extended-precision
+Newton polish above that, and a residual and a forward-error certificate for
+every degree, judged row by row.  The eigenvalues are backward stable to
+rounding of the coefficients (Edelman & Murakami, Math. Comp. 64 (1995)), so
+the polish only finishes them.  Real rows, and complex rows that are real up
+to rounding, take real eigenvalues.  A row whose eigenvalues leave a root
+whose rounding floor alone fails the forward certificate is ruled out: it
+leaves before the polish, is judged from the eigenvalues' own residuals, and
+its best iterate is the eigenvalues, unpolished.
 `_certified_many`, its one caller, answers `roots`, `roots_many`,
 `aberth_batch` and the driver below.
 The predicates below (realness, mesh, extremes, interlacing) are the
@@ -61,7 +63,7 @@ from .errors import (
     TooFewRoots,
     ZeroPolynomial,
 )
-from .poly import Polynomial, _check_tol, evaluate_many, make_poly
+from .poly import Polynomial, _check_int, _check_tol, evaluate_many, make_poly
 
 __all__ = [
     "RootSet",
@@ -80,9 +82,9 @@ __all__ = [
 
 DEFAULT_REAL_TOL = 1e-8
 
-# Aberth iteration budget, and the residual certified relative to the error
-# bound sum_k |a_k| |z|^k.  Iteration runs to near machine level first.
-MAX_ITER = 160
+# The residual certified relative to the error bound sum_k |a_k| |z|^k, and
+# the near-machine-level residual below which a root of the eigenvalue start
+# is not tested against the forward certificate's rounding floor.
 TOL = 1e-10
 _ITER_TOL = TOL * 1e-4
 # Forward certificate: each root's first-order forward-error estimate,
@@ -158,7 +160,7 @@ def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndar
     2 <= m <= _CLUSTER_MAX, with centre c, the mean; the estimate is the best
     over m of the m-fold sensitivity (eta * m! / |p^(m)(c)|)^(1/m), where
     eta = n eps sum_k |a_k| |c|^k.  For settled roots eta also covers
-    |p(c)|, and the spread max |z_j - c| counts too; unsettled iterates are
+    |p(c)|, and the spread max |z_j - c| counts too; unpolished roots are
     judged by the rounding floor alone.
     """
     n = z.shape[1]
@@ -204,7 +206,7 @@ def _forward_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
     max(1, |z|), is at most FWD_TOL: max(|p(z)|, n eps err) / |p'(z)| as a
     simple root, or else its cluster estimate.  With p None only the
     rounding floor n eps err counts: a root whose floor exceeds FWD_TOL
-    cannot be certified however long it iterates.
+    cannot be certified however far it is polished.
 
     One failing root decides its row, so the cluster estimate runs in two
     stages: first on the root of each row with the largest simple estimate
@@ -244,8 +246,8 @@ def _forward_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
 # monic.  The companion eigenvalues are only backward stable to rounding of
 # that order (Edelman & Murakami, Math. Comp. 64 (1995)), so such a row (an
 # apply_op image that is real in exact arithmetic) starts from the real
-# companion matrix of its real part, in real arithmetic; the iteration, the
-# polish and both certificates judge the stored complex row.
+# companion matrix of its real part, in real arithmetic; the start's rule-out,
+# the polish and both certificates judge the stored complex row.
 _NEAR_REAL = 4
 
 
@@ -275,47 +277,6 @@ def _companion_eigvals(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
                 except np.linalg.LinAlgError:
                     pass
     return z
-
-
-def _aberth(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # a: (B, n+1) monic rows, n >= 3, dcoef their derivatives.  Each row
-    # iterates on its own from its companion eigenvalues: a root stops once
-    # its residual passes, and a row stops once its own steps stagnate or once
-    # a root fails the rounding floor of the forward certificate.  Such a row
-    # is ruled out: no iterate of it can pass that certificate.  No row's
-    # iterates depend on the other rows.  Returns the iterate z, which rows
-    # were ruled out, and p(z) and the error bound sum_k |a_k| |z|^k at z for
-    # every row, from the loop's last residual test.
-    B = a.shape[0]
-    z = _companion_eigvals(a, absa)
-    n = z.shape[1]
-    eye = np.eye(n, dtype=bool)[None, :, :]
-    stalled = np.zeros(B, dtype=bool)
-    out = np.zeros(B, dtype=bool)
-    for it in range(MAX_ITER):
-        done, p, err = _residual_ok(a, absa, z, _ITER_TOL)
-        done |= (stalled | out)[:, None]
-        if done.all():
-            break
-        dp = _horner_rows(dcoef, z)
-        live = ~done.all(axis=1)
-        out |= live & ~_forward_ok(a, absa, z, err, dp, live)
-        done |= out[:, None]
-        if done.all():
-            break  # the step below would be zero everywhere
-        w = np.where(dp != 0, p / dp, 0.1 * (1.0 + np.abs(z)))
-        diff = z[:, :, None] - z[:, None, :]
-        s = np.where(~eye & (diff != 0), 1.0 / diff, 0.0).sum(axis=2)
-        denom = 1.0 - w * s
-        step = np.where(np.abs(denom) > 1e-30, w / denom, w)
-        step = np.where(np.isfinite(step), step, 0.05 * (1.0 + np.abs(z)) * np.exp(1j * it))
-        step = np.where(done, 0.0, step)
-        z = z - step
-        stalled |= np.max(np.abs(step), axis=1) <= 1e-16 * (1.0 + np.max(np.abs(z), axis=1))
-    # A ruled-out row takes no step after it is ruled out, so p and err of
-    # the last residual test are its values at z.
-    return z, out, p, err
 
 
 def _polish(a: np.ndarray, dcoef: np.ndarray,
@@ -348,7 +309,7 @@ def _polish(a: np.ndarray, dcoef: np.ndarray,
 def _certify(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray, z: np.ndarray,
              polish: bool):
     # The polish (when asked) and both certificates for the rows a with
-    # iterate z: the roots, p(roots), and per row whether it passed the
+    # start z: the roots, p(roots), and per row whether it passed the
     # residual certificate and whether it is certified.
     dp = None  # p'(z), unless the polish leaves it at the roots it returns
     if polish:
@@ -366,12 +327,12 @@ class _BatchRoots(NamedTuple):
     z is (B, n): a certified row's roots, or a failed row's best iterate.
     residuals is |p(z)| on the monic rows.  failed[i] is None for a certified
     row; otherwise it names the first certificate the row failed, "residual"
-    or "forward".  A row that the Aberth loop ruled out on the forward
-    certificate's rounding floor leaves before the polish: its best iterate
-    is the loop's, unpolished, and it is judged from the loop's own p(z) and
-    error bound, "residual" if it misses TOL there, else "forward".  A row
-    whose companion eigenvalues did not converge stays at NaN and fails the
-    residual one.
+    or "forward".  A row whose companion eigenvalues are ruled out on the
+    forward certificate's rounding floor leaves before the polish: its best
+    iterate is the eigenvalues, unpolished, and it is judged from their own
+    p(z) and error bound, "residual" if it misses TOL there, else "forward".
+    A row whose companion eigenvalues did not converge stays at NaN and fails
+    the residual one.
     """
 
     z: np.ndarray
@@ -383,16 +344,18 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
     """All roots for a batch of same-degree polynomials, certified row by row.
 
     c is (B, n+1), ascending, with nonzero leading column.  Degrees 1 and 2
-    use closed forms, higher degrees Aberth-Ehrlich iteration from the
-    companion-matrix eigenvalues (real ones for real and near-real rows, see
-    `_NEAR_REAL`) with an extended-precision Newton polish.  Each row is
-    judged by two certificates on its monic form: a residual one against the
-    error bound sum_k |a_k| |z|^k, so that large-magnitude roots are not held
-    to an unattainable absolute residual, and a forward one, a first-order
-    error estimate per root (simple, or as part of a cluster of up to 8) of
-    at most FWD_TOL * max(1, |z|).  A row that the iteration rules out on the
-    forward certificate's rounding floor fails without the polish or a
-    second forward estimate (see `_BatchRoots`).  A row with a non-finite
+    use closed forms, higher degrees the companion-matrix eigenvalues (real
+    ones for real and near-real rows, see `_NEAR_REAL`).  A row whose
+    eigenvalues include a root with residual above _ITER_TOL and a rounding
+    floor n eps sum_k |a_k| |z|^k / |p'(z)| that alone fails the forward
+    certificate is ruled out: it fails without the polish or a second
+    forward estimate (see `_BatchRoots`).  The other rows take an
+    extended-precision Newton polish.  Each row is judged by two
+    certificates on its monic form: a residual one against the error bound
+    sum_k |a_k| |z|^k, so that large-magnitude roots are not held to an
+    unattainable absolute residual, and a forward one, a first-order error
+    estimate per root (simple, or as part of a cluster of up to 8) of at
+    most FWD_TOL * max(1, |z|).  A row with a non-finite
     root or error bound is never certified.  Rows do not interact: a row's
     roots and outcome are the same in any batch, alone included.  Never
     raises for a row that fails; see `aberth_batch` for the raising form.
@@ -405,7 +368,7 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
         a = c / c[:, -1:]
         absa = np.abs(a)
         dcoef = a[:, 1:] * np.arange(1, n + 1)
-        out = np.zeros(len(c), dtype=bool)  # rows the Aberth loop ruled out
+        out = np.zeros(len(c), dtype=bool)  # rows ruled out at their start
         if n == 1:
             z = -c[:, :1] / c[:, 1:]
         elif n == 2:
@@ -419,11 +382,18 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
             z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
                          np.stack([q / c2, c0 / q], axis=1))
         else:
-            z, out, p, err = _aberth(a, absa, dcoef)
+            z = _companion_eigvals(a, absa)
+            # A row with a root whose residual misses _ITER_TOL is ruled out
+            # when that root's rounding floor alone fails the forward
+            # certificate: no polish of it can pass that certificate.
+            done, p, err = _residual_ok(a, absa, z, _ITER_TOL)
+            live = ~done.all(axis=1)
+            if live.any():
+                out = live & ~_forward_ok(a, absa, z, err, _horner_rows(dcoef, z), live)
         if not out.any():
             z, p, residual_ok, certified = _certify(a, absa, dcoef, z, n > 2)
         else:
-            # a ruled-out row is judged from the loop's own p(z) and error bound
+            # a ruled-out row is judged from its start's own p(z) and error bound
             residual_ok = _residual_within(p, err, TOL).all(axis=1)
             certified = np.zeros(len(c), dtype=bool)
             keep = ~out
@@ -438,7 +408,8 @@ def _aberth_core(c: np.ndarray) -> _BatchRoots:
 def aberth_batch(c: np.ndarray) -> np.ndarray:
     """All roots for a batch of same-degree polynomials, each row certified
     on its own: the (B, n) roots that `_certified_many` reports for the one
-    array c, or the NonConvergence it reports (the whole batch's iterate
+    array c (the companion eigenvalues, polished, or closed forms at degrees
+    1 and 2), or the NonConvergence it reports (the whole batch's roots
     attached) if any row is not certified."""
     (z, error), = _certified_many([np.asarray(c)])
     if error is not None:
@@ -463,18 +434,19 @@ def roots(p: Polynomial) -> RootSet:
     """All degree-many roots of p, certified, sorted by (real, imag).
 
     The one-row call of `aberth_batch`: closed forms for degrees 1 and 2,
-    Aberth iteration from the companion eigenvalues above (real ones when p
-    is real up to rounding), then a residual certificate and a forward one
-    (each root's first-order error estimate, as a simple root or as part of
-    a cluster, at most FWD_TOL * max(1, |z|)).  The monomial-coefficient
+    the companion eigenvalues above (real ones when p is real up to
+    rounding) with an extended-precision Newton polish, then a residual
+    certificate and a forward one (each root's first-order error estimate,
+    as a simple root or as part of a cluster, at most
+    FWD_TOL * max(1, |z|)).  The monomial-coefficient
     representation caps the reachable degree: `roots(gn(n, 0.7, 1))`
     converges at n = 80 and raises at n = 84 and 88, and random real-rooted
     inputs with roots in [-5, 5] begin to raise above degree 20.  Past the
     cap the answer is NonConvergence (with the best iterate attached), never
     NaN roots nor roots whose forward-error estimate exceeds FWD_TOL.  A
     polynomial whose rounding floor alone fails the forward certificate
-    (`gn(96, 0.7, 1)`) raises as soon as the iteration sees it, before the
-    polish, with the loop's unpolished iterate as best.  Raises
+    at the eigenvalues (`gn(96, 0.7, 1)`) raises before the polish, with the
+    unpolished eigenvalues as best.  Raises
     ZeroPolynomial / ConstantPolynomial for degenerate input.
     """
     if (error := _unrootable(p)) is not None:
@@ -546,7 +518,7 @@ def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]
             error = None
             if any(failed):
                 what = "residual" if "residual" in failed else "forward"
-                how = "closed-form" if width <= 3 else f"{MAX_ITER}-iteration Aberth"
+                how = "closed-form" if width <= 3 else "companion-eigenvalue"
                 error = NonConvergence(
                     f"{how} roots of degree {width - 1} failed the {what} certificate",
                     best=z, residuals=batch.residuals[start:stop])
@@ -790,9 +762,7 @@ def _pencil(pairs, n_samples: int, seeds, tol: float, rss=None):
     for p, q in pairs:
         if p.degree is None or q.degree is None or p.degree != q.degree or p.degree < 1:
             raise InvalidInput("pencil sampling needs equal degrees >= 1")
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
-            or n_samples < 1):
-        raise InvalidInput(f"pencil sampling needs n_samples >= 1, got {n_samples!r}")
+    _check_int(n_samples, "pencil sampling's n_samples", 1)
     if len(seeds) != len(pairs):
         raise InvalidInput(f"pencil sampling needs one seed per pair, got {len(seeds)} "
                            f"seeds for {len(pairs)} pairs")

@@ -17,6 +17,7 @@ from .poly import (
     ZERO,
     Polynomial,
     _check_finite,
+    _check_int,
     _check_tol,
     derivative,
     linear_combine,
@@ -39,8 +40,7 @@ __all__ = [
 
 
 def _check_frame(p: Polynomial, q: Polynomial, n: int) -> None:
-    if n < 0:
-        raise InvalidInput("frame degree must be >= 0")
+    _check_int(n, "frame degree", 0)
     for poly, name in ((p, "P"), (q, "Q")):
         if not poly.is_zero and poly.degree > n:
             raise DegreeExceedsFrame(f"deg {name} = {poly.degree} exceeds frame {n}")

@@ -88,6 +88,17 @@ def test_predict_rejects_non_finite_theta_and_h():
             predict_roots(head, theta, h, 1)
 
 
+def test_monic_head_overflow_raises_without_warnings():
+    # the division overflowed: numpy's RuntimeWarning and an infinite head
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^the monic head of a degree-2 polynomial "
+                                               "overflows a double$"):
+            monic_head(make_poly([1e300, 1e300, 1e-300]))
+        head = monic_head(make_poly([1e300, 1e300, 1e-8]))
+    assert (head.a, head.b) == (1e308, 1e308)
+
+
 def test_predict_overflow_raises_without_warnings():
     # xs * h overflowed: a -inf root and numpy's overflow RuntimeWarning
     head = monic_head(from_roots([1, 2, 4]))
@@ -296,7 +307,7 @@ def test_sweep_image_failure_is_what_roots_raises_for_that_image(monkeypatch, ce
         residual_sweep(p, 0.7, 20.0, 500.0, 7, 1)
     got, want = swept.value, alone.value
     assert str(got) == str(want) == \
-        f"160-iteration Aberth roots of degree 3 failed the {certificate} certificate"
+        f"companion-eigenvalue roots of degree 3 failed the {certificate} certificate"
     assert got.best.shape == want.best.shape == (1, 3)
     assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
     assert np.array_equal(got.residuals.view(np.uint64), want.residuals.view(np.uint64))

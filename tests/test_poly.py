@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fdzeros as fz
 from fdzeros import (
     ImaginaryResidue,
     InvalidInput,
@@ -183,6 +184,37 @@ def test_from_roots_and_reflect():
     p = from_roots([1, -1])
     assert p == make_poly([-1, 0, 1])
     assert reflect(make_poly([1, 2, 3])) == make_poly([1, -2, 3])
+
+
+def test_from_roots_overflow_raises():
+    # the expansion overflowed to NaN coefficients without an error or warning
+    message = r"^prod\(x - r\) overflows a double: 2 of 4 coefficients are not finite$"
+    with pytest.raises(InvalidInput, match=message):
+        from_roots([1e200, 1e200, 1e200])
+    assert np.all(np.isfinite(from_roots([1e100, 1e100, 1e100]).as_array()))
+
+
+@pytest.mark.parametrize("name, args", [
+    ("qn_zeros", (2.5, 0.7)),
+    ("gn", (2.5, 0.7, 1.0)),
+    ("qn", (2.5, 0.7)),
+    ("monomial", (2.5,)),
+    ("mesh_floor", (2.5, 0.7, 1.0)),
+    ("qn_zeros_report", (2.5, 0.7)),
+    ("walsh_convolve", (monomial(1), monomial(2), 3.5)),
+    ("apolar", (monomial(1), monomial(2), 3.5, 1e-8)),
+    ("qn_zeros", (True, 0.7)),
+    ("gn", (True, 0.7, 1.0)),
+    ("walsh_convolve", (monomial(1), monomial(0), True)),
+    ("predict_roots", (fz.monic_head(from_roots([1, 2, 4])), 0.7, 1.0, True)),
+    ("predict_roots", (fz.monic_head(from_roots([1, 2, 4])), 0.7, 1.0, 1.0)),
+    ("residual_sweep", (from_roots([1, 2, 4]), 0.7, 20.0, 500.0, 7, True)),
+    ("residual_sweep", (from_roots([1, 2, 4]), 0.7, 20.0, 500.0, 7, 1.0)),
+])
+def test_integer_arguments_reject_floats_and_bools(name, args):
+    # floats raised a bare TypeError, and bools passed as 1 (1.0 as an order)
+    with pytest.raises(InvalidInput, match=r"must be an integer, got (2\.5|3\.5|True|1\.0)$"):
+        getattr(fz, name)(*args)
 
 
 def test_is_real_coeffs():
