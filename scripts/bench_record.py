@@ -17,9 +17,12 @@ for gn(96, 0.7, 1), which the forward certificate decides), `roots_many`,
 `run_properties(SuiteConfig(42, 20), [prop])` for each harness property
 (LAYER_SCRIPT), and, from one more untimed run of each property, its
 `rootfind._aberth_core` calls and rows, and the rows those calls certify
-(`property_<name>_engine_calls`, `_engine_rows` and `_engine_certified`;
-the traced run cannot count them, since its spans do not see into request
-generators), kept apart in a `counts` block per side, next to
+(`property_<name>_engine_calls`, `_engine_rows` and `_engine_certified`),
+and likewise the calls, rows and certified rows of the pencil's sign
+certificate `rootfind._real_by_signs` (`_sign_calls`, `_sign_rows` and
+`_sign_certified`), which decides rows without the engine (the traced run
+cannot count either, since its spans do not see into request generators),
+kept apart in a `counts` block per side, next to
 a `cold_start_modules` block: per side, the sorted fdzeros modules (and their
 count) that one fresh `analyze` process loads, run as `cold_start_s` runs it.
 The layer table has a third side, `control`, a second export of the parent:
@@ -138,27 +141,35 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     out[f"property_{prop.name}_s"] = min(
         timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
 # Engine calls, rows and certified rows of one more run per property,
-# counted at the engine core that every root-find goes through; not timed.
+# counted at the engine core that every root-find goes through, and the
+# calls, rows and certified rows of the pencil's sign certificate, which
+# decides rows without the engine; not timed.
 counts = {}
-core = rootfind._aberth_core
+core, signs = rootfind._aberth_core, rootfind._real_by_signs
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
-    tally = [0, 0, 0]
+    tally = dict.fromkeys(("engine_calls", "engine_rows", "engine_certified",
+                           "sign_calls", "sign_rows", "sign_certified"), 0)
 
     def counted(c):
-        tally[0] += 1
-        tally[1] += len(c)
         batch = core(c)
-        tally[2] += batch.failed.count(None)
+        tally["engine_calls"] += 1
+        tally["engine_rows"] += len(c)
+        tally["engine_certified"] += batch.failed.count(None)
         return batch
 
-    rootfind._aberth_core = counted
+    def signed(c, hints):
+        real = signs(c, hints)
+        tally["sign_calls"] += 1
+        tally["sign_rows"] += len(c)
+        tally["sign_certified"] += int(real.sum())
+        return real
+
+    rootfind._aberth_core, rootfind._real_by_signs = counted, signed
     try:
         run_properties(suite, [prop])
     finally:
-        rootfind._aberth_core = core
-    counts[f"property_{prop.name}_engine_calls"] = tally[0]
-    counts[f"property_{prop.name}_engine_rows"] = tally[1]
-    counts[f"property_{prop.name}_engine_certified"] = tally[2]
+        rootfind._aberth_core, rootfind._real_by_signs = core, signs
+    counts.update((f"property_{prop.name}_{k}", v) for k, v in tally.items())
 print(json.dumps({"layers": out, "counts": counts}))
 """
 
@@ -243,9 +254,9 @@ def layer_tables(trees: dict, seed: int) -> dict:
         side: {name: out[side][name] / out["parent"][name] - 1.0 for name in out["parent"]}
         for side in ("change", "control")}
     out["control_spread"] = max(abs(v) for v in out["relative_to_parent"]["control"].values())
-    # Engine counts repeat exactly from round to round, and some are 0, so
-    # they stay out of the medians and ratios above: one block per side, and
-    # whether every round gave that side the same counts.
+    # Engine and sign counts repeat exactly from round to round, and some
+    # are 0, so they stay out of the medians and ratios above: one block per
+    # side, and whether every round gave that side the same counts.
     out["counts"] = {side: counts[side][0] for side in LAYER_SIDES}
     out["counts_repeat"] = all(c == counts[side][0]
                                for side in LAYER_SIDES for c in counts[side])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,8 +72,12 @@ class AsymptoticReport:
     order: int
     h_grid: tuple[float, ...]
     records: tuple[RootRecord, ...]
-    fitted_decay: float
     omega_bound_ok: bool
+
+    @functools.cached_property
+    def fitted_decay(self) -> float:
+        """`_fit_decay(records)`, computed on first read."""
+        return _fit_decay(self.records)
 
 
 def monic_head(p: Polynomial) -> MonicHead:
@@ -192,17 +197,19 @@ def residual_sweep(p: Polynomial, theta: float, h_min: float, h_max: float,
     suite's sweep properties run too, driven here on its own.
 
     Errors come in this order: InvalidInput for the grid arguments (bounds
-    outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2),
-    checked before any root-find, then what `sweep_h_floor` raises for p,
-    InvalidInput for an h_min below the matching floor and then for a
-    non-finite theta, NonConvergence for an image at any h, then
-    InvalidInput for the order and DegenerateQ, then, h by h from h_min
-    up, InvalidInput for a root-count mismatch and MatchAmbiguity.  A
-    NonConvergence for the images is the one `roots` raises for the first
-    image that fails, alone: its best iterate is that image's, of shape
-    (1, n), and its message names the certificate that image failed.  No image is known to fail at a grid the floor admits.
+    outside 0 < h_min < h_max < inf, a steps that is not an integer >= 2)
+    and then for the order (not an integer 0, 1 or 2), both checked before
+    any root-find, then what `sweep_h_floor` raises for p, InvalidInput for
+    an h_min below the matching floor and then for a non-finite theta,
+    NonConvergence for an image at any h, then DegenerateQ, then, h by h
+    from h_min up, InvalidInput for a root-count mismatch and
+    MatchAmbiguity.  A NonConvergence for the images is the one `roots`
+    raises for the first image that fails, alone: its best iterate is that
+    image's, of shape (1, n), and its message names the certificate that
+    image failed.  No image is known to fail at a grid the floor admits.
     """
     _check_grid(h_min, h_max, steps)
+    _check_order(order)
     rep, = _drive(_sweeps(p, theta, lambda floor: (h_min, h_max), steps, (order,)))
     return rep
 
@@ -258,7 +265,6 @@ def _sweep_report(head: MonicHead, theta: float, grid: np.ndarray, acts,
                            float(pred[j].real), float(res[j]))
             )
             scaled.append(float(res[j]) * float(h) ** (order + 1))
-    fitted = _fit_decay(records)
     scaled_arr = np.array(scaled)
     guard = 1e-12 * max(1.0, max(abs(r.actual) for r in records))
     omega_ok = bool(np.max(scaled_arr) <= 10.0 * np.median(scaled_arr) + guard)
@@ -268,7 +274,6 @@ def _sweep_report(head: MonicHead, theta: float, grid: np.ndarray, acts,
         order=order,
         h_grid=tuple(float(h) for h in grid),
         records=tuple(records),
-        fitted_decay=fitted,
         omega_bound_ok=omega_ok,
     )
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +97,48 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-@dataclass(frozen=True)
 class RootSet:
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
+    """Roots and the residuals |p(z)| at them.
+
+    `RootSet(roots, residuals)` holds both as given.  A root set that
+    `roots` (or a request) returns computes its residuals on first read, as
+    `evaluate_many` at its sorted roots, so code that never reads them does
+    not pay for them; the values are the same either way.  Immutable, and
+    compared, hashed and shown by (roots, residuals).
+    """
+
+    __slots__ = ("roots", "_residuals", "_p")
+
+    def __init__(self, roots: tuple[complex, ...], residuals: tuple[float, ...]):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_residuals", residuals)
+        object.__setattr__(self, "_p", None)
+
+    @property
+    def residuals(self) -> tuple[float, ...]:
+        if self._residuals is None:
+            res = np.abs(evaluate_many(self._p, np.array(self.roots)))
+            object.__setattr__(self, "_residuals", tuple(float(r) for r in res))
+            object.__setattr__(self, "_p", None)
+        return self._residuals
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.roots, self.residuals) == (other.roots, other.residuals)
+
+    def __hash__(self):
+        return hash((self.roots, self.residuals))
+
+    def __repr__(self):
+        return f"RootSet(roots={self.roots!r}, residuals={self.residuals!r})"
+
+    def __reduce__(self):
+        # copies and pickles hold the residuals, computed
+        return RootSet, (self.roots, self.residuals)
 
 
 class RealnessVerdict(NamedTuple):
@@ -455,10 +492,11 @@ def roots(p: Polynomial) -> RootSet:
 
 
 def _rootset(p: Polynomial, z: np.ndarray) -> RootSet:
-    # The RootSet of p from its roots z as the engine returned them.
-    z = _sorted(z)
-    res = np.abs(evaluate_many(p, z))
-    return RootSet(tuple(z), tuple(float(r) for r in res))
+    # The RootSet of p from its roots z as the engine returned them, its
+    # residuals left to the first read.
+    rs = RootSet(tuple(_sorted(z)), None)
+    object.__setattr__(rs, "_p", p)
+    return rs
 
 
 def roots_many(ps) -> list[np.ndarray]:
@@ -666,9 +704,17 @@ def _real_by_signs(c: np.ndarray, hints: np.ndarray) -> np.ndarray:
     """Which rows of c provably have only real, simple roots, by trusted
     sign changes; no root-finding.
 
-    c is (B, n+1), real and ascending; hints is (B, k), any real points for
-    each row.  Each row is evaluated at its hints and at +-2 times its
-    Cauchy bound 1 + max_k |a_k / a_n|.  A sign is trusted where |f(x)|
+    c is (B, n+1), real and ascending.  hints is (G, k), G dividing B, any
+    real points: the B/G consecutive rows of each block of c share one hint
+    row (the directions of a pencil pair share its roots), so a hint row is
+    sorted once for its block.  Each row is evaluated at -2 times its Cauchy
+    bound 1 + max_k |a_k / a_n|, at its hints, ascending, and at +2 times
+    that bound.  The two bound points are not sorted in: a hint beyond
+    either lies, with the bound point, beyond every root of the row, where
+    every trusted sign is the same, so the order of the points there cannot
+    change the count of sign changes (and an untrusted point never counts).
+    The hints themselves must be sorted: out of order, interior points can
+    add changes that no root accounts for.  A sign is trusted where |f(x)|
     exceeds the a priori Horner error bound gamma_2n sum_k |a_k| |x|^k
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 5.1), inflated by 1% for the rounding of the sum itself, plus a
@@ -682,8 +728,10 @@ def _real_by_signs(c: np.ndarray, hints: np.ndarray) -> np.ndarray:
     n = c.shape[1] - 1
     with np.errstate(all="ignore"):
         cauchy = 2.0 * (1.0 + np.max(np.abs(c[:, :-1]), axis=1) / np.abs(c[:, -1]))
-        x = np.sort(np.concatenate([hints, -cauchy[:, None], cauchy[:, None]], axis=1),
-                    axis=1)
+        x = np.empty((len(c), hints.shape[1] + 2))
+        x[:, 0] = -cauchy
+        x[:, 1:-1] = np.repeat(np.sort(hints, axis=1), len(c) // len(hints), axis=0)
+        x[:, -1] = cauchy
         ax = np.abs(x)
         f = _horner_rows(c, x)
         gamma = n * _EPS / (1.0 - n * _EPS)  # gamma_2n, unit roundoff eps / 2
@@ -694,10 +742,15 @@ def _real_by_signs(c: np.ndarray, hints: np.ndarray) -> np.ndarray:
                  + (n + 1) * _TINY * np.maximum(1.0, ax) ** n)
         trusted = np.isfinite(f) & np.isfinite(bound) & (np.abs(f) > bound)
     sign = np.where(trusted, np.sign(f), 0.0)
-    # each point's sign, or that of the last trusted point before it
-    last = np.maximum.accumulate(np.where(trusted, np.arange(x.shape[1]), 0), axis=1)
-    held = np.take_along_axis(sign, last, axis=1)
-    return np.sum(held[:, 1:] * held[:, :-1] < 0, axis=1) == n
+    changes = np.sum(sign[:, 1:] * sign[:, :-1] < 0, axis=1)
+    partial = ~trusted.all(axis=1)
+    if partial.any():
+        # each point's sign, or that of the last trusted point before it
+        sign, trusted = sign[partial], trusted[partial]
+        last = np.maximum.accumulate(np.where(trusted, np.arange(x.shape[1]), 0), axis=1)
+        held = np.take_along_axis(sign, last, axis=1)
+        changes[partial] = np.sum(held[:, 1:] * held[:, :-1] < 0, axis=1)
+    return changes == n
 
 
 # Directions of every pencil decided before any pair is settled; the rest
@@ -785,7 +838,7 @@ def _pencil(pairs, n_samples: int, seeds, tol: float, rss=None):
     for idx in hinted.values():
         hints = [np.real(rss[2 * i].roots + rss[2 * i + 1].roots) for i in idx]
         signed = _real_by_signs(np.concatenate([rows[i].real for i in idx]),
-                                np.repeat(hints, n_samples, axis=0))
+                                np.array(hints))
         for i, ok in zip(idx, np.split(signed, len(idx))):
             todo[i] &= ~ok
     real = [True] * len(pairs)

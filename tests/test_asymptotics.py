@@ -241,7 +241,18 @@ def _reference_sweep(p, theta, h_min, h_max, steps, order):
     guard = 1e-12 * max(1.0, max(abs(r.actual) for r in records))
     omega_ok = bool(np.max(scaled) <= 10.0 * np.median(scaled) + guard)
     return AsymptoticReport(head.n, theta, order, tuple(float(h) for h in grid),
-                            tuple(records), fitted, omega_ok)
+                            tuple(records), omega_ok), fitted
+
+
+def _bits(x):
+    return np.array(x, dtype=float).view(np.uint64)
+
+
+def _assert_matches_reference(rep, args, what):
+    # the report and, bit for bit, its fitted decay
+    want, fitted = _reference_sweep(*args)
+    assert rep == want, what
+    assert _bits(rep.fitted_decay) == _bits(fitted), what
 
 
 def test_batched_sweep_equals_per_h_loop():
@@ -254,15 +265,39 @@ def test_batched_sweep_equals_per_h_loop():
         floor = sweep_h_floor(p)
         for order in (0, 1, 2):
             args = (p, theta, floor * 1.05, floor * 10.5, 6, order)
-            assert residual_sweep(*args) == _reference_sweep(*args), (k, order)
+            _assert_matches_reference(residual_sweep(*args), args, (k, order))
 
 
 def test_batched_sweep_degenerate_theta_drops_a_degree():
     p = make_poly([5, -1, 2, 1])
     for order in (0, 1, 2):
-        rep = residual_sweep(p, 0.0, 20.0, 500.0, 7, order)
+        args = (p, 0.0, 20.0, 500.0, 7, order)
+        rep = residual_sweep(*args)
         assert {r.j for r in rep.records} == {1, 2}
-        assert rep == _reference_sweep(p, 0.0, 20.0, 500.0, 7, order)
+        _assert_matches_reference(rep, args, order)
+
+
+@pytest.mark.parametrize("args, nan", [
+    ((make_poly([5, -1, 2, 1]), 0.7, 20.0, 500.0, 7, 1), False),
+    ((make_poly([1, -2, 1]), 0.9, 40.0, 400.0, 6, 1), True)])
+def test_fitted_decay_is_the_fit_of_the_records_on_first_read(monkeypatch, args, nan):
+    # the sweep fits nothing; the first read fits the records, bit for bit
+    # _fit_decay's value, NaN included, and later reads reuse it
+    fits = []
+    fit = asymptotics._fit_decay
+
+    def counted(records):
+        fits.append(records)
+        return fit(records)
+
+    monkeypatch.setattr(asymptotics, "_fit_decay", counted)
+    rep = residual_sweep(*args)
+    assert fits == []
+    want = fit(list(rep.records))
+    assert math.isnan(want) is nan
+    assert _bits(rep.fitted_decay) == _bits(want)
+    assert _bits(rep.fitted_decay) == _bits(want)
+    assert fits == [rep.records]
 
 
 def test_sweep_below_floor_raises_before_any_image_root_find(monkeypatch):
@@ -423,6 +458,25 @@ def test_sweep_rejects_bad_grid_before_any_root_find(monkeypatch, h_min, h_max, 
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match="integer steps >= 2"):
             residual_sweep(p, 0.7, h_min, h_max, steps, 1)
+
+
+@pytest.mark.parametrize("order", [3, -1, 1.0, True, None])
+def test_sweep_rejects_bad_order_before_any_root_find(monkeypatch, order):
+    # the order was checked only after P and the grid's 7 images (8 rows)
+    # had been root-found
+    rows = []
+    core = rootfind._aberth_core
+
+    def counted(c):
+        rows.append(len(c))
+        return core(c)
+
+    monkeypatch.setattr(rootfind, "_aberth_core", counted)
+    with pytest.raises(InvalidInput, match="order"):
+        residual_sweep(from_roots([1, 2, 4]), 0.7, 20.0, 500.0, 7, order)
+    assert rows == []
+    residual_sweep(from_roots([1, 2, 4]), 0.7, 20.0, 500.0, 7, 1)
+    assert sum(rows) == 8
 
 
 def test_sweep_accepts_numpy_integer_steps():

@@ -30,7 +30,7 @@ from fdzeros import (
     run_properties,
     run_suite,
 )
-from fdzeros import harness, rootfind
+from fdzeros import asymptotics, harness, rootfind
 
 
 def test_config_validation():
@@ -92,6 +92,20 @@ def test_suite_deterministic():
     a = json.dumps(report_to_json(run_suite(cfg)), sort_keys=True)
     b = json.dumps(report_to_json(run_suite(cfg)), sort_keys=True)
     assert a == b
+
+
+def test_suite_pass_evaluates_no_residual_and_fits_no_decay(monkeypatch):
+    # No checker reads a RootSet's residuals or a sweep's fitted decay, so a
+    # pass computes neither: both are computed on first read
+    read = []
+    evaluate_many, fit_decay = rootfind.evaluate_many, asymptotics._fit_decay
+    monkeypatch.setattr(rootfind, "evaluate_many",
+                        lambda *args: read.append("residuals") or evaluate_many(*args))
+    monkeypatch.setattr(asymptotics, "_fit_decay",
+                        lambda *args: read.append("decay") or fit_decay(*args))
+    report = run_properties(SuiteConfig(seed=42, trials=20), ALL_PROPERTIES)
+    assert len(report.records) == len(ALL_PROPERTIES)
+    assert read == []
 
 
 @pytest.mark.parametrize("seed", [42, 7])

@@ -12,6 +12,7 @@ from fdzeros import (
     apply_op,
     classify_real,
     compose,
+    evaluate_many,
     from_roots,
     generating_fn,
     make_operator,
@@ -141,6 +142,26 @@ def test_witness_real_shift():
     assert w is not None
     assert w.offense == pytest.approx(0.5, abs=1e-8)
     assert w.input == monomial(2)
+
+
+def test_witness_image_residuals_computed_on_first_read(monkeypatch):
+    # the witness's image residuals are evaluated when its JSON reads them,
+    # bit for bit |image(z)| by evaluate_many at the sorted roots
+    evaluated = []
+
+    def counted(p, zs):
+        evaluated.append(p)
+        return evaluate_many(p, zs)
+
+    monkeypatch.setattr(rootfind, "evaluate_many", counted)
+    op = make_operator(1, {0: 1, 1: 1})
+    w = witness_search(op, max_degree=24)
+    assert evaluated == []
+    image = apply_op(op, w.input)
+    want = np.abs(evaluate_many(image, np.array(w.image_roots.roots)))
+    got = witness_to_json(w)["image_roots"]["residuals"]
+    assert evaluated == [image]
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
 def test_witness_none_for_preserver():

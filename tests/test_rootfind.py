@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -22,6 +24,7 @@ from fdzeros import (
     classify_real,
     coeff_scale,
     derivative,
+    evaluate_many,
     extremes,
     from_roots,
     gn,
@@ -46,6 +49,57 @@ def test_roots_basic():
     assert sorted(r.real for r in rs.roots) == pytest.approx([-1, 1])
     rs = roots(make_poly([1, 0, 1]))
     assert sorted(r.imag for r in rs.roots) == pytest.approx([-1, 1])
+
+
+def _residual_polys():
+    # real and complex polynomials of degree 1-12
+    rng = np.random.default_rng(26)
+    return ([from_roots(rng.uniform(-5, 5, n)) for n in range(1, 13)]
+            + [make_poly(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+               for n in range(1, 13)])
+
+
+def _assert_residuals_on_read(monkeypatch, found, polys):
+    # No residual is evaluated until one is read; then each is, bit for
+    # bit, |p(z)| by evaluate_many at the sorted roots, once.
+    evaluated = []
+
+    def counted(p, zs):
+        evaluated.append(p)
+        return evaluate_many(p, zs)
+
+    monkeypatch.setattr(rootfind, "evaluate_many", counted)
+    rss = found()
+    assert evaluated == []
+    for p, rs in zip(polys, rss, strict=True):
+        want = np.abs(evaluate_many(p, np.array(rs.roots)))
+        assert np.array_equal(np.array(rs.residuals).view(np.uint64), want.view(np.uint64))
+        assert rs.residuals is rs.residuals
+    assert evaluated == polys
+
+
+def test_rootset_residuals_computed_on_first_read(monkeypatch):
+    polys = _residual_polys()
+    _assert_residuals_on_read(monkeypatch, lambda: [roots(p) for p in polys], polys)
+
+    def request():
+        return (yield polys)
+
+    _assert_residuals_on_read(monkeypatch, lambda: rootfind._run_requests([request()])[0],
+                              polys)
+
+
+def test_rootset_given_residuals_and_value_semantics():
+    p = from_roots([1.0, 2.0, 4.0])
+    found = roots(p)
+    given = rootfind.RootSet(found.roots, found.residuals)
+    assert given.residuals == found.residuals
+    assert given == found == roots(p) and hash(given) == hash(roots(p))
+    assert repr(roots(p)) == repr(given)
+    assert rootfind.RootSet(found.roots, (1.0, 1.0, 1.0)) != found
+    assert copy.copy(roots(p)) == pickle.loads(pickle.dumps(roots(p))) == found
+    with pytest.raises(AttributeError):
+        found.roots = ()
 
 
 def test_roots_quadratic_oracle():
@@ -413,7 +467,8 @@ def test_pencil_cancelled_direction_matches_reference():
 
 def _registry_sign_rows(trials):
     # Every direction of every registry pair (the pencil's 200 per pair) with
-    # the pair's roots as hints, grouped by width: {width: (rows, hints)}.
+    # the pair's roots as hints, grouped by width: {width: (rows, hints)},
+    # one hint row per pair, as the pencil passes them.
     triples = _registry_pairs(trials)
     found = roots_many([x for p, q, _ in triples for x in (p, q)])
     groups = {}
@@ -421,9 +476,93 @@ def _registry_sign_rows(trials):
         phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 200)
         rows = (np.cos(phi)[:, None] * p.as_array().real
                 + np.sin(phi)[:, None] * q.as_array().real)
-        hints = np.broadcast_to(np.concatenate([zp, zq]).real, (200, 2 * p.degree))
+        hints = np.concatenate([zp, zq]).real[None, :]
         groups.setdefault(p.degree + 1, []).append((rows, hints))
     return {w: tuple(map(np.concatenate, zip(*g))) for w, g in groups.items()}
+
+
+def _real_by_signs_reference(c, hints):
+    # The sign certificate as it was before it sorted each hint row once:
+    # hints (B, k), one row per row of c, sorted together with the two
+    # Cauchy points, and every row's changes counted through the last
+    # trusted sign before each point.
+    n = c.shape[1] - 1
+    with np.errstate(all="ignore"):
+        cauchy = 2.0 * (1.0 + np.max(np.abs(c[:, :-1]), axis=1) / np.abs(c[:, -1]))
+        x = np.sort(np.concatenate([hints, -cauchy[:, None], cauchy[:, None]], axis=1),
+                    axis=1)
+        ax = np.abs(x)
+        f = rootfind._horner_rows(c, x)
+        gamma = n * rootfind._EPS / (1.0 - n * rootfind._EPS)
+        bound = (1.01 * gamma * rootfind._horner_rows(np.abs(c), ax)
+                 + (n + 1) * rootfind._TINY * np.maximum(1.0, ax) ** n)
+        trusted = np.isfinite(f) & np.isfinite(bound) & (np.abs(f) > bound)
+    sign = np.where(trusted, np.sign(f), 0.0)
+    last = np.maximum.accumulate(np.where(trusted, np.arange(x.shape[1]), 0), axis=1)
+    held = np.take_along_axis(sign, last, axis=1)
+    return np.sum(held[:, 1:] * held[:, :-1] < 0, axis=1) == n
+
+
+def _assert_signs_match_reference(c, hints):
+    # the verdicts row by row, hints given one row per block of rows
+    got = rootfind._real_by_signs(c, hints)
+    want = _real_by_signs_reference(c, np.repeat(hints, len(c) // len(hints), axis=0))
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_sign_verdicts_match_the_sort_everything_reference():
+    certified = 0
+    for rows, hints in _registry_sign_rows(20).values():
+        certified += _assert_signs_match_reference(rows, hints).sum()
+        # a row's own hints, unsorted
+        shuffled = np.random.default_rng(len(rows)).permuted(hints, axis=1)
+        _assert_signs_match_reference(rows, np.repeat(shuffled, 200, axis=0))
+    assert certified > 20_000  # of 40,000 directions
+
+
+def test_sign_verdicts_match_the_reference_on_adversarial_rows():
+    real = from_roots([1.0, 2.0, 3.0, 3.5]).as_array().real[None, :]
+    cauchy = 2.0 * (1.0 + np.max(np.abs(real[0, :-1])) / abs(real[0, -1]))
+    hints = np.array([[0.0, 1.5, 2.5, 3.2]])
+    # hints beyond +-2 Cauchy, on either side and both, and unsorted
+    for extra in ([2 * cauchy], [-3 * cauchy], [-cauchy - 1, 5 * cauchy, cauchy + 1],
+                  [cauchy, -cauchy, np.inf, -np.inf]):
+        wide = np.concatenate([hints, [extra]], axis=1)
+        assert _assert_signs_match_reference(real, wide)[0]
+        assert _assert_signs_match_reference(real, wide[:, ::-1])[0]
+    # a NaN hint is never trusted, and the other hints still decide
+    for nan_at in range(5):
+        assert _assert_signs_match_reference(real, np.insert(hints, nan_at, np.nan, axis=1))[0]
+    # the rounding-noise row (d = 3e-8, see below) at hints that would count
+    # its noise, the overflow row, and a non-real row whose unsorted hints
+    # would change sign n times
+    noisy = from_roots([1.0, 2.0, 3 + 3e-8j, 3 - 3e-8j]).as_array().real[None, :]
+    xs = 3.0 + np.arange(-300, 301) * 1e-9
+    f = rootfind._horner_rows(np.repeat(noisy, len(xs), axis=0), xs[:, None])[:, 0]
+    assert not _assert_signs_match_reference(noisy, np.array([[0.0, 1.5, 2.5,
+                                                                xs[f < 0][0]]]))[0]
+    overflow = np.array([[-1.0, 0.0, 1.0, 1e-200]])
+    assert not _assert_signs_match_reference(overflow, np.array([[-2.0, 0.0, 2.0]]))[0]
+    one_real = from_roots([1.0, 1j, -1j]).as_array().real[None, :]
+    assert not _assert_signs_match_reference(one_real, np.array([[2.0, 0.0, 2.0]]))[0]
+    # (at -+2 Cauchy = -+4 and those hints unsorted, its signs change n times)
+    f = rootfind._horner_rows(one_real, np.array([[-4.0, 2.0, 0.0, 2.0, 4.0]]))[0]
+    assert np.sum(f[1:] * f[:-1] < 0) == 3
+    # random rows, zero leading coefficients included, in blocks of 50
+    # sharing hint rows with points far out, NaN and unsorted
+    rng = np.random.default_rng(26)
+    for n in range(1, 9):
+        c = rng.normal(size=(400, n + 1))
+        c[::37, -1] = 0.0
+        hints = rng.normal(scale=3.0, size=(8, 2 * n))
+        hints[1, 0] = np.nan
+        hints[2, :2] = [1e6, -1e6]
+        _assert_signs_match_reference(c, hints)
+    c = from_roots([-2.0, -0.5, 1.0, 3.0]).as_array().real
+    rows = c[None, :] * rng.uniform(0.5, 2.0, size=(100, 1)) + rng.normal(scale=1e-3,
+                                                                          size=(100, 5))
+    assert _assert_signs_match_reference(rows, np.array([[3.5, -1.0, 0.0, 2.0, 1e9]])).all()
 
 
 def test_sign_certified_rows_are_real_for_the_engine_and_mpmath():
