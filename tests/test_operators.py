@@ -154,14 +154,15 @@ def test_witness_image_residuals_computed_on_first_read(monkeypatch):
         return evaluate_many(p, zs)
 
     monkeypatch.setattr(rootfind, "evaluate_many", counted)
-    op = make_operator(1, {0: 1, 1: 1})
-    w = witness_search(op, max_degree=24)
-    assert evaluated == []
-    image = apply_op(op, w.input)
-    want = np.abs(evaluate_many(image, np.array(w.image_roots.roots)))
-    got = witness_to_json(w)["image_roots"]["residuals"]
-    assert evaluated == [image]
-    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+    for op in (make_operator(1, {0: 1, 1: 1}), make_operator(1j, {-1: 1, 1: 4})):
+        w = witness_search(op, max_degree=24)
+        assert evaluated == []
+        image = apply_op(op, w.input)
+        want = np.abs(evaluate_many(image, np.array(w.image_roots.roots)))
+        got = witness_to_json(w)["image_roots"]["residuals"]
+        assert evaluated == [image]
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+        evaluated.clear()
 
 
 def test_witness_none_for_preserver():
