@@ -73,9 +73,10 @@ LAYER_SIDES = ("parent", "change", "control")
 # built as that workload builds them (the seeded one at FIXED_SEED):
 # `witness_search` runs on the `off_circle` one, whose candidates it
 # searches, and `cli.main` runs `analyze` on the `rotated` one's file with
-# stdout captured.  Each harness property runs once per repetition, as one
-# property of `fdzeros verify --seed 42 --trials 20` (the `suite` workload's
-# operation).
+# stdout captured.  Each harness property runs as one property of
+# `fdzeros verify --seed 42 --trials 20` (the `suite` workload's operation),
+# timed with the same autorange loop as the other layers: one call per
+# repetition left sub-millisecond properties at the mercy of host noise.
 LAYER_SCRIPT = """
 import contextlib, io, json, sys, timeit
 import numpy as np
@@ -138,8 +139,7 @@ def analyze_cli():
 out["cli_main_analyze_s"] = best(analyze_cli)
 suite = SuiteConfig(seed=42, trials=20)
 for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
-    out[f"property_{prop.name}_s"] = min(
-        timeit.Timer(lambda: run_properties(suite, [prop])).repeat(5, 1))
+    out[f"property_{prop.name}_s"] = best(lambda: run_properties(suite, [prop]))
 # Engine calls, rows and certified rows of one more run per property,
 # counted at the engine core that every root-find goes through, and the
 # calls, rows and certified rows of the pencil's sign certificate, which
@@ -150,8 +150,10 @@ for prop in sorted(ALL_PROPERTIES, key=lambda p: p.name):
     tally = dict.fromkeys(("engine_calls", "engine_rows", "engine_certified",
                            "sign_calls", "sign_rows", "sign_certified"), 0)
 
-    def counted(c):
-        batch = core(c)
+    def counted(c, *deg):
+        # the engine takes each row's degree since it pads rows of every
+        # width into one call; a tree from before that takes c alone
+        batch = core(c, *deg)
         tally["engine_calls"] += 1
         tally["engine_rows"] += len(c)
         tally["engine_certified"] += batch.failed.count(None)

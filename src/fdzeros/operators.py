@@ -278,9 +278,9 @@ def _search_candidates(op: FDOperator, max_degree: int, strip_b: float | None,
     status unsettled.
 
     Degree by degree: the degree-n candidates' images are built, those of
-    degree >= 1 are root-found in one batch per image degree, certified row
-    by row, and the certified ones are tested in candidate order, so a
-    witness at n = 1 costs one degree of work.
+    degree >= 1 are root-found in one engine call, certified row by row,
+    and the certified ones are tested in candidate order, so a witness at
+    n = 1 costs one degree of work.
     """
     band = strip_b or 0.0
     for n in range(1, max_degree + 1):

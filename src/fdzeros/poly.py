@@ -60,7 +60,8 @@ ZERO = Polynomial(())
 
 def make_poly(coeffs: Iterable[complex]) -> Polynomial:
     """Build a polynomial, stripping trailing coefficients that are exactly zero."""
-    c = [complex(v) for v in coeffs]
+    c = (coeffs.astype(complex).tolist() if isinstance(coeffs, np.ndarray)
+         else [complex(v) for v in coeffs])
     while c and c[-1] == 0:
         c.pop()
     return Polynomial(tuple(c))
@@ -290,7 +291,11 @@ def _finite_pair(v, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
         raise InvalidInput(f"{where}: expected a [re, im] pair of numbers")
-    if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+    try:
+        finite = math.isfinite(v[0]) and math.isfinite(v[1])
+    except OverflowError:  # an integer beyond the double range
+        raise InvalidInput(f"{where}: number out of the double range") from None
+    if not finite:
         raise InvalidInput(f"{where}: non-finite number")
     return complex(v[0], v[1])
 

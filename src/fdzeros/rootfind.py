@@ -3,13 +3,14 @@
 Every root-find goes through one engine, `_aberth_core`: closed forms for
 degrees 1 and 2, the companion-matrix eigenvalues with an extended-precision
 Newton polish above that, and a residual and a forward-error certificate for
-every degree, judged row by row.  The eigenvalues are backward stable to
-rounding of the coefficients (Edelman & Murakami, Math. Comp. 64 (1995)), so
-the polish only finishes them.  Real rows, and complex rows that are real up
-to rounding, take real eigenvalues.  A row whose eigenvalues leave a root
-whose rounding floor alone fails the forward certificate is ruled out: it
-leaves before the polish, is judged from the eigenvalues' own residuals, and
-its best iterate is the eigenvalues, unpolished.
+every degree, judged row by row, on rows of any degrees padded to one width.
+The eigenvalues are backward stable to rounding of the coefficients (Edelman
+& Murakami, Math. Comp. 64 (1995)), so the polish only finishes them.  Real
+rows, and complex rows that are real up to rounding, take real eigenvalues.
+A row whose eigenvalues leave a root whose rounding floor alone fails the
+forward certificate is ruled out: it leaves before the polish, is judged
+from the eigenvalues' own residuals, and its best iterate is the
+eigenvalues, unpolished.
 `_certified_many`, its one caller, answers `roots`, `roots_many`,
 `aberth_batch` and the driver below.
 The predicates below (realness, mesh, extremes, interlacing) are the
@@ -25,9 +26,10 @@ list of coefficient arrays (each of same-width rows), answered with what
 first such error is thrown in at that yield instead: what `roots` raises for
 that polynomial alone, or what `aberth_batch` raises for that array alone.
 The driver advances all its generators one yield per round and root-finds
-every row of a round with one engine call per width (degree + 1), the one
-batching layer: generators never group rows by width.  Rows do not
-interact in the engine, so each answer equals the one-at-a-time call's.
+every row of a round with one engine call, the one batching layer: each row
+is zero-padded on top to the round's widest and carries its own degree, so
+generators never group rows by width.  Rows do not interact in the engine,
+whatever their padding, so each answer equals the one-at-a-time call's.
 A generator merges two root-finds into one yield only when nothing between
 them can raise, so it raises what it would raise with one call after
 another.  `_drive` runs one generator: the pencil oracle, the residual sweep,
@@ -153,10 +155,20 @@ def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _horner(cols: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # cols: the coefficients highest first, each broadcasting against z
+    # cols: the coefficients highest first, each broadcasting against z.
+    # Zero coefficients on top (of either sign) leave the values unchanged.
+    # numpy's in-place complex multiply rounds a 1-element array without the
+    # vector loop's fused multiply-add, so a lone point is multiplied out of
+    # place: its value is then the one it has in a batch.  On two or more
+    # elements the in-place product rounds as the out-of-place one does, and
+    # it allocates nothing.
     acc = np.zeros(z.shape, dtype=np.result_type(cols, z))
+    lone = acc.size == 1
     for ck in cols:
-        acc *= z
+        if lone:
+            acc = acc * z
+        else:
+            acc *= z
         acc += ck
     return acc
 
@@ -234,44 +246,60 @@ def _cluster_bound(a: np.ndarray, absa: np.ndarray, z: np.ndarray, rows: np.ndar
     return np.min(np.where(np.isnan(bound), np.inf, bound), axis=1)
 
 
+def _cluster_bounds(a: np.ndarray, absa: np.ndarray, z: np.ndarray, deg: np.ndarray,
+                    rows: np.ndarray, cols: np.ndarray, settled: bool) -> np.ndarray:
+    # `_cluster_bound` of padded rows (see `_aberth_core`), one call per
+    # degree on the unpadded columns: a cluster is taken among a row's own
+    # roots, and its Taylor coefficients need the row's own degree
+    out = np.empty(rows.size)
+    for n in set(deg[rows].tolist()):
+        sel = deg[rows] == n
+        out[sel] = _cluster_bound(a[:, : n + 1], absa[:, : n + 1], z[:, :n], rows[sel],
+                                  cols[sel], settled)
+    return out
+
+
 def _forward_ok(a: np.ndarray, absa: np.ndarray, z: np.ndarray, err: np.ndarray,
-                dp: np.ndarray, rows: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+                dp: np.ndarray, rows: np.ndarray, deg: np.ndarray, valid: np.ndarray,
+                p: np.ndarray | None = None) -> np.ndarray:
     """Whether every root of each row selected by `rows` passes the forward
     certificate (False for the other rows).
 
-    A root passes when its first-order forward-error estimate, relative to
-    max(1, |z|), is at most FWD_TOL: max(|p(z)|, n eps err) / |p'(z)| as a
-    simple root, or else its cluster estimate.  With p None only the
-    rounding floor n eps err counts: a root whose floor exceeds FWD_TOL
-    cannot be certified however far it is polished.
+    The rows are padded as in `_aberth_core`: row i has degree deg[i], its
+    roots are the columns that valid marks (its first deg[i]), and the
+    padding never decides a row.  A root passes when its first-order
+    forward-error estimate, relative to max(1, |z|), is at most FWD_TOL:
+    max(|p(z)|, n eps err) / |p'(z)| as a simple root, or else its cluster
+    estimate.  With p None only the rounding floor n eps err counts: a root
+    whose floor exceeds FWD_TOL cannot be certified however far it is
+    polished.
 
     One failing root decides its row, so the cluster estimate runs in two
     stages: first on the root of each row with the largest simple estimate
     (NaN counting as largest), then on the other roots that fail as simple
     roots, in the rows whose first root passed.
     """
-    n = z.shape[1]
-    eta = n * _EPS * err
+    eta = deg[:, None] * _EPS * err
     if p is not None:
         eta = np.maximum(eta, np.abs(p))
     bound = eta / (np.abs(dp) * np.maximum(1.0, np.abs(z)))
-    bad = ~(bound <= FWD_TOL) & rows[:, None]
+    bad = ~(bound <= FWD_TOL) & valid & rows[:, None]
     undecided = bad.any(axis=1)
     ok = rows & ~undecided
-    todo = np.flatnonzero(undecided)
-    if not todo.size:
+    if not undecided.any():
         return ok
+    todo = np.flatnonzero(undecided)
     settled = p is not None
     worst = np.argmax(np.where(bad[todo], np.nan_to_num(bound[todo], nan=np.inf), -1.0),
                       axis=1)
-    first = _cluster_bound(a, absa, z, todo, worst, settled) <= FWD_TOL
+    first = _cluster_bounds(a, absa, z, deg, todo, worst, settled) <= FWD_TOL
     todo, worst = todo[first], worst[first]
     rest = bad[todo]
     rest[np.arange(todo.size), worst] = False
     r, i = np.nonzero(rest)
     ok[todo] = True
     if r.size:
-        passed = _cluster_bound(a, absa, z, todo[r], i, settled) <= FWD_TOL
+        passed = _cluster_bounds(a, absa, z, deg, todo[r], i, settled) <= FWD_TOL
         ok[todo[r[~passed]]] = False
     return ok
 
@@ -316,19 +344,23 @@ def _companion_eigvals(a: np.ndarray, absa: np.ndarray) -> np.ndarray:
     return z
 
 
-def _polish(a: np.ndarray, dcoef: np.ndarray,
-            z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _polish(a: np.ndarray, dcoef: np.ndarray, z: np.ndarray,
+            moving: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     # Newton polish with p(z) evaluated in extended precision (np.clongdouble;
     # plain double where long double is double): a few steps push simple
     # roots to the accuracy the double-precision coefficients allow; the
     # certificates then judge what is returned.  Non-finite steps (vanishing
     # derivative) are rejected, and so are steps longer than half the gap to
     # the nearest other root: inside a cluster a step that long comes from
-    # rounding noise in p(z), not from the polynomial.  Returns the polished
-    # roots and p'(roots) when the polish computed it at them, else None.
+    # rounding noise in p(z), not from the polynomial.  Only the roots that
+    # `moving` marks are polished, each kept apart from the other marked
+    # roots of its row; the rest (padding, and rows that take no polish) stay
+    # as they are and count as infinitely far.  Returns the roots and
+    # p'(roots) when the polish computed it at them, else None.
     eye = np.eye(z.shape[1], dtype=bool)[None, :, :]
-    gap = np.where(eye, np.inf, np.abs(z[:, :, None] - z[:, None, :])).min(axis=2)
-    limit = 0.5 * np.minimum(1.0 + np.abs(z), gap)
+    far = np.where(moving, z, np.inf)
+    gap = np.where(eye, np.inf, np.abs(far[:, :, None] - far[:, None, :])).min(axis=2)
+    limit = np.where(moving, 0.5 * np.minimum(1.0 + np.abs(z), gap), -1.0)
     # The polish stops once a step leaves every root bit for bit unchanged:
     # a further step from the same z would compute the same zero change.
     a_long = a.astype(np.clongdouble)
@@ -337,39 +369,26 @@ def _polish(a: np.ndarray, dcoef: np.ndarray,
         dp = _horner_rows(dcoef, z)
         step = (pz / dp).astype(complex)
         moved = z - np.where(np.abs(step) <= limit, step, 0.0)
-        if np.array_equal(moved.view(np.uint64), z.view(np.uint64)):
+        if moved.tobytes() == z.tobytes():
             return z, dp
         z = moved
     return z, None
 
 
-def _certify(a: np.ndarray, absa: np.ndarray, dcoef: np.ndarray, z: np.ndarray,
-             polish: bool):
-    # The polish (when asked) and both certificates for the rows a with
-    # start z: the roots, p(roots), and per row whether it passed the
-    # residual certificate and whether it is certified.
-    dp = None  # p'(z), unless the polish leaves it at the roots it returns
-    if polish:
-        z, dp = _polish(a, dcoef, z)
-    if dp is None:
-        dp = _horner_rows(dcoef, z)
-    ok, p, err = _residual_ok(a, absa, z, TOL)
-    residual_ok = ok.all(axis=1)
-    return z, p, residual_ok, _forward_ok(a, absa, z, err, dp, residual_ok, p)
-
-
 class _BatchRoots(NamedTuple):
-    """Roots of a batch of same-degree polynomials, with each row's outcome.
+    """Roots of a batch of padded rows (see `_aberth_core`), with each row's
+    outcome.
 
-    z is (B, n): a certified row's roots, or a failed row's best iterate.
-    residuals is |p(z)| on the monic rows.  failed[i] is None for a certified
-    row; otherwise it names the first certificate the row failed, "residual"
-    or "forward".  A row whose companion eigenvalues are ruled out on the
-    forward certificate's rounding floor leaves before the polish: its best
-    iterate is the eigenvalues, unpolished, and it is judged from their own
-    p(z) and error bound, "residual" if it misses TOL there, else "forward".
-    A row whose companion eigenvalues did not converge stays at NaN and fails
-    the residual one.
+    z is (B, N): row i's first deg[i] columns hold a certified row's roots
+    or a failed row's best iterate, and its other columns are padding (0).
+    residuals is |p(z)| on the monic rows, padded likewise.  failed[i] is
+    None for a certified row; otherwise it names the first certificate the
+    row failed, "residual" or "forward".  A row whose companion eigenvalues
+    are ruled out on the forward certificate's rounding floor leaves before
+    the polish: its best iterate is the eigenvalues, unpolished, and it is
+    judged from their own p(z) and error bound, "residual" if it misses TOL
+    there, else "forward".  A row whose companion eigenvalues did not
+    converge stays at NaN and fails the residual one.
     """
 
     z: np.ndarray
@@ -377,66 +396,86 @@ class _BatchRoots(NamedTuple):
     failed: tuple[str | None, ...]
 
 
-def _aberth_core(c: np.ndarray) -> _BatchRoots:
-    """All roots for a batch of same-degree polynomials, certified row by row.
+def _aberth_core(c: np.ndarray, deg: np.ndarray) -> _BatchRoots:
+    """All roots for a batch of polynomials of any degrees, certified row by
+    row in one pass.
 
-    c is (B, n+1), ascending, with nonzero leading column.  Degrees 1 and 2
-    use closed forms, higher degrees the companion-matrix eigenvalues (real
-    ones for real and near-real rows, see `_NEAR_REAL`).  A row whose
-    eigenvalues include a root with residual above _ITER_TOL and a rounding
-    floor n eps sum_k |a_k| |z|^k / |p'(z)| that alone fails the forward
+    c is (B, N+1), ascending and complex; row i has degree deg[i] >= 1, a
+    nonzero coefficient c[i, deg[i]], and zeros above it.  Zeros on top
+    leave every Horner value unchanged, so a padded row is evaluated as it
+    is alone.  Degrees 1 and 2 use closed forms, higher degrees the
+    companion-matrix eigenvalues (one stack per degree, real ones for real
+    and near-real rows, see `_NEAR_REAL`).  A row whose eigenvalues include
+    a root with residual above _ITER_TOL and a rounding floor
+    n eps sum_k |a_k| |z|^k / |p'(z)| that alone fails the forward
     certificate is ruled out: it fails without the polish or a second
-    forward estimate (see `_BatchRoots`).  The other rows take an
-    extended-precision Newton polish.  Each row is judged by two
+    forward estimate (see `_BatchRoots`).  The other rows above degree 2
+    take an extended-precision Newton polish.  Each row is judged by two
     certificates on its monic form: a residual one against the error bound
     sum_k |a_k| |z|^k, so that large-magnitude roots are not held to an
     unattainable absolute residual, and a forward one, a first-order error
     estimate per root (simple, or as part of a cluster of up to 8) of at
-    most FWD_TOL * max(1, |z|).  A row with a non-finite
-    root or error bound is never certified.  Rows do not interact: a row's
-    roots and outcome are the same in any batch, alone included.  Never
-    raises for a row that fails; see `aberth_batch` for the raising form.
+    most FWD_TOL * max(1, |z|).  A row with a non-finite root or error bound
+    is never certified.  A mask of each row's own roots keeps the padding
+    out of every per-row decision.  Rows do not interact: a row's roots,
+    residuals and outcome are the same in any batch, alone included, and
+    whatever the padding.  Never raises for a row that fails; see
+    `aberth_batch` for the raising form.
     """
-    c = np.asarray(c, dtype=complex)
-    n = c.shape[1] - 1
-    if n < 1:
-        raise ConstantPolynomial("batch root finding needs degree >= 1")
+    N = c.shape[1] - 1
+    valid = np.arange(N) < deg[:, None]  # (B, N): each row's own roots
+    degrees = sorted(set(deg.tolist()))
     with np.errstate(all="ignore"):
-        a = c / c[:, -1:]
+        # the padding of a may hold -0; a signed zero on top changes no
+        # Horner value either
+        a = c / c[np.arange(len(c)), deg][:, None]
         absa = np.abs(a)
-        dcoef = a[:, 1:] * np.arange(1, n + 1)
-        out = np.zeros(len(c), dtype=bool)  # rows ruled out at their start
-        if n == 1:
-            z = -c[:, :1] / c[:, 1:]
-        elif n == 2:
-            # Cancellation-free quadratic formula.  q = 0 only when the linear
-            # coefficient and the computed discriminant both vanish.
-            c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
-            sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-            sq = np.where((np.conj(c1) * sq).real < 0, -sq, sq)
-            q = -(c1 + sq) / 2.0
-            r = np.sqrt(-c0 / c2)
-            z = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
-                         np.stack([q / c2, c0 / q], axis=1))
-        else:
-            z = _companion_eigvals(a, absa)
-            # A row with a root whose residual misses _ITER_TOL is ruled out
-            # when that root's rounding floor alone fails the forward
-            # certificate: no polish of it can pass that certificate.
+        dcoef = a[:, 1:] * np.arange(1, N + 1)
+        z = np.zeros((len(c), N), dtype=complex)
+        for n in degrees:
+            rows = np.flatnonzero(deg == n) if len(degrees) > 1 else slice(None)
+            if n == 1:
+                z[rows, :1] = -c[rows, :1] / c[rows, 1:2]
+            elif n == 2:
+                # Cancellation-free quadratic formula.  q = 0 only when the
+                # linear coefficient and the computed discriminant both vanish.
+                c0, c1, c2 = c[rows, 0], c[rows, 1], c[rows, 2]
+                sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+                sq = np.where((np.conj(c1) * sq).real < 0, -sq, sq)
+                q = -(c1 + sq) / 2.0
+                r = np.sqrt(-c0 / c2)
+                z[rows, :2] = np.where((q == 0)[:, None], np.stack([r, -r], axis=1),
+                                       np.stack([q / c2, c0 / q], axis=1))
+            else:
+                z[rows, :n] = _companion_eigvals(a[rows, : n + 1], absa[rows, : n + 1])
+        # A row with a root whose eigenvalue residual misses _ITER_TOL is
+        # ruled out when that root's rounding floor alone fails the forward
+        # certificate: no polish of it can pass that certificate.
+        pad = ~valid
+        polish = deg > 2  # the rows the polish takes
+        out = None  # the rows ruled out at their start, if any row is
+        if degrees[-1] > 2:
             done, p, err = _residual_ok(a, absa, z, _ITER_TOL)
-            live = ~done.all(axis=1)
+            live = polish & ~(done | pad).all(axis=1)
             if live.any():
-                out = live & ~_forward_ok(a, absa, z, err, _horner_rows(dcoef, z), live)
-        if not out.any():
-            z, p, residual_ok, certified = _certify(a, absa, dcoef, z, n > 2)
+                out = live & ~_forward_ok(a, absa, z, err, _horner_rows(dcoef, z), live,
+                                          deg, valid)
+                polish &= ~out
+        # The polish, then both certificates.  A ruled-out row keeps its
+        # eigenvalues, and their p(z) and error bound judge it.
+        if out is not None and out.all():  # every row ruled out: nothing to polish
+            residual_ok = (_residual_within(p, err, TOL) | pad).all(axis=1)
+            certified = ~out
         else:
-            # a ruled-out row is judged from its start's own p(z) and error bound
-            residual_ok = _residual_within(p, err, TOL).all(axis=1)
-            certified = np.zeros(len(c), dtype=bool)
-            keep = ~out
-            if keep.any():
-                z[keep], p[keep], residual_ok[keep], certified[keep] = _certify(
-                    a[keep], absa[keep], dcoef[keep], z[keep], True)
+            dp = None  # p'(z), unless the polish leaves it at the roots it returns
+            if degrees[-1] > 2:
+                z, dp = _polish(a, dcoef, z, valid & polish[:, None])
+            if dp is None:
+                dp = _horner_rows(dcoef, z)
+            ok, p, err = _residual_ok(a, absa, z, TOL)
+            residual_ok = (ok | pad).all(axis=1)
+            judged = residual_ok if out is None else residual_ok & ~out
+            certified = _forward_ok(a, absa, z, err, dp, judged, deg, valid, p)
     failed = tuple(None if good else "forward" if res else "residual"
                    for good, res in zip(certified.tolist(), residual_ok.tolist()))
     return _BatchRoots(z, np.abs(p), failed)
@@ -517,9 +556,9 @@ def roots_many(ps) -> list[np.ndarray]:
 
 
 def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]]:
-    """Each item's engine rows and outcome, with one `_aberth_core` call per
-    width (degree + 1) for all items together and no raise; the only caller
-    of `_aberth_core`.
+    """Each item's engine rows and outcome, with one `_aberth_core` call for
+    all items together, every width padded to the widest, and no raise; the
+    only caller of `_aberth_core`.
 
     An item is a polynomial or a (B, n+1) array of coefficient rows.  Its
     outcome is (z, None) for certified rows z in the engine's order (one row
@@ -532,35 +571,44 @@ def _certified_many(items) -> list[tuple[np.ndarray | None, FDZerosError | None]
     item's outcome is the same in any call, alone included.
     """
     out: list = [None] * len(items)
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list] = {}  # width -> [(item index, its coefficient rows)]
     for i, x in enumerate(items):
-        if isinstance(x, np.ndarray):
-            groups.setdefault(x.shape[1], []).append(i)
-        elif (error := _unrootable(x)) is not None:
-            out[i] = (None, error)
-        else:
-            groups.setdefault(x.degree + 1, []).append(i)
-    for width, idxs in groups.items():
-        blocks = [items[i] if isinstance(items[i], np.ndarray)
-                  else items[i].as_array()[None, :] for i in idxs]
-        try:
-            batch = _aberth_core(np.concatenate(blocks))
-        except FDZerosError as exc:  # an array of width below 2
-            for i in idxs:
-                out[i] = (None, exc)
+        if not isinstance(x, np.ndarray):
+            if (error := _unrootable(x)) is not None:
+                out[i] = (None, error)
+                continue
+            x = x.as_array()[None, :]
+        elif x.shape[1] < 2:
+            out[i] = (None, ConstantPolynomial("batch root finding needs degree >= 1"))
             continue
-        stop = 0
-        for i, block in zip(idxs, blocks):
-            start, stop = stop, stop + len(block)
-            z, failed = batch.z[start:stop], batch.failed[start:stop]
-            error = None
-            if any(failed):
-                what = "residual" if "residual" in failed else "forward"
-                how = "closed-form" if width <= 3 else "companion-eigenvalue"
-                error = NonConvergence(
-                    f"{how} roots of degree {width - 1} failed the {what} certificate",
-                    best=z, residuals=batch.residuals[start:stop])
-            out[i] = (z if isinstance(items[i], np.ndarray) else z[0], error)
+        groups.setdefault(x.shape[1], []).append((i, x))
+    if not groups:
+        return out
+    blocks = {width: members[0][1] if len(members) == 1
+              else np.concatenate([x for _, x in members])
+              for width, members in groups.items()}
+    c = np.zeros((sum(map(len, blocks.values())), max(blocks)), dtype=complex)
+    deg = np.empty(len(c), dtype=int)
+    spans = []  # (item index, first row, last row + 1, width)
+    stop = 0
+    for width, block in blocks.items():
+        c[stop:stop + len(block), :width] = block
+        deg[stop:stop + len(block)] = width - 1
+        for i, x in groups[width]:
+            spans.append((i, stop, stop + len(x), width))
+            stop += len(x)
+    # an empty batch (arrays of no rows) has nothing to root-find
+    batch = _aberth_core(c, deg) if len(c) else _BatchRoots(c[:, 1:], c[:, 1:].real, ())
+    for i, start, stop, width in spans:
+        z, failed = batch.z[start:stop, : width - 1], batch.failed[start:stop]
+        error = None
+        if any(failed):
+            what = "residual" if "residual" in failed else "forward"
+            how = "closed-form" if width <= 3 else "companion-eigenvalue"
+            error = NonConvergence(
+                f"{how} roots of degree {width - 1} failed the {what} certificate",
+                best=z, residuals=batch.residuals[start:stop, : width - 1])
+        out[i] = (z if isinstance(items[i], np.ndarray) else z[0], error)
     return out
 
 

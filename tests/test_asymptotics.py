@@ -329,11 +329,12 @@ def test_sweep_image_failure_is_what_roots_raises_for_that_image(monkeypatch, ce
     target = apply_tb(DeBruijnOp(0.7, float(np.geomspace(20.0, 500.0, 7)[3])), p)
     core = rootfind._aberth_core
 
-    def failing(c):
-        out = core(c)
+    def failing(c, deg):
+        # the engine's rows are padded to the widest of their call
+        out = core(c, deg)
         return out._replace(failed=tuple(
-            certificate if np.array_equal(row, target.as_array()) else f
-            for row, f in zip(np.asarray(c, dtype=complex), out.failed)))
+            certificate if np.array_equal(row[: n + 1], target.as_array()) else f
+            for row, n, f in zip(c, deg, out.failed)))
 
     monkeypatch.setattr(rootfind, "_aberth_core", failing)
     with pytest.raises(NonConvergence) as alone:
@@ -467,9 +468,9 @@ def test_sweep_rejects_bad_order_before_any_root_find(monkeypatch, order):
     rows = []
     core = rootfind._aberth_core
 
-    def counted(c):
+    def counted(c, deg):
         rows.append(len(c))
-        return core(c)
+        return core(c, deg)
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted)
     with pytest.raises(InvalidInput, match="order"):

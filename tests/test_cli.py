@@ -404,6 +404,19 @@ def test_exit_2_names_offending_field(tmp_path, capsys):
     assert "terms[0].a" in err
 
 
+@pytest.mark.parametrize("argv, obj, field", [
+    (["mesh"], {"coeffs": [[10**400, 0], [0, 0], [1, 0]]}, "coeffs[0]"),
+    (["analyze"], {"lambda": [10**400, 0], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+])
+def test_exit_2_on_integer_beyond_double_range(tmp_path, capsys, argv, obj, field):
+    # a JSON integer that no double holds used to end in a bare OverflowError
+    # traceback and exit 1, the code of a failed suite
+    code = main(argv + [write(tmp_path, "in.json", obj)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {field}: number out of the double range\n"
+
+
 def test_exit_2_on_constant_mesh(tmp_path, capsys):
     assert main(["mesh", write(tmp_path, "c.json", {"coeffs": [[3, 0]]})]) == 2
 

@@ -272,21 +272,25 @@ def test_batched_checks_match_one_root_find_at_a_time(seed):
 
 def _count_rounds(monkeypatch) -> list:
     # Per round of rootfind._run_requests, appended as it is answered: the
-    # distinct row widths (degree + 1) of its rootable items and the number
-    # of engine calls made to answer it.
+    # rows per degree of its items that can be root-found, and the rows per
+    # degree of each engine call made to answer it.
     calls, rounds = [], []
     core, many = rootfind._aberth_core, rootfind._certified_many
 
-    def counted_core(c):
-        calls.append(len(c))
-        return core(c)
+    def counted_core(c, deg):
+        calls.append(_rows_per_degree(deg.tolist()))
+        return core(c, deg)
 
     def counted_many(items):
         before = len(calls)
         out = many(items)
-        widths = {x.shape[1] if isinstance(x, np.ndarray) else x.degree + 1
-                  for x in items if isinstance(x, np.ndarray) or x.degree}
-        rounds.append((widths, len(calls) - before))
+        degrees = []
+        for x in items:
+            if isinstance(x, np.ndarray):
+                degrees += [x.shape[1] - 1] * len(x) if x.shape[1] > 1 else []
+            elif x.degree:
+                degrees.append(x.degree)
+        rounds.append((_rows_per_degree(degrees), calls[before:]))
         return out
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
@@ -294,7 +298,14 @@ def _count_rounds(monkeypatch) -> list:
     return rounds
 
 
-def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypatch):
+def _rows_per_degree(degrees) -> dict:
+    out = {}
+    for n in degrees:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_converted_properties_make_one_engine_call_per_round(monkeypatch):
     rounds = _count_rounds(monkeypatch)
     cfg = SuiteConfig(seed=42, trials=20)
     for prop in ALL_PROPERTIES:
@@ -309,18 +320,21 @@ def test_converted_properties_make_one_engine_call_per_degree_per_round(monkeypa
         rounds.clear()
         harness._run_checks(prop.check, instances)
         assert len(rounds) == max(yields), prop.name
-        for degrees, n_calls in rounds:
-            assert n_calls == len(degrees), prop.name
+        for degrees, calls in rounds:
+            # every width of the round in one call, on the round's rows
+            assert calls == [degrees], prop.name
 
 
 def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
     # Every root-find of a suite pass is a request to the driver: no roots()
     # call (140 when analyze, simplicity_margin, extremal_bounds and
     # walsh_interval_bound called it), and every engine call comes from
-    # _certified_many.  roots is wrapped in every module that holds it.  The
-    # pencil's sign certificate keeps most of its real directions from the
-    # engine (217 calls on 24,964 rows before it, and before each
-    # tb_image_real_simple image was root-found once instead of twice).
+    # _certified_many, one call for each of the pass's 32 rounds (205 calls
+    # on the same rows when each width of a round had its own).  roots is
+    # wrapped in every module that holds it.  The pencil's sign certificate
+    # keeps most of its real directions from the engine (217 calls on
+    # 24,964 rows before it, and before each tb_image_real_simple image was
+    # root-found once instead of twice).
     calls = {"roots": 0, "engine": 0, "rows": 0}
     callers = set()  # code objects that called the engine
     original, core = rootfind.roots, rootfind._aberth_core
@@ -329,16 +343,16 @@ def test_suite_pass_root_finds_only_through_the_driver(monkeypatch):
         calls["roots"] += 1
         return original(p)
 
-    def counted_core(c):
+    def counted_core(c, deg):
         callers.add(sys._getframe(1).f_code)
         calls["engine"] += 1
         calls["rows"] += len(c)
-        return core(c)
+        return core(c, deg)
 
     _wrap_in_every_module(monkeypatch, original, counted_roots)
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     run_suite(SuiteConfig(seed=42, trials=20))
-    assert calls == {"roots": 0, "engine": 205, "rows": 2396}
+    assert calls == {"roots": 0, "engine": 32, "rows": 2396}
     assert callers == {rootfind._certified_many.__code__}
 
 
@@ -382,9 +396,9 @@ def test_tb_image_real_simple_root_finds_each_image_once(monkeypatch):
     rows = []
     core = rootfind._aberth_core
 
-    def counted_core(c):
+    def counted_core(c, deg):
         rows.append(len(c))
-        return core(c)
+        return core(c, deg)
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     prop = next(p for p in ALL_PROPERTIES if p.name == "tb_image_real_simple")
@@ -482,7 +496,8 @@ def _chk_array_errors(inst):
 
 def test_array_request_errors_match_aberth_batch_one_array_at_a_time(monkeypatch):
     # Failing arrays in either round, beside certified arrays and a
-    # polynomial of the same width; one engine call per width and round.
+    # polynomial of the same width; one engine call per round, on every
+    # row of the round that can be root-found.
     prop = Property("array_errors", 993, _gen_array_errors, _chk_array_errors)
     instances = _gen_array_errors(None, None)
     want = [_sequential(prop.check, inst) for inst in instances]
@@ -492,9 +507,13 @@ def test_array_request_errors_match_aberth_batch_one_array_at_a_time(monkeypatch
     assert want[3] > 0.5
     rounds = _count_rounds(monkeypatch)
     _assert_same_outcomes(harness._run_checks(prop.check, instances), want)
-    # widths 5, 6, 9 (an array and a polynomial), 97; then 1, 7, 9, 97, 98
-    assert [n_calls for _, n_calls in rounds] == [4, 5]
-    assert all(n_calls == len(widths) for widths, n_calls in rounds)
+    # degrees 4, 5, 8 (arrays and a polynomial), 96; then 6, 8, 96, 97 from
+    # the instances that round 1 did not fail (the constant rows of degree 0
+    # never reach the engine; each degree had its own call, and degree 0 one
+    # that raised, when calls went by width)
+    assert [calls for _, calls in rounds] == [
+        [{4: 28, 8: 15, 96: 14, 5: 7}], [{6: 5, 8: 5, 96: 10, 97: 5}]]
+    assert all(calls == [degrees] for degrees, calls in rounds)
     rec = run_properties(SuiteConfig(seed=1), [prop]).records[0]
     assert (rec.trials, rec.failures, rec.example_failure) == (7, 5, instances[1])
     assert rec.worst_violation == want[3]

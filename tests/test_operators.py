@@ -419,6 +419,17 @@ def test_operator_json_rejects(bad, field):
         operator_from_json(bad)
 
 
+@pytest.mark.parametrize("bad,field", [
+    ({"lambda": [10**400, 1], "terms": [{"j": 0, "a": [1, 0]}]}, "lambda"),
+    ({"lambda": [0, 1], "terms": [{"j": 0, "a": [1, 0]}, {"j": 1, "a": [1, -(10**400)]}]},
+     r"terms\[1\]\.a"),
+])
+def test_operator_json_rejects_integers_beyond_double_range(bad, field):
+    # these used to raise a bare OverflowError
+    with pytest.raises(InvalidInput, match=f"^{field}: number out of the double range$"):
+        operator_from_json(bad)
+
+
 @pytest.mark.parametrize("max_degree", [True, 2.5, "3"])
 def test_witness_rejects_max_degree_not_an_integer(max_degree):
     # True used to search degree 1 only, and 2.5 raised a bare TypeError

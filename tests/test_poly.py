@@ -267,6 +267,25 @@ def test_json_error_names_field():
         poly_from_json({"coeffs": [[1, 0], [float("nan"), 0]]})
 
 
+@pytest.mark.parametrize("pair", [[10**400, 0], [0, -(10**400)]])
+def test_json_integer_beyond_double_range_is_invalid_input(pair):
+    # a JSON integer that no double holds used to raise a bare OverflowError
+    with pytest.raises(InvalidInput, match=r"^coeffs\[0\]: number out of the double range$"):
+        poly_from_json({"coeffs": [pair, [1, 0]]})
+    # one a double holds converts as a float would
+    assert poly_from_json({"coeffs": [[10**300, -3], [1, 0]]}).coeffs[0] == complex(1e300, -3)
+
+
+def test_make_poly_of_an_array_holds_python_complex_values():
+    # arrays convert in one step; the values are those of complex(v)
+    for a in (np.array([0.1, -2.5 + 1e-300j, 3e200j, 0, 0]), np.array([3, -1, 0]),
+              np.array([0.7, 1.0, 0.0])):
+        p = make_poly(a)
+        assert p.coeffs == tuple(complex(v) for v in a[: len(p.coeffs)])
+        assert all(type(v) is complex for v in p.coeffs)
+    assert make_poly(np.zeros(3)).is_zero
+
+
 def test_polynomial_immutable():
     p = make_poly([1, 2])
     with pytest.raises(Exception):

@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 import pickle
 import warnings
 
@@ -42,6 +43,12 @@ from fdzeros import (
 )
 from fdzeros import harness, rootfind
 from fdzeros.rootfind import _aberth_core, aberth_batch
+
+
+def _core(c):
+    # the engine on rows of one width, which need no padding
+    c = np.asarray(c, dtype=complex)
+    return _aberth_core(c, np.full(len(c), c.shape[1] - 1))
 
 
 def test_roots_basic():
@@ -342,12 +349,14 @@ def test_pencil_stage_boundary_matches_reference(n_samples):
 
 
 def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch):
-    batches = []
+    batches = []  # rows per engine call
+    widths = []  # rows per width (degree + 1) of each engine call
     original = rootfind._aberth_core
 
-    def counting(c):
+    def counting(c, deg):
         batches.append(len(c))
-        return original(c)
+        widths.append(Counter((deg + 1).tolist()))
+        return original(c, deg)
 
     monkeypatch.setattr(rootfind, "_aberth_core", counting)
     first = rootfind._PENCIL_FIRST
@@ -364,14 +373,15 @@ def test_pencil_root_finds_later_directions_only_for_unsettled_pairs(monkeypatch
     assert pencil_hyperbolic_sample(_times_i(p), _times_i(q), 200, seed=0)
     assert batches == [2, first, 200 - first]
     batches.clear()
-    # one call per degree and stage; the settled pair drops out of stage 2
+    # one call per stage, both degrees in it; the settled pair drops out of
+    # stage 2
     cubic = (from_roots([-1.0, 0.0, 1.0]), from_roots([-0.5, 0.5, 1.5]))
     pairs = [(p, r), (_times_i(p), _times_i(q)), tuple(map(_times_i, cubic))]
+    widths.clear()
     assert rootfind._drive(rootfind._pencil(pairs, 200, [0, 0, 0], 1e-7)) == \
         [False, True, True]
-    assert sorted(batches[:2]) == [2, 4]
-    assert sorted(batches[2:4]) == [first, 10 + first]
-    assert sorted(batches[4:]) == [200 - first, 200 - first]
+    assert widths == [{3: 4, 4: 2}, {3: 10 + first, 4: first},
+                      {3: 200 - first, 4: 200 - first}]
 
 
 def _times_i(p):
@@ -573,7 +583,7 @@ def test_sign_certified_rows_are_real_for_the_engine_and_mpmath():
     certified = []
     for rows, hints in _registry_sign_rows(50).values():
         rows = rows[rootfind._real_by_signs(rows, hints)]
-        got = _aberth_core(rows)
+        got = _core(rows)
         scale = np.maximum(1.0, np.max(np.abs(got.z), axis=1))
         assert not any(got.failed)
         assert np.all(np.max(np.abs(got.z.imag), axis=1) <= 1e-7 * scale)
@@ -899,6 +909,21 @@ def _certificate_batches():
     yield [squares[2], make_poly(nan), make_poly(inf)]
 
 
+def _forward_ok_padded(a, z, rows, settled, pad):
+    # rootfind._forward_ok on same-degree rows a (monic) and roots z, each
+    # row padded on top with pad zero coefficients and pad zero roots, with
+    # p(z), the error bound and p'(z) evaluated on the padded arrays
+    deg = np.full(len(a), a.shape[1] - 1)
+    a = np.concatenate([a, np.zeros((len(a), pad))], axis=1)
+    z = np.concatenate([z, np.zeros((len(z), pad))], axis=1)
+    valid = np.arange(z.shape[1]) < deg[:, None]
+    dcoef = a[:, 1:] * np.arange(1, a.shape[1])
+    _, p, err = rootfind._residual_ok(a, np.abs(a), z, rootfind.TOL)
+    dp = rootfind._horner_rows(dcoef, z)
+    return rootfind._forward_ok(a, np.abs(a), z, err, dp, rows, deg, valid,
+                                p if settled else None)
+
+
 def test_staged_forward_certificate_matches_full_evaluation():
     seen = set()
     for ps in _certificate_batches():
@@ -908,16 +933,20 @@ def test_staged_forward_certificate_matches_full_evaluation():
             a = c / c[:, -1:]
             absa = np.abs(a)
             dcoef = a[:, 1:] * np.arange(1, n + 1)
-            z = _aberth_core(c).z
+            z = _core(c).z
             ok, p, err = rootfind._residual_ok(a, absa, z, rootfind.TOL)
             dp = rootfind._horner_rows(dcoef, z)
             every = np.ones(len(ps), dtype=bool)
+            deg, valid = np.full(len(ps), n), np.ones(z.shape, dtype=bool)
             # the rounding floor alone, as in the iteration, and the final
             # certificate, on every row and on the rows whose residual passed
             for rows, pz in ((every, None), (every, p), (ok.all(axis=1), p)):
-                got = rootfind._forward_ok(a, absa, z, err, dp, rows, pz)
+                got = rootfind._forward_ok(a, absa, z, err, dp, rows, deg, valid, pz)
                 want = _forward_ok_ref(a, absa, z, err, dp, rows, pz)
                 assert np.array_equal(got, want)
+                # padding the rows to a wider batch changes no verdict
+                assert np.array_equal(_forward_ok_padded(a, z, rows, pz is not None, 5),
+                                      want)
                 seen.update(zip(rows.tolist(), want.tolist()))
     assert seen == {(True, True), (True, False), (False, False)}
 
@@ -1078,7 +1107,7 @@ def _mixed_batch():
 
 def test_aberth_core_certifies_row_by_row():
     c, good = _mixed_batch()
-    out = _aberth_core(c)
+    out = _core(c)
     assert out.failed == (None, "forward", None, "residual", None, None)
     for row, p in zip((0, 2, 4, 5), good):
         assert np.array_equal(_bits(_by_real_imag(out.z[row])), _bits(roots(p).roots))
@@ -1104,7 +1133,7 @@ def test_aberth_core_certifies_row_by_row():
 def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
     c, _ = _mixed_batch()
     c = np.delete(c, (1, 3), axis=0)  # four rows that certify
-    want = _aberth_core(c)
+    want = _core(c)
     original = np.linalg.eigvals
     calls = []
 
@@ -1116,7 +1145,7 @@ def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
-    out = _aberth_core(c)
+    out = _core(c)
     assert calls == [3, 2, 2, 2, 2]
     # the row that fails again stays at NaN and fails the residual certificate
     assert out.failed == (None, None, "residual", None)
@@ -1126,3 +1155,91 @@ def test_aberth_core_retries_failed_eigenvalue_stack_row_by_row(monkeypatch):
     with pytest.raises(NonConvergence, match="^companion-eigenvalue roots of degree 24 "
                                              "failed the residual certificate$"):
         aberth_batch(c)
+
+
+# One engine call takes rows of every degree, each zero-padded on top to the
+# widest.  The padded pass must give each row what its own single-width
+# call gives: the same roots, residuals and failure label, bit for bit.
+
+def _mixed_width_polys():
+    # real-rooted, complex, repeated-root and gn rows (gn(96) fails the
+    # forward certificate before the polish), a row whose leading
+    # coefficient is 1e-12, and closed-form rows of degrees 1 and 2; the
+    # roots near 0, where the padding sits, would shorten the polish's steps
+    # if the padding counted as their neighbour
+    rng = np.random.default_rng(27)
+    tiny_lead = rng.normal(size=9)
+    tiny_lead[-1] = 1e-12
+    return ([from_roots(rng.uniform(-5, 5, n)) for n in (3, 8, 8, 20)]
+            + [from_roots([1e-14, 1.0, -2.0, 3.5]), from_roots([1e-30, 1e3, -2e3, 5e2])]
+            + [make_poly(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+               for n in (1, 2, 6, 11)]
+            + [multiply(q, q) for q in (from_roots([1.0, -2.0, 0.5]),
+                                        from_roots(rng.uniform(-3, 3, 5)))]
+            + [gn(n, 0.7, 1.0) for n in (8, 24, 50, 96)]
+            + [make_poly(tiny_lead), make_poly([2.0, 1.0]), make_poly([1.0, 0.0, 1.0]),
+               make_poly([1.0, -2.0, 1.0]), make_poly([1e-3, 1.0 + 1j])])
+
+
+def _padded(ps):
+    deg = np.array([p.degree for p in ps])
+    c = np.zeros((len(ps), deg.max() + 1), dtype=complex)
+    for row, p in zip(c, ps):
+        row[: p.degree + 1] = p.as_array()
+    return c, deg
+
+
+def test_mixed_width_batch_gives_each_row_its_single_width_call():
+    ps = _mixed_width_polys()
+    for order in (np.arange(len(ps)), np.random.default_rng(1).permutation(len(ps))):
+        batch = [ps[i] for i in order]
+        got = _aberth_core(*_padded(batch))
+        assert got.failed.count("forward") == 1  # gn(96)
+        groups = {}  # the rows of each degree, in batch order, as one call
+        for i, p in enumerate(batch):
+            groups.setdefault(p.degree, []).append(i)
+        for n, rows in groups.items():
+            width = _core(np.array([batch[i].as_array() for i in rows]))
+            for k, i in enumerate(rows):
+                alone = _core(batch[i].as_array()[None, :])
+                for want in (alone, width):
+                    j = 0 if want is alone else k
+                    assert np.array_equal(_bits(got.z[i, :n]), _bits(want.z[j]))
+                    assert np.array_equal(got.residuals[i, :n].view(np.uint64),
+                                          want.residuals[j].view(np.uint64))
+                    assert got.failed[i] == want.failed[j]
+                assert not got.z[i, n:].any()
+
+
+def test_certified_many_gives_each_item_of_a_mixed_round_what_it_gets_alone():
+    # polynomials and arrays of many widths, a failing array among them, in
+    # one call; each outcome as in a call of its own
+    ps = _mixed_width_polys()
+    arrays = [np.array([p.as_array() for p in ps[1:3]]),  # degree 8
+              np.array([gn(96, 0.7, 1.0).as_array(), gn(96, 0.7, 1.5).as_array()]),
+              np.ones((3, 1))]
+    items = ps + arrays
+    for x, (z, error) in zip(items, rootfind._certified_many(items)):
+        (z1, error1), = rootfind._certified_many([x])
+        assert type(error) is type(error1) and str(error) == str(error1)
+        if z is None:
+            assert z1 is None
+            continue
+        assert np.array_equal(_bits(z), _bits(z1))
+        if error is not None:
+            assert np.array_equal(_bits(error.best), _bits(error1.best))
+            assert np.array_equal(error.residuals.view(np.uint64),
+                                  error1.residuals.view(np.uint64))
+
+
+def test_lone_row_residuals_equal_batched_ones():
+    # numpy's in-place complex multiply rounds a 1-element array without the
+    # vector loop's fused multiply-add, so a lone degree-1 row's residuals
+    # used to differ in the last bits from the same row's in a batch
+    rows = np.random.default_rng(0).normal(size=(1500, 2, 2)) @ np.array([1.0, 1j])
+    batched = _core(rows)
+    for k, row in enumerate(rows):
+        alone = _core(row[None, :])
+        assert np.array_equal(_bits(alone.z[0]), _bits(batched.z[k]))
+        assert np.array_equal(alone.residuals[0].view(np.uint64),
+                              batched.residuals[k].view(np.uint64))
