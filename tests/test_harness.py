@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -278,31 +279,24 @@ def _count_rounds(monkeypatch) -> list:
     core, many = rootfind._aberth_core, rootfind._certified_many
 
     def counted_core(c, deg):
-        calls.append(_rows_per_degree(deg.tolist()))
+        calls.append(Counter(deg.tolist()))
         return core(c, deg)
 
     def counted_many(items):
         before = len(calls)
         out = many(items)
-        degrees = []
+        degrees = Counter()
         for x in items:
-            if isinstance(x, np.ndarray):
-                degrees += [x.shape[1] - 1] * len(x) if x.shape[1] > 1 else []
-            elif x.degree:
-                degrees.append(x.degree)
-        rounds.append((_rows_per_degree(degrees), calls[before:]))
+            if isinstance(x, np.ndarray) and x.shape[1] > 1:
+                degrees[x.shape[1] - 1] += len(x)
+            elif not isinstance(x, np.ndarray) and x.degree:
+                degrees[x.degree] += 1
+        rounds.append((degrees, calls[before:]))
         return out
 
     monkeypatch.setattr(rootfind, "_aberth_core", counted_core)
     monkeypatch.setattr(rootfind, "_certified_many", counted_many)
     return rounds
-
-
-def _rows_per_degree(degrees) -> dict:
-    out = {}
-    for n in degrees:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def test_converted_properties_make_one_engine_call_per_round(monkeypatch):
